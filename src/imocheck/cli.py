@@ -51,6 +51,8 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
             text = fh.read()
     except OSError as exc:
         return _fail_usage(f"cannot read {args.path}: {exc}")
+    except UnicodeDecodeError as exc:
+        return _fail_usage(f"{args.path}: not an ASCII file: {exc}")
     try:
         t = tiling.parse_tiling(text)
     except TilingParseError as exc:

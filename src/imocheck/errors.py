@@ -37,10 +37,6 @@ class TheoremViolationError(ImocheckError, AssertionError):
     """
 
 
-class OrbitOverflowError(ImocheckError, OverflowError):
-    """An orbit value would exceed the checked 64-bit ceiling."""
-
-
 class TilingParseError(ImocheckError, ValueError):
     """A tiling file line failed to parse.  Carries the 1-based line number."""
 

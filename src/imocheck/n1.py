@@ -9,8 +9,6 @@ cycle, a reached residue-2 value plus a confirmed strictly increasing tail
 certifies divergence within the examined window.
 
 Everything is integer arithmetic; square roots are exact integer floors.
-Orbit values are checked against a fixed 64-bit ceiling so overflow is loud,
-never silent.
 """
 
 from __future__ import annotations
@@ -19,10 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import backend
-from .errors import OrbitOverflowError, PreconditionFailedError, TheoremViolationError
+from .errors import PreconditionFailedError, TheoremViolationError
 from .report import ClaimReport, failed, passed
-
-ORBIT_CEILING = backend.ORBIT_CEILING
 
 
 def isqrt(x: int) -> int:
@@ -48,15 +44,11 @@ def sqrt_exact(x: int) -> int:
 
 
 def n1_step(x: int) -> int:
-    """One step: isqrt(x) if x is a perfect square, else x + 3 (checked)."""
+    """One step: isqrt(x) if x is a perfect square, else x + 3."""
     if x < 1:
         raise PreconditionFailedError("step needs x >= 1")
     s = backend.isqrt(x)
-    if s * s == x:
-        return s
-    if x + 3 > ORBIT_CEILING:
-        raise OrbitOverflowError(f"orbit value {x} + 3 exceeds ceiling")
-    return x + 3
+    return s if s * s == x else x + 3
 
 
 def orbit(a0: int, k: int) -> list[int]:

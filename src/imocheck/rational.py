@@ -5,8 +5,9 @@ numerators and denominators (denominators grow super-exponentially, e.g.
 a_4 = 19/720 already).  We reuse the standard library's ``fractions.Fraction``,
 which keeps values canonical: denominator positive, gcd(|num|, den) = 1, and
 zero stored as 0/1.  Structural equality of canonical forms is therefore
-plain ``==``.  All operations here are pure and the values immutable, so
-everything is safe for unrestricted concurrent use.
+plain ``==``, and arithmetic and order are Fraction's own operators.  All
+operations here are pure and the values immutable, so everything is safe for
+unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -27,30 +28,6 @@ def make_rational(num: int, den: int = 1) -> Rational:
     if den == 0:
         raise ZeroDenominatorError(f"denominator is zero: {num}/0")
     return Fraction(num, den)
-
-
-def add(a: Rational, b: Rational) -> Rational:
-    return a + b
-
-
-def mul(a: Rational, b: Rational) -> Rational:
-    return a * b
-
-
-def div(a: Rational, b: Rational) -> Rational:
-    """Exact division; raises ZeroDivisionError for b = 0."""
-    return a / b
-
-
-def neg(a: Rational) -> Rational:
-    return -a
-
-
-def compare(a: Rational, b: Rational) -> int:
-    """Total order consistent with the real-number order: -1, 0, or 1."""
-    if a < b:
-        return -1
-    return 1 if a > b else 0
 
 
 def render(q: Rational) -> str:

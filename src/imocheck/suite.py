@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, TextIO
 
 from . import a2, backend, n1, tiling
+from .errors import TheoremViolationError
 from .rational import Rational, ZERO, finite_sum
 from .report import ClaimReport, failed, passed
 
@@ -200,11 +201,11 @@ def check_tiling_theorem(t: tiling.Tiling) -> str | None:
         return "invalid tiling"
     try:
         tiling.witness(t)
-    except Exception:
+    except TheoremViolationError:
         return "no parity witness"
     try:
         g = tiling.find_green_tile(t)
-    except Exception:
+    except TheoremViolationError:
         return "no green tile"
     if tiling.distance_parity(tiling.side_distances(g, t.board)) is None:
         return "green tile fails distance parity"

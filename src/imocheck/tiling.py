@@ -11,19 +11,22 @@ has distances to the four board sides that are all even or all odd.  The
 proof chain runs through corner colors, green/yellow counting and the
 parity-of-distances lemma, and every link is executable here.
 
-Set-level predicates (overlap, cover, inside) exist twice: literally over
-materialized square sets, and as interval arithmetic fast paths.  The
-property tests assert their agreement, keeping the set definitions
-authoritative.
+Set-level predicates (overlap, inside) exist twice: literally over
+materialized square sets, and as interval arithmetic fast paths.  The one
+tiling validator, tiling_problems, checks cover and non-overlap by counting
+areas and sweeping the tiles in x, never materializing squares, so its cost
+depends on the tile count and not on the board area.  The property tests
+assert its agreement with the literal cover and overlap_literal definitions,
+keeping the set definitions authoritative.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import backend
@@ -71,29 +74,12 @@ def overlap_literal(r1: Rect, r2: Rect) -> bool:
     return bool(squares(r1) & squares(r2))
 
 
-def non_overlapping(rs: Iterable[Rect]) -> bool:
-    return not any(overlap(r1, r2) for r1, r2 in combinations(sorted(set(rs)), 2))
-
-
 def cover(rs: Iterable[Rect], r: Rect) -> bool:
     """Literal definition: the union of the tiles' squares equals r's squares."""
     u: set[Square] = set()
     for t in rs:
         u |= squares(t)
     return u == squares(r)
-
-
-def tiles(rs: Iterable[Rect], r: Rect) -> bool:
-    """cover(rs, r) and non_overlapping(rs), by counting instead of materializing.
-
-    For non-overlapping tiles the union equals squares(r) exactly when every
-    tile sits inside r and the areas add up; the literal route stays around
-    as the small-board oracle.
-    """
-    rset = set(rs)
-    return (non_overlapping(rset)
-            and all(inside(t, r) for t in rset)
-            and sum(area(t) for t in rset) == area(r))
 
 
 def inside(ri: Rect, ro: Rect) -> bool:
@@ -177,34 +163,65 @@ class Tiling:
     tiles: frozenset[Rect]
 
 
+def _overlapping_pair(rs: list[Rect]) -> tuple[Rect, Rect] | None:
+    """Some pair of the valid rects rs that share a square, in sorted order, or None.
+
+    An x-sweep with O(k log k) comparisons for k rects, whatever their size.
+    Each rect starts at x1 and ends at x2; at equal x the ends go first,
+    since half-open rects that merely touch share no square.  The
+    y-intervals of the rects crossing the sweep line are kept sorted and,
+    until the first overlap, pairwise disjoint, so a starting rect overlaps
+    one of them exactly when it overlaps a neighbour of its insertion point.
+    """
+    events = sorted([(r[0], 1, r) for r in rs] + [(r[1], 0, r) for r in rs])
+    active: list[tuple[int, int, Rect]] = []   # (y1, y2, rect), sorted
+    for _, starts, r in events:
+        entry = (r[2], r[3], r)
+        i = bisect_left(active, entry)
+        if not starts:
+            del active[i]
+        elif i and active[i - 1][1] > r[2]:
+            return tuple(sorted((active[i - 1][2], r)))
+        elif i < len(active) and active[i][0] < r[3]:
+            return tuple(sorted((active[i][2], r)))
+        else:
+            active.insert(i, entry)
+    return None
+
+
 def tiling_problems(t: Tiling) -> list[str]:
-    """Invariant violations, human-readable; empty list means valid."""
+    """Invariant violations, human-readable; empty list means valid.
+
+    The only tiling validator.  The tiles cover the board exactly when none
+    overlap, each lies inside the board and their areas add up to the
+    board's, so it counts areas instead of materializing squares.
+    """
     problems = []
     b = t.board
     if b[0] != 0 or b[2] != 0:
         problems.append(f"board {b} is not anchored at the origin")
     if not valid_rect(b):
         problems.append(f"board {b} is not a valid rectangle")
-    ordered = sorted(t.tiles)
-    for r in ordered:
+    valid = []
+    covered = 0
+    for r in sorted(t.tiles):
         if not valid_rect(r):
             problems.append(f"tile {r} is invalid (needs x1 < x2 and y1 < y2)")
-        elif not inside(r, b):
+            continue
+        if not inside(r, b):
             problems.append(f"tile {r} is not inside the board")
-    for r1, r2 in combinations(ordered, 2):
-        if overlap(r1, r2):
-            problems.append(f"tiles {r1} and {r2} overlap")
-            break
-    covered = sum(area(r) for r in ordered)
+        valid.append(r)
+        covered += area(r)
+    pair = _overlapping_pair(valid)   # invalid tiles have no squares to share
+    if pair is not None:
+        problems.append(f"tiles {pair[0]} and {pair[1]} overlap")
     if not problems and covered != area(b):
         problems.append(f"tiles cover {covered} of {area(b)} board squares")
     return problems
 
 
 def is_valid_tiling(t: Tiling) -> bool:
-    return (t.board[0] == 0 and t.board[2] == 0 and valid_rect(t.board)
-            and all(valid_rect(r) for r in t.tiles)
-            and tiles(t.tiles, t.board))
+    return not tiling_problems(t)
 
 
 def _lex_tiles(t: Tiling) -> list[Rect]:
@@ -379,7 +396,7 @@ def parse_tiling(text: str) -> Tiling:
             continue
         tokens = line.split()
         keyword, args = tokens[0], tokens[1:]
-        if not all(tok.isdecimal() for tok in args):
+        if not all(tok.isascii() and tok.isdecimal() for tok in args):
             raise TilingParseError(line_no, f"expected decimal naturals, got {args}")
         values = [int(tok) for tok in args]
         if keyword == "board":

@@ -127,7 +127,7 @@ def test_c1_main_theorem_randomized():
             a = rng.randrange(1, 18, 2)
             b = rng.randrange(1, 12, 2)
             t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
-            assert tiling.tiles(t.tiles, t.board)
+            assert tiling.is_valid_tiling(t)
             tiling.witness(t)
             tiling.find_green_tile(t)
         for _ in range(50):
@@ -136,7 +136,7 @@ def test_c1_main_theorem_randomized():
             cx1, cx2 = sorted(rng.sample(range(1, a), 2))
             cy1, cy2 = sorted(rng.sample(range(1, b), 2))
             t = tiling.pinwheel(a, b, cx1, cx2, cy1, cy2)
-            assert tiling.tiles(t.tiles, t.board)
+            assert tiling.is_valid_tiling(t)
             tiling.witness(t)
             tiling.find_green_tile(t)
 

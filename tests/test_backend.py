@@ -1,80 +1,63 @@
-"""Cross-checks between the compiled kernels and the pure-Python fallback."""
-
-import os
-import subprocess
-import sys
+"""The kernels against naive oracles that share no code with them."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from imocheck import _kernel_py as pure
-from imocheck.errors import OrbitOverflowError
-
-cy = pytest.importorskip("imocheck._kernel_cy")
-
-U64_MAX = (1 << 64) - 1
+from imocheck import backend, n1, tiling
 
 
-def test_backend_constants_match():
-    assert cy.ORBIT_CEILING == pure.ORBIT_CEILING == (1 << 64) - (1 << 33)
+def first_square_by_scan(start, nsteps):
+    """Offset of the first perfect square among start, start+3, ..., or -1."""
+    return next((i for i in range(nsteps) if n1.is_perfect_square(start + 3 * i)), -1)
 
 
-@given(st.integers(0, U64_MAX))
-def test_isqrt_agrees(x):
-    assert cy.isqrt(x) == pure.isqrt(x)
+def first_non_plus3_step(start, nsteps):
+    """Index of the first of nsteps orbit steps that is not a +3 step, or -1."""
+    vals = backend.orbit_fill(start, nsteps)
+    return next((i for i in range(nsteps) if vals[i + 1] != vals[i] + 3), -1)
 
 
-def test_isqrt_boundaries():
-    for x in (0, 1, 2, 3, 4, 15, 16, U64_MAX, (1 << 32) ** 2 - 1, pure.ORBIT_CEILING):
-        assert cy.isqrt(x) == pure.isqrt(x)
-        s = cy.isqrt(x)
-        assert s * s <= x
-        assert (s + 1) * (s + 1) > x
+# starts anywhere, and starts a few steps below a perfect square so runs do hit one
+run_starts = st.one_of(
+    st.integers(2, 10**9),
+    st.builds(lambda s, d: max(2, s * s - d), st.integers(2, 10**5), st.integers(0, 300)))
 
 
-@given(st.integers(2, 10**9), st.integers(0, 300))
-def test_orbit_fill_agrees(a0, k):
-    assert cy.orbit_fill(a0, k) == pure.orbit_fill(a0, k)
+@given(run_starts, st.integers(0, 300))
+def test_confirm_plus3_run_matches_scan_and_stepping(start, nsteps):
+    found = backend.confirm_plus3_run(start, nsteps)
+    assert found == first_square_by_scan(start, nsteps)
+    assert found == first_non_plus3_step(start, nsteps)
 
 
-@given(st.integers(2, 10**9), st.integers(0, 5000))
-def test_confirm_agrees(start, nsteps):
-    assert cy.confirm_plus3_run(start, nsteps) == pure.confirm_plus3_run(start, nsteps)
+@pytest.mark.parametrize("start,nsteps,expected", [
+    (13, 10, 1),        # 13, 16: a square one step in
+    (16, 10, 0),        # the start itself is a square
+    (13, 2, 1),         # the square is the last value of the window
+    (13, 1, -1),        # ... and one step past it
+    (2, 10**5, -1),     # residue-2 runs never meet a square
+    (5, 0, -1),         # an empty run is confirmed
+])
+def test_confirm_plus3_run_boundaries(start, nsteps, expected):
+    assert backend.confirm_plus3_run(start, nsteps) == expected
+    assert first_square_by_scan(start, nsteps) == expected
+    assert first_non_plus3_step(start, nsteps) == expected
 
 
-def test_confirm_finds_first_square():
-    # 13, 16: square at offset 1
-    assert cy.confirm_plus3_run(13, 10) == pure.confirm_plus3_run(13, 10) == 1
-    # 16 itself is a square
-    assert cy.confirm_plus3_run(16, 10) == pure.confirm_plus3_run(16, 10) == 0
-    # residue-2 progressions never hit a square
-    assert cy.confirm_plus3_run(2, 10**6) == pure.confirm_plus3_run(2, 10**6) == -1
-    assert cy.confirm_plus3_run(5, 0) == pure.confirm_plus3_run(5, 0) == -1
-
-
-def test_confirm_overflow_raises_on_both():
-    near = pure.ORBIT_CEILING - 10
-    for kernel in (cy, pure):
-        with pytest.raises(OrbitOverflowError):
-            kernel.confirm_plus3_run(near, 100)
-        with pytest.raises(OrbitOverflowError):
-            kernel.orbit_fill(pure.ORBIT_CEILING - 1, 2)
+@given(st.one_of(st.integers(2, 10**9), st.integers(2**64 - 10**6, 2**70)),
+       st.integers(0, 300))
+def test_orbit_fill_matches_single_steps(a0, k):
+    vals = [a0]
+    for _ in range(k):
+        vals.append(n1.n1_step(vals[-1]))
+    assert backend.orbit_fill(a0, k) == vals
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 5), (2, 2), (2, 3), (3, 3), (4, 2)])
-def test_enum_tilings_agree_exactly(a, b):
-    assert cy.enum_tilings(a, b) == pure.enum_tilings(a, b)
-
-
-def test_backend_env_override():
-    env = dict(os.environ, IMOCHECK_BACKEND="pure")
-    out = subprocess.run(
-        [sys.executable, "-c", "from imocheck.backend import BACKEND_NAME; print(BACKEND_NAME)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "pure"
-    env["IMOCHECK_BACKEND"] = "bogus"
-    out = subprocess.run(
-        [sys.executable, "-c", "import imocheck.backend"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode != 0
-    assert "IMOCHECK_BACKEND" in out.stderr
+def test_enum_tilings_matches_reference_count(a, b):
+    found = backend.enum_tilings(a, b)
+    assert len(set(found)) == len(found) == tiling.count_tilings_reference(a, b)
+    # the squares cover the board and add up to its area, so no square is covered twice
+    board = (0, a, 0, b)
+    assert all(tiling.cover(ts, board) and sum(len(tiling.squares(r)) for r in ts) == a * b
+               for ts in found)

@@ -2,6 +2,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from imocheck import cli
 
 
@@ -86,6 +88,21 @@ def test_c1_check_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [
+    "board 3 1\ntile 0 3 0 1  # caf\u00e9\n".encode(),    # non-ASCII comment
+    "board \u0663 1\ntile 0 3 0 1\n".encode(),            # Arabic-Indic digit three
+], ids=["non-ascii-comment", "non-ascii-digit"])
+def test_c1_check_bad_input_is_one_usage_line(tmp_path, content):
+    path = tmp_path / "in.tiling"
+    path.write_bytes(content)
+    done = subprocess.run([sys.executable, "-m", "imocheck", "c1-check", str(path)],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_c1_gen_unit_board(capsys):
     code, out, _ = run_cli(["c1-gen", "--a", "1", "--b", "1", "--seed", "5"], capsys)
     assert code == 0
@@ -139,6 +156,13 @@ def test_n1_classify_divergent(capsys):
     assert out.strip() == "DivergentMod2 m=0"
     code, out, _ = run_cli(["n1", "--a0", "4", "--classify"], capsys)
     assert out.strip() == "DivergentViaMod1 m=1"
+
+
+def test_n1_orbit_above_2_64(capsys):
+    code, out, _ = run_cli(["n1", "--a0", "18446744065119617023", "--steps", "3"], capsys)
+    assert code == 0
+    assert out == ("18446744065119617023 18446744065119617026 "
+                   "18446744065119617029 18446744065119617032\n")
 
 
 def test_n1_rejects_small_a0(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from imocheck import n1
-from imocheck.errors import (OrbitOverflowError, PreconditionFailedError)
+from imocheck.errors import PreconditionFailedError
 from imocheck.n1 import OrbitClass
 
 
@@ -69,13 +69,12 @@ def test_orbit_precondition():
         n1.orbit(1, 3)
 
 
-def test_overflow_is_loud():
-    ceiling = n1.ORBIT_CEILING
-    assert not n1.is_perfect_square(ceiling - 1)
-    with pytest.raises(OrbitOverflowError):
-        n1.n1_step(ceiling - 1)
-    with pytest.raises(OrbitOverflowError):
-        n1.orbit(ceiling - 1, 5)
+def test_step_above_2_64_is_exact():
+    big = 2**64 + 1
+    assert n1.n1_step(big) == big + 3
+    assert n1.n1_step(big * big) == big
+    assert n1.n1_step((2**70 + 3) ** 2) == 2**70 + 3
+    assert n1.orbit(2**100 - 1, 3) == [2**100 - 1, 2**100 + 2, 2**100 + 5, 2**100 + 8]
 
 
 # -- cycle detection and classification ----------------------------------------------

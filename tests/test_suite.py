@@ -69,6 +69,17 @@ def test_check_tiling_theorem_flags_bad_input():
     assert suite.check_tiling_theorem(bad) == "invalid tiling"
 
 
+def test_check_tiling_theorem_lets_programming_errors_through(monkeypatch):
+    from imocheck import tiling
+
+    def broken_witness(t):
+        raise TypeError("a bug, not a theorem failure")
+
+    monkeypatch.setattr(tiling, "witness", broken_witness)
+    with pytest.raises(TypeError):
+        suite.check_tiling_theorem(tiling.gen_guillotine(3, 3, 0))
+
+
 def test_run_suite_small_config():
     cfg = suite.SuiteConfig(a2_max_index=10, c1_random_count=10,
                             c1_pinwheel_count=2, n1_max_a0=60, records=True)

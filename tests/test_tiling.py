@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,14 +46,23 @@ def test_inside_examples():
     assert tiling.inside((0, 2, 0, 2), (0, 2, 0, 2))
 
 
+def overlap_free_literal(rs):
+    return not any(tiling.overlap_literal(r1, r2) for r1, r2 in combinations(rs, 2))
+
+
+def tiles_literal(rs, board):
+    """The set definition of a tiling: the squares cover the board, none twice."""
+    return tiling.cover(rs, board) and overlap_free_literal(rs)
+
+
 def test_tiles_singleton():
-    assert tiling.tiles({(0, 1, 0, 1)}, (0, 1, 0, 1))
+    assert tiling.is_valid_tiling(Tiling((0, 1, 0, 1), frozenset({(0, 1, 0, 1)})))
 
 
-@given(st.sets(valid_rects, max_size=4), valid_rects)
-def test_tiles_agrees_with_literal_definition(rs, r):
-    literal = tiling.cover(rs, r) and tiling.non_overlapping(rs)
-    assert tiling.tiles(rs, r) == literal
+@given(st.sets(valid_rects, max_size=4), st.integers(1, 9), st.integers(1, 9))
+def test_tiles_agrees_with_literal_definition(rs, a, b):
+    board = (0, a, 0, b)
+    assert tiling.is_valid_tiling(Tiling(board, frozenset(rs))) == tiles_literal(rs, board)
 
 
 # -- coloring, corners, counting ------------------------------------------------
@@ -185,7 +196,7 @@ def test_guillotine_unit_board():
 def test_guillotine_valid(a, b):
     for seed in range(5):
         t = tiling.gen_guillotine(a, b, seed)
-        assert tiling.tiles(t.tiles, t.board)
+        assert tiling.is_valid_tiling(t)
 
 
 def test_guillotine_deterministic():
@@ -196,9 +207,9 @@ def test_pinwheel_examples():
     t = tiling.pinwheel(3, 3, 1, 2, 1, 2)
     assert len(t.tiles) == 5
     assert (1, 2, 1, 2) in t.tiles
-    assert tiling.tiles(t.tiles, t.board)
+    assert tiling.is_valid_tiling(t)
     t = tiling.pinwheel(17, 11, 5, 12, 4, 8)
-    assert tiling.tiles(t.tiles, t.board)
+    assert tiling.is_valid_tiling(t)
     with pytest.raises(InvalidPinwheelError):
         tiling.pinwheel(2, 2, 1, 1, 1, 1)
 
@@ -228,12 +239,11 @@ def test_enumeration_counts(a, b):
 
 def test_enumeration_yields_valid_tilings():
     for t in tiling.enumerate_tilings(2, 3):
-        assert tiling.tiles(t.tiles, t.board)
+        assert tiling.is_valid_tiling(t)
 
 
 def test_enumeration_subset_brute_force_oracle():
     # literal oracle: try every subset of every valid rect on the 2x2 board
-    from itertools import combinations
     rects = [(x1, x2, y1, y2)
              for x1 in range(2) for x2 in range(x1 + 1, 3)
              for y1 in range(2) for y2 in range(y1 + 1, 3)]
@@ -241,7 +251,7 @@ def test_enumeration_subset_brute_force_oracle():
     found = set()
     for k in range(1, 5):
         for combo in combinations(rects, k):
-            if tiling.cover(combo, board) and tiling.non_overlapping(combo):
+            if tiles_literal(combo, board):
                 found.add(frozenset(combo))
     assert found == {t.tiles for t in tiling.enumerate_tilings(2, 2)}
 
@@ -286,6 +296,8 @@ def test_parse_comments_and_blank_lines():
     ("board 2 2\nwall 0 1 0 1\n", 2),           # unknown keyword
     ("board 2 2\ntile 0 1 0 1\ntile 0 1 0 1\n", 3),  # duplicate tile
     ("# nothing\n", 1),                         # missing board
+    ("board \u0663 1\n", 1),                    # Arabic-Indic digit three
+    ("board 2 1\ntile 0 \uff12 0 1\n", 2),      # fullwidth digit two
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(TilingParseError) as exc:
@@ -319,3 +331,43 @@ def test_tiling_problems_detects_gap_and_outside():
     out = Tiling((0, 2, 0, 1), frozenset([(0, 2, 0, 1), (5, 6, 0, 1)]))
     assert any("inside" in p for p in tiling.tiling_problems(out))
     assert tiling.tiling_problems(THREE_COLUMNS) == []
+
+
+@pytest.mark.parametrize("board,tiles,problems", [
+    ((0, 2, 0, 1), {(0, 2, 0, 1), (1, 2, 0, 1)},
+     ["tiles (0, 2, 0, 1) and (1, 2, 0, 1) overlap"]),
+    ((0, 2, 0, 1), {(0, 1, 0, 1)}, ["tiles cover 1 of 2 board squares"]),
+    ((0, 2, 0, 1), {(0, 2, 0, 1), (5, 6, 0, 1)},
+     ["tile (5, 6, 0, 1) is not inside the board"]),
+    # the cost depends on the tile count, not the area: a 10^18-wide board is instant
+    ((0, 10**18, 0, 1), {(0, 1, 0, 1), (1, 10**18, 0, 1)}, []),
+    ((0, 10**18, 0, 1), {(0, 1, 0, 1), (2, 10**18, 0, 1)},
+     [f"tiles cover {10**18 - 1} of {10**18} board squares"]),
+    ((0, 10**18, 0, 1), {(0, 10**17, 0, 1), (1, 10**18, 0, 1)},
+     [f"tiles (0, {10**17}, 0, 1) and (1, {10**18}, 0, 1) overlap"]),
+], ids=["overlap", "gap", "off-edge", "huge-valid", "huge-gap", "huge-overlap"])
+def test_tiling_problems_message_texts(board, tiles, problems):
+    assert tiling.tiling_problems(Tiling(board, frozenset(tiles))) == problems
+
+
+@st.composite
+def damaged_tilings(draw):
+    """A guillotine tiling of a small board with tiles dropped and rects added."""
+    a, b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    t = tiling.gen_guillotine(a, b, draw(st.integers(0, 2**32)))
+    dropped = draw(st.sets(st.sampled_from(sorted(t.tiles)), max_size=2))
+    added = draw(st.sets(valid_rects, max_size=2))
+    return t.board, (t.tiles - dropped) | added
+
+
+@given(damaged_tilings())
+def test_tiling_problems_agrees_with_literal_definitions(case):
+    board, rs = case
+    problems = tiling.tiling_problems(Tiling(board, frozenset(rs)))
+    outside = not all(tiling.inside_literal(r, board) for r in rs)
+    overlap = not overlap_free_literal(rs)
+    gap = not (outside or overlap) and not tiling.cover(rs, board)
+    assert (problems == []) == tiles_literal(rs, board)
+    assert any("not inside the board" in p for p in problems) == outside
+    assert any(p.endswith(" overlap") for p in problems) == overlap
+    assert any(p.startswith("tiles cover ") for p in problems) == gap
