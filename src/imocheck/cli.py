@@ -22,6 +22,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ANOMALY = 3
 
+# Input caps, checked before any work starts (exit 2 above them).
+# a2 --n: build and verify are cubic in n (about 5 s at n = 400).
+A2_MAX_N = 1000
+# n1 --classify --a0: classify keeps every value up to the first residue-2
+# value or repeat, up to about (2/3) sqrt(a0) of them (98 MB peak at
+# a0 = 999999^2 + 1, just under the cap).
+N1_CLASSIFY_MAX_A0 = 10 ** 12
+
 
 def _fail_usage(message: str) -> int:
     print(f"imocheck: {message}", file=sys.stderr)
@@ -31,6 +39,8 @@ def _fail_usage(message: str) -> int:
 def cmd_a2(args: argparse.Namespace) -> int:
     if args.n < 1:
         return _fail_usage("a2 needs --n >= 1")
+    if args.n > A2_MAX_N:
+        return _fail_usage(f"a2 needs --n <= {A2_MAX_N}")
     seq = a2.build(args.n)
     for line in a2.render_lines(seq):
         print(line)
@@ -96,10 +106,16 @@ def cmd_n1(args: argparse.Namespace) -> int:
             return _fail_usage("--steps must be non-negative")
         print(" ".join(str(v) for v in n1.orbit(args.a0, args.steps)))
         return EXIT_PASS
+    if args.a0 > N1_CLASSIFY_MAX_A0:
+        return _fail_usage(f"n1 --classify needs --a0 <= {N1_CLASSIFY_MAX_A0}")
     budget = args.budget if args.budget is not None else 4 * args.a0 + 1000
     if budget < 1:
         return _fail_usage("budget must be at least 1")
-    trace = n1.classify(args.a0, budget)
+    try:
+        trace = n1.classify(args.a0, budget)
+    except TheoremViolationError as exc:
+        print(f"theorem anomaly: {exc}", file=sys.stderr)
+        return EXIT_ANOMALY
     cls = trace.classification
     if cls is n1.OrbitClass.PERIODIC_MULT3:
         start, period = trace.cycle
@@ -139,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("a2", help="print the A2 sequence exactly; optionally verify")
-    p.add_argument("--n", type=int, required=True, help="last index to compute (>= 1)")
+    p.add_argument("--n", type=int, required=True,
+                   help=f"last index to compute (1..{A2_MAX_N})")
     p.add_argument("--verify", action="store_true",
                    help="check positivity, residuals and the closed form")
     p.set_defaults(func=cmd_a2)
@@ -156,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_c1_gen)
 
     p = sub.add_parser("n1", help="print an orbit prefix or classify a start value")
-    p.add_argument("--a0", type=int, required=True, help="start value (> 1)")
+    p.add_argument("--a0", type=int, required=True,
+                   help=f"start value (> 1; at most {N1_CLASSIFY_MAX_A0} with --classify)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--steps", type=int, help="print a_0..a_steps")
     mode.add_argument("--classify", action="store_true",

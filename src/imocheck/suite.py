@@ -4,6 +4,15 @@ Each function returns ClaimReports; ``run_suite`` executes the whole battery
 with a single seed, prints one line per claim (human text or record lines)
 and aggregates the exit code.  All checks are exact; there are no epsilons
 anywhere.
+
+Per-tiling theorem checks have two entry points with the same problem
+strings.  check_tiling_theorem takes any Tiling (random, pinwheel, parsed
+files).  check_raw_tiling_theorem takes a raw tile sequence plus the
+board's tiling.board_table and runs the whole chain in one pass over the
+tiles, with validity as a union of square bit masks; c1.theorem_exhaustive
+runs it on the enumerator's tuples.  tests/test_suite.py checks the two
+against each other on every tiling of every board of area at most 12 and on
+mutated tile lists.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import a2, backend, n1, tiling
 from .errors import TheoremViolationError
@@ -216,6 +225,54 @@ def check_tiling_theorem(t: tiling.Tiling) -> str | None:
     return None
 
 
+def check_raw_tiling_theorem(table: tiling.BoardTable, tiles: Iterable[tiling.Rect]
+                             ) -> tuple[str | None, tiling.Rect | None, tiling.Rect | None]:
+    """check_tiling_theorem on a raw tile sequence, in one pass over a board table.
+
+    Returns (problem, first parity witness, first green tile); the problem
+    strings are check_tiling_theorem's, and the two tiles are the ones
+    tiling.witness and tiling.find_green_tile pick (None when the tiling is
+    invalid or has no such tile).  Validity is the literal square-set
+    definition evaluated on bit masks: a tile missing from the table is
+    invalid or outside the board, a tile sharing a bit with the union so far
+    overlaps it (a repeated tile included), and the union must end as the
+    full board.
+    """
+    facts = table.facts
+    occ = 0
+    greens = yellows = 0
+    first_witness = first_green = None
+    for r in sorted(tiles, key=tiling.lex_key):
+        f = facts.get(r)
+        if f is None:
+            return "invalid tiling", None, None
+        mask, parity, is_green, cg, cy = f
+        if occ & mask:
+            return "invalid tiling", None, None
+        occ |= mask
+        if first_witness is None and parity is not None:
+            first_witness = r
+        if first_green is None and is_green:
+            first_green = r
+        greens += cg
+        yellows += cy
+    if occ != table.full:
+        return "invalid tiling", None, None
+    if first_witness is None:
+        problem = "no parity witness"
+    elif first_green is None:
+        problem = "no green tile"
+    elif facts[first_green][1] is None:
+        problem = "green tile fails distance parity"
+    elif greens != table.count_green:
+        problem = "green square counts do not add up"
+    elif yellows != table.count_yellow:
+        problem = "yellow square counts do not add up"
+    else:
+        problem = None
+    return problem, first_witness, first_green
+
+
 def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
     for a in range(1, area_cap + 1, 2):
         for b in range(1, area_cap // a + 1, 2):
@@ -223,15 +280,21 @@ def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
 
 
 def c1_exhaustive_theorem_report(area_cap: int = 16) -> ClaimReport:
-    """Witness + green tile on every tiling of every odd-by-odd board under the cap."""
+    """Witness + green tile on every tiling of every odd-by-odd board under the cap.
+
+    Runs check_raw_tiling_theorem on the enumerator's tuples with one
+    BoardTable per board, so no Tiling is built; the acceptance test checks
+    the same tilings through check_tiling_theorem's own primitives.
+    """
     params = {"area_cap": area_cap}
     checked = 0
     for a, b in _odd_boards(area_cap):
-        for t in tiling.enumerate_tilings(a, b):
-            problem = check_tiling_theorem(t)
+        table = tiling.board_table(a, b)
+        for tiles in backend.enum_tilings(a, b):
+            problem = check_raw_tiling_theorem(table, tiles)[0]
             if problem is not None:
                 return failed("c1.theorem_exhaustive", params,
-                              (a, b, problem, sorted(t.tiles)), checked)
+                              (a, b, problem, sorted(tiles)), checked)
             checked += 1
     return passed("c1.theorem_exhaustive", params, steps=checked)
 
@@ -341,42 +404,47 @@ def n1_classification_reports(max_a0: int,
 
     For every 2 <= a0 <= max_a0 the outcome must be PeriodicMult3 exactly
     when a0 is a multiple of 3, with no BudgetExceeded; every cycle's value
-    set must be exactly {3, 6, 9}.
+    set must be exactly {3, 6, 9}.  The classification counts every start,
+    the cycle shape every periodic one.
     """
     params = {"max_a0": max_a0}
     class_fail = None
     shape_fail = None
-    steps = 0
+    starts = cycles = 0
     for a0 in range(2, max_a0 + 1):
         trace = n1.classify(a0, budget_for(a0))
-        steps += trace.steps_used
+        starts += 1
         periodic = trace.classification is n1.OrbitClass.PERIODIC_MULT3
         exceeded = trace.classification is n1.OrbitClass.BUDGET_EXCEEDED
         if class_fail is None and (exceeded or periodic != (a0 % 3 == 0)):
             class_fail = (a0, trace.classification.value)
-        if shape_fail is None and periodic and trace.cycle_values() != {3, 6, 9}:
-            shape_fail = (a0, tuple(sorted(trace.cycle_values())))
+        if periodic:
+            cycles += 1
+            if shape_fail is None and trace.cycle_values() != {3, 6, 9}:
+                shape_fail = (a0, tuple(sorted(trace.cycle_values())))
     reports = []
     if class_fail is None:
-        reports.append(passed("n1.classification", params, steps=steps))
+        reports.append(passed("n1.classification", params, steps=starts))
     else:
-        reports.append(failed("n1.classification", params, class_fail, steps))
+        reports.append(failed("n1.classification", params, class_fail, starts))
     if shape_fail is None:
-        reports.append(passed("n1.cycle_shape", params, steps=steps))
+        reports.append(passed("n1.cycle_shape", params, steps=cycles))
     else:
-        reports.append(failed("n1.cycle_shape", params, shape_fail, steps))
+        reports.append(failed("n1.cycle_shape", params, shape_fail, cycles))
     return reports
 
 
 def n1_claim1_report(max_a0: int = 1000, window: int = 200) -> ClaimReport:
     params = {"max_a0": max_a0, "window": window}
+    checked = 0
     for a0 in range(2, max_a0 + 1):
         if a0 % 3 != 2:
             continue
         rep = n1.check_claim1(a0, 0, window)
         if not rep.outcome:
-            return failed("n1.claim1", params, rep.witness)
-    return passed("n1.claim1", params, steps=max_a0)
+            return failed("n1.claim1", params, rep.witness, checked)
+        checked += 1
+    return passed("n1.claim1", params, steps=checked)
 
 
 def n1_claim2_report(max_x: int = 10 ** 4) -> ClaimReport:
@@ -404,13 +472,15 @@ def n1_claim3_report(max_a0: int, budget_for: Callable[[int], int]) -> ClaimRepo
 
 def n1_claim4_report(max_a0: int, budget_for: Callable[[int], int]) -> ClaimReport:
     params = {"max_a0": max_a0}
+    checked = 0
     for a0 in range(2, max_a0 + 1):
         if a0 % 3 != 1:
             continue
         rep = n1.check_claim4(a0, 0, budget_for(a0))
         if not rep.outcome:
-            return failed("n1.claim4", params, (a0,) + rep.witness)
-    return passed("n1.claim4", params, steps=max_a0)
+            return failed("n1.claim4", params, (a0,) + rep.witness, checked)
+        checked += 1
+    return passed("n1.claim4", params, steps=checked)
 
 
 def n1_small_claims_report() -> ClaimReport:
@@ -431,17 +501,19 @@ def n1_divergence_report(max_a0: int = 10 ** 4, window: int = 1000) -> ClaimRepo
     are double-checked by a direct orbit scan.
     """
     params = {"max_a0": max_a0, "window": window}
+    checked = 0
     for a0 in range(2, max_a0 + 1):
         if a0 % 3 != 2:
             continue
         if backend.confirm_plus3_run(a0, window) != -1:
-            return failed("n1.divergence", params, (a0,))
+            return failed("n1.divergence", params, (a0,), checked)
         if a0 <= 500:
             vals = n1.orbit(a0, window - 1)
             increasing = all(u < v for u, v in zip(vals, vals[1:]))
             if not increasing or any(n1.is_perfect_square(v) for v in vals):
-                return failed("n1.divergence", params, (a0, "direct scan"))
-    return passed("n1.divergence", params, steps=max_a0)
+                return failed("n1.divergence", params, (a0, "direct scan"), checked)
+        checked += 1
+    return passed("n1.divergence", params, steps=checked)
 
 
 def n1_propagation_reports(max_a0: int = 1000, budget: int = 300) -> list[ClaimReport]:
@@ -451,14 +523,17 @@ def n1_propagation_reports(max_a0: int = 1000, budget: int = 300) -> list[ClaimR
         if not rep.outcome:
             return [failed("n1.mult3_propagates", params, (a0,) + rep.witness)]
     out = [passed("n1.mult3_propagates", params, steps=max_a0 // 3)]
+    checked = 0
     for a0 in range(2, max_a0 + 1):
         if a0 % 3 == 0:
             continue
         rep = n1.lemma_nonmult3_propagates(a0, budget)
         if not rep.outcome:
-            out.append(failed("n1.nonmult3_propagates", params, (a0,) + rep.witness))
+            out.append(failed("n1.nonmult3_propagates", params, (a0,) + rep.witness,
+                              checked))
             return out
-    out.append(passed("n1.nonmult3_propagates", params, steps=max_a0))
+        checked += 1
+    out.append(passed("n1.nonmult3_propagates", params, steps=checked))
     return out
 
 

@@ -12,12 +12,20 @@ proof chain runs through corner colors, green/yellow counting and the
 parity-of-distances lemma, and every link is executable here.
 
 Set-level predicates (overlap, inside) exist twice: literally over
-materialized square sets, and as interval arithmetic fast paths.  The one
-tiling validator, tiling_problems, checks cover and non-overlap by counting
-areas and sweeping the tiles in x, never materializing squares, so its cost
-depends on the tile count and not on the board area.  The property tests
-assert its agreement with the literal cover and overlap_literal definitions,
-keeping the set definitions authoritative.
+materialized square sets, and as interval arithmetic fast paths.  The
+tiling validator for arbitrary tilings, tiling_problems, checks cover and
+non-overlap by counting areas and sweeping the tiles in x, never
+materializing squares, so its cost depends on the tile count and not on the
+board area.  The property tests assert its agreement with the literal cover
+and overlap_literal definitions, keeping the set definitions authoritative.
+
+The exhaustive theorem check over enumerated tilings takes another route:
+board_table maps every rect inside a small board to its facts (square bit
+mask, distance parity, green corners, green and yellow counts), computed
+once per board by the primitives above, so the suite can check the
+enumerator's raw tile tuples as unions of square masks without building a
+Tiling.  Its tests compare that route with the Tiling route on every tiling
+of every board of area at most 12.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import backend
@@ -224,9 +233,12 @@ def is_valid_tiling(t: Tiling) -> bool:
     return not tiling_problems(t)
 
 
+# scan order for witness/green-tile tie-breaking: (x1, y1, x2, y2)
+lex_key = itemgetter(0, 2, 1, 3)
+
+
 def _lex_tiles(t: Tiling) -> list[Rect]:
-    # scan order for witness/green-tile tie-breaking: (x1, y1, x2, y2)
-    return sorted(t.tiles, key=lambda r: (r[0], r[2], r[1], r[3]))
+    return sorted(t.tiles, key=lex_key)
 
 
 def find_green_tile(t: Tiling) -> Rect:
@@ -345,6 +357,49 @@ def enumerate_tilings(a: int, b: int) -> Iterator[Tiling]:
     board = (0, a, 0, b)
     for tile_list in backend.enum_tilings(a, b):
         yield Tiling(board, frozenset(tile_list))
+
+
+# (square mask, distance parity, corners all green, green count, yellow count)
+TileFacts = tuple[int, WitnessParity | None, bool, int, int]
+
+
+@dataclass(frozen=True)
+class BoardTable:
+    """Every valid rect inside the board (0, a, 0, b), mapped to its TileFacts.
+
+    The square mask has bit x*b + y for square (x, y), as in the enumerator,
+    so the union of a tiling's masks is ``full`` exactly when its squares
+    cover the board, and two tiles overlap exactly when their masks share a
+    bit.  ``count_green`` and ``count_yellow`` are the board's own counts.
+    """
+
+    full: int
+    facts: dict[Rect, TileFacts]
+    count_green: int
+    count_yellow: int
+
+
+def board_table(a: int, b: int) -> BoardTable:
+    """The BoardTable of the a x b board, computed by the primitives above.
+
+    Guarded by the enumeration area cap: the table is meant to be built
+    once per board and used for all of its enumerated tilings.
+    """
+    if a * b > ENUM_AREA_CAP:
+        raise BoardTooLargeError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
+    board = (0, a, 0, b)
+    facts: dict[Rect, TileFacts] = {}
+    for x1 in range(a):
+        for x2 in range(x1 + 1, a + 1):
+            for y1 in range(b):
+                for y2 in range(y1 + 1, b + 1):
+                    r = (x1, x2, y1, y2)
+                    mask = sum(1 << (x * b + y) for x, y in squares(r))
+                    facts[r] = (mask, distance_parity(side_distances(r, board)),
+                                classify_rect(r) is RectClass.GREEN,
+                                count_green(r), count_yellow(r))
+    return BoardTable((1 << (a * b)) - 1, facts,
+                      count_green(board), count_yellow(board))
 
 
 def count_tilings_reference(a: int, b: int) -> int:

@@ -88,21 +88,6 @@ def test_c1_check_missing_file(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("content", [
-    "board 3 1\ntile 0 3 0 1  # caf\u00e9\n".encode(),    # non-ASCII comment
-    "board \u0663 1\ntile 0 3 0 1\n".encode(),            # Arabic-Indic digit three
-], ids=["non-ascii-comment", "non-ascii-digit"])
-def test_c1_check_bad_input_is_one_usage_line(tmp_path, content):
-    path = tmp_path / "in.tiling"
-    path.write_bytes(content)
-    done = subprocess.run([sys.executable, "-m", "imocheck", "c1-check", str(path)],
-                          capture_output=True, text=True)
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1
-    assert "Traceback" not in done.stderr
-
-
 def test_c1_gen_unit_board(capsys):
     code, out, _ = run_cli(["c1-gen", "--a", "1", "--b", "1", "--seed", "5"], capsys)
     assert code == 0
@@ -176,6 +161,16 @@ def test_n1_budget_exceeded_exits_3(capsys):
     assert out.startswith("BudgetExceeded")
 
 
+def test_n1_classify_theorem_anomaly_exits_3(capsys, monkeypatch):
+    """A square inside a residue-2 run is a theorem anomaly, not a traceback."""
+    from imocheck import backend
+    monkeypatch.setattr(backend, "confirm_plus3_run", lambda start, nsteps: 2)
+    code, out, err = run_cli(["n1", "--a0", "5", "--classify"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["theorem anomaly: square 11 found in a residue-2 run from 5"]
+
+
 # -- suite ----------------------------------------------------------------------
 
 SMALL_SUITE = ["suite", "--n1-max", "60", "--c1-random", "10", "--c1-pinwheels", "3",
@@ -208,6 +203,30 @@ def test_suite_starved_budget_fails(capsys):
     assert code == 1
     assert any("BudgetExceeded" in line and "outcome=fail" in line
                for line in out.splitlines())
+
+
+# -- inputs that end in a usage error ---------------------------------------------
+
+@pytest.mark.parametrize("argv,content", [
+    (["c1-check", "{path}"], "board 3 1\ntile 0 3 0 1  # caf\u00e9\n".encode()),
+    (["c1-check", "{path}"], "board \u0663 1\ntile 0 3 0 1\n".encode()),  # Arabic-Indic 3
+    (["n1", "--a0", str(cli.N1_CLASSIFY_MAX_A0 + 1), "--classify"], None),
+    (["a2", "--n", str(cli.A2_MAX_N + 1)], None),
+    (["a2", "--n", str(cli.A2_MAX_N + 1), "--verify"], None),
+], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
+        "a2-n-above-cap", "a2-verify-n-above-cap"])
+def test_bad_input_is_one_usage_line(tmp_path, argv, content):
+    """Exit 2 with one stderr line and no traceback, before any work starts."""
+    path = tmp_path / "in.tiling"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [arg.format(path=path) for arg in argv]
+    done = subprocess.run([sys.executable, "-m", "imocheck", *argv],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_entry_point_installed():

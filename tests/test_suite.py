@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from imocheck import suite
+from imocheck import backend, suite, tiling
+from imocheck.errors import TheoremViolationError
 from imocheck.report import ClaimReport
 
 
@@ -63,6 +64,17 @@ def test_n1_reports_pass():
     assert suite.n1_gt1_report(100, 50).outcome
 
 
+def test_n1_steps_count_the_starts_checked():
+    budget = lambda a0: 4 * a0 + 1000
+    classification, cycle_shape = suite.n1_classification_reports(100, budget)
+    assert (classification.steps, cycle_shape.steps) == (99, 33)   # 2..100; 3, 6, ..., 99
+    assert suite.n1_claim1_report(100, 50).steps == 33             # 2, 5, ..., 98
+    assert suite.n1_claim4_report(100, budget).steps == 33         # 4, 7, ..., 100
+    assert suite.n1_divergence_report(100, 50).steps == 33
+    mult3, nonmult3 = suite.n1_propagation_reports(100, 50)
+    assert (mult3.steps, nonmult3.steps) == (33, 66)
+
+
 def test_check_tiling_theorem_flags_bad_input():
     from imocheck.tiling import Tiling
     bad = Tiling((0, 2, 0, 1), frozenset([(0, 1, 0, 1)]))
@@ -88,3 +100,64 @@ def test_run_suite_small_config():
     lines = out.getvalue().splitlines()
     assert all(line.startswith("CLAIM ") for line in lines)
     assert f"seed={cfg.seed}" in err.getvalue()
+
+
+def _theorem_oracle(board, tiles):
+    """check_tiling_theorem on a Tiling, plus the witness and green tile it scans."""
+    t = tiling.Tiling(board, frozenset(tiles))
+    problem = suite.check_tiling_theorem(t)
+    if problem == "invalid tiling":
+        return problem, None, None
+    try:
+        first_witness = tiling.witness(t)[0]
+    except TheoremViolationError:
+        first_witness = None
+    try:
+        first_green = tiling.find_green_tile(t)
+    except TheoremViolationError:
+        first_green = None
+    return problem, first_witness, first_green
+
+
+def _mutants(a, b, tiles, n):
+    """A tile dropped, shifted, grown into its neighbours, and sticking out of the board."""
+    i = n % len(tiles)
+    x1, x2, y1, y2 = tiles[i]
+    rest = tiles[:i] + tiles[i + 1:]
+    yield "dropped", rest
+    yield "shifted", rest + ((x1 + 1, x2 + 1, y1, y2),)
+    yield "sticking_out", rest + ((x1, x2, y1, b + 1),)
+    if len(tiles) > 1:   # some side of the tile borders another tile
+        grown = ((x1, x2 + 1, y1, y2) if x2 < a else (x1 - 1, x2, y1, y2) if x1 > 0
+                 else (x1, x2, y1, y2 + 1) if y2 < b else (x1, x2, y1 - 1, y2))
+        yield "grown", rest + (grown,)
+
+
+def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
+    """Every tiling of every board of area <= 12, odd, even and mixed, and mutants of each."""
+    seen = set()
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            board = (0, a, 0, b)
+            table = tiling.board_table(a, b)
+            for n, tiles in enumerate(backend.enum_tilings(a, b)):
+                tiles = tiles[::-1] if n % 2 else tiles   # the chain sorts its input
+                got = suite.check_raw_tiling_theorem(table, tiles)
+                assert got == _theorem_oracle(board, tiles), (a, b, tiles)
+                seen.add(got[0])
+                for kind, mutant in _mutants(a, b, tiles, n):
+                    got = suite.check_raw_tiling_theorem(table, mutant)
+                    assert got == _theorem_oracle(board, mutant), (a, b, kind, mutant)
+                    assert got[0] == "invalid tiling", (a, b, kind, mutant)
+    assert seen == {None, "no parity witness", "no green tile",
+                    "green tile fails distance parity"}
+
+
+def test_raw_chain_rejects_a_repeated_tile():
+    # A Tiling holds a frozenset, which would drop the repeat; the raw chain sees it.
+    for a, b in [(1, 1), (2, 1), (3, 3), (1, 5)]:
+        table = tiling.board_table(a, b)
+        for tiles in backend.enum_tilings(a, b):
+            for r in tiles:
+                assert suite.check_raw_tiling_theorem(table, tiles + (r,))[0] == "invalid tiling"
+

@@ -261,6 +261,18 @@ def test_enumeration_area_guard():
         next(tiling.enumerate_tilings(17, 11))
 
 
+def test_board_table_examples():
+    table = tiling.board_table(3, 2)              # square (x, y) is bit 2x + y
+    assert table.full == 0b111111
+    assert len(table.facts) == 6 * 3              # x-intervals times y-intervals
+    assert table.facts[(1, 3, 0, 1)] == (0b010100, None, False, 1, 1)
+    assert table.facts[(0, 1, 0, 2)] == (0b000011, WitnessParity.ALL_EVEN, False, 1, 1)
+    assert table.facts[(0, 3, 0, 1)] == (0b010101, None, True, 2, 1)
+    assert (table.count_green, table.count_yellow) == (3, 3)
+    with pytest.raises(BoardTooLargeError):
+        tiling.board_table(17, 1)
+
+
 # -- text format -------------------------------------------------------------------------
 
 GOLDEN = """\
