@@ -15,7 +15,7 @@ import sys
 from . import a2, n1, tiling
 from .backend import BACKEND_NAME
 from .errors import TheoremViolationError, TilingParseError
-from .suite import SuiteConfig, run_suite
+from .suite import DEFAULT_SEED, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -29,6 +29,12 @@ A2_MAX_N = 1000
 # value or repeat, up to about (2/3) sqrt(a0) of them (98 MB peak at
 # a0 = 999999^2 + 1, just under the cap).
 N1_CLASSIFY_MAX_A0 = 10 ** 12
+# n1 --classify --budget: confirming the +3 run costs about sqrt(3 * budget)
+# (1.2 s at 10^13); the cap is the default budget at the a0 cap.
+N1_CLASSIFY_MAX_BUDGET = n1.default_budget(N1_CLASSIFY_MAX_A0)
+# n1 --steps: orbit_fill keeps every value, so memory grows linearly
+# (124 MB peak at the cap).
+N1_MAX_STEPS = 10 ** 6
 
 
 def _fail_usage(message: str) -> int:
@@ -104,13 +110,17 @@ def cmd_n1(args: argparse.Namespace) -> int:
     if args.steps is not None:
         if args.steps < 0:
             return _fail_usage("--steps must be non-negative")
+        if args.steps > N1_MAX_STEPS:
+            return _fail_usage(f"n1 needs --steps <= {N1_MAX_STEPS}")
         print(" ".join(str(v) for v in n1.orbit(args.a0, args.steps)))
         return EXIT_PASS
     if args.a0 > N1_CLASSIFY_MAX_A0:
         return _fail_usage(f"n1 --classify needs --a0 <= {N1_CLASSIFY_MAX_A0}")
-    budget = args.budget if args.budget is not None else 4 * args.a0 + 1000
+    budget = args.budget if args.budget is not None else n1.default_budget(args.a0)
     if budget < 1:
         return _fail_usage("budget must be at least 1")
+    if budget > N1_CLASSIFY_MAX_BUDGET:
+        return _fail_usage(f"n1 --classify needs --budget <= {N1_CLASSIFY_MAX_BUDGET}")
     try:
         trace = n1.classify(args.a0, budget)
     except TheoremViolationError as exc:
@@ -129,23 +139,8 @@ def cmd_n1(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    cfg = SuiteConfig(
-        a2_max_index=args.a2_max,
-        c1_area_cap=args.c1_area_cap,
-        c1_random_count=args.c1_random,
-        c1_pinwheel_count=args.c1_pinwheels,
-        n1_max_a0=args.n1_max,
-        n1_budget_scale=args.n1_budget_scale,
-        n1_budget_offset=args.n1_budget_offset,
-        seed=args.seed,
-        records=args.records,
-    )
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        return _fail_usage(str(exc))
     print(f"backend={BACKEND_NAME}", file=sys.stderr)
-    return run_suite(cfg)
+    return run_suite(args.seed, args.records, sys.stdout, sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,24 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a0", type=int, required=True,
                    help=f"start value (> 1; at most {N1_CLASSIFY_MAX_A0} with --classify)")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--steps", type=int, help="print a_0..a_steps")
+    mode.add_argument("--steps", type=int,
+                      help=f"print a_0..a_steps (steps at most {N1_MAX_STEPS})")
     mode.add_argument("--classify", action="store_true",
                       help="classify the orbit within the budget")
     p.add_argument("--budget", type=int, default=None,
-                   help="step budget for --classify (default 4*a0 + 1000)")
+                   help="step budget for --classify (default 4*a0 + 1000, "
+                        f"at most {N1_CLASSIFY_MAX_BUDGET})")
     p.set_defaults(func=cmd_n1)
 
     p = sub.add_parser("suite", help="run the full claim battery")
     p.add_argument("--records", action="store_true",
                    help="emit machine-readable CLAIM lines instead of human text")
-    p.add_argument("--seed", type=int, default=SuiteConfig.seed)
-    p.add_argument("--a2-max", type=int, default=SuiteConfig.a2_max_index)
-    p.add_argument("--c1-area-cap", type=int, default=SuiteConfig.c1_area_cap)
-    p.add_argument("--c1-random", type=int, default=SuiteConfig.c1_random_count)
-    p.add_argument("--c1-pinwheels", type=int, default=SuiteConfig.c1_pinwheel_count)
-    p.add_argument("--n1-max", type=int, default=SuiteConfig.n1_max_a0)
-    p.add_argument("--n1-budget-scale", type=int, default=SuiteConfig.n1_budget_scale)
-    p.add_argument("--n1-budget-offset", type=int, default=SuiteConfig.n1_budget_offset)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_suite)
     return parser
 

@@ -13,12 +13,13 @@ Everything is integer arithmetic; square roots are exact integer floors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError
-from .report import ClaimReport, failed, passed
+from .report import ClaimReport, failed, first_failure, passed
 
 
 def isqrt(x: int) -> int:
@@ -79,6 +80,11 @@ def detect_cycle(a0: int, budget: int) -> tuple[int, int] | None:
             return seen[v], j - seen[v]
         seen[v] = j
     return None
+
+
+def default_budget(a0: int) -> int:
+    """The step budget of `imocheck n1 --classify` and the suite's N1 claims."""
+    return 4 * a0 + 1000
 
 
 class OrbitClass(Enum):
@@ -252,44 +258,31 @@ def check_claim4a(a0: int, n: int, budget: int) -> ClaimReport:
                            {"a0": a0, "n": n}, lambda v: v % 3 == 2)
 
 
-def lemma_square_mod3_ne2(scan_limit: int = 10 ** 4) -> ClaimReport:
-    """No square is 2 mod 3: exhaustive on residues, scanned to the limit."""
-    params = {"scan_limit": scan_limit}
-    for r in (0, 1, 2):
-        if (r * r) % 3 == 2:
-            return failed("n1.square_mod3_ne2", params, ("residue", r))
-    for s in range(scan_limit + 1):
-        if (s * s) % 3 == 2:
-            return failed("n1.square_mod3_ne2", params, (s,))
-    return passed("n1.square_mod3_ne2", params, steps=scan_limit + 4)
+def _residues_then_scan(claim_id: str, scan_limit: int, holds) -> ClaimReport:
+    """holds(x) on each residue 0, 1, 2 (the proof), then on every 0 <= x <= scan_limit."""
+    witnesses = itertools.chain(
+        (None if holds(r) else ("residue", r) for r in (0, 1, 2)),
+        (None if holds(x) else (x,) for x in range(scan_limit + 1)))
+    return first_failure(claim_id, {"scan_limit": scan_limit}, witnesses)
 
 
-def lemma_three_squares_mod3(scan_limit: int = 10 ** 4) -> ClaimReport:
+def lemma_square_mod3_ne2(scan_limit: int) -> ClaimReport:
+    """No square is 2 mod 3."""
+    return _residues_then_scan("n1.square_mod3_ne2", scan_limit,
+                               lambda s: (s * s) % 3 != 2)
+
+
+def lemma_three_squares_mod3(scan_limit: int) -> ClaimReport:
     """{(t+1)^2, (t+2)^2, (t+3)^2} mod 3 is exactly {0, 1} for every t."""
-    params = {"scan_limit": scan_limit}
-
-    def resset(t: int) -> set[int]:
-        return {((t + 1) ** 2) % 3, ((t + 2) ** 2) % 3, ((t + 3) ** 2) % 3}
-
-    for r in (0, 1, 2):
-        if resset(r) != {0, 1}:
-            return failed("n1.three_squares_mod3", params, ("residue", r))
-    for t in range(scan_limit + 1):
-        if resset(t) != {0, 1}:
-            return failed("n1.three_squares_mod3", params, (t,))
-    return passed("n1.three_squares_mod3", params, steps=scan_limit + 4)
+    return _residues_then_scan(
+        "n1.three_squares_mod3", scan_limit,
+        lambda t: {((t + 1) ** 2) % 3, ((t + 2) ** 2) % 3, ((t + 3) ** 2) % 3} == {0, 1})
 
 
-def lemma_square_mod3_zero(scan_limit: int = 10 ** 4) -> ClaimReport:
+def lemma_square_mod3_zero(scan_limit: int) -> ClaimReport:
     """x^2 = 0 (mod 3) exactly when x = 0 (mod 3)."""
-    params = {"scan_limit": scan_limit}
-    for r in (0, 1, 2):
-        if ((r * r) % 3 == 0) != (r % 3 == 0):
-            return failed("n1.square_mod3_zero", params, ("residue", r))
-    for x in range(scan_limit + 1):
-        if ((x * x) % 3 == 0) != (x % 3 == 0):
-            return failed("n1.square_mod3_zero", params, (x,))
-    return passed("n1.square_mod3_zero", params, steps=scan_limit + 4)
+    return _residues_then_scan("n1.square_mod3_zero", scan_limit,
+                               lambda x: ((x * x) % 3 == 0) == (x % 3 == 0))
 
 
 def lemma_mult3_propagates(a0: int, budget: int) -> ClaimReport:

@@ -11,6 +11,7 @@ Tokens are space-separated, so no key or value may contain whitespace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -46,3 +47,20 @@ def passed(claim_id: str, params: dict[str, int] | None = None,
 def failed(claim_id: str, params: dict[str, int] | None = None,
            witness: tuple = (), steps: int = 0) -> ClaimReport:
     return ClaimReport(claim_id, params or {}, False, witness, steps)
+
+
+def first_failure(claim_id: str, params: dict[str, int],
+                  witnesses: Iterable[tuple | None]) -> ClaimReport:
+    """The report of a sweep: failed at the first witness, else passed.
+
+    ``witnesses`` yields None for each instance that holds and a witness
+    tuple for one that fails; the sweep stops there.  steps counts the
+    instances that held: all of them on a pass, those before the failure
+    on a fail.
+    """
+    checked = 0
+    for w in witnesses:
+        if w is not None:
+            return failed(claim_id, params, w, checked)
+        checked += 1
+    return passed(claim_id, params, steps=checked)

@@ -1,9 +1,20 @@
-"""The claim suite: every lemma, claim and theorem check as one battery.
+"""The claim suite: every lemma, claim and theorem check as one table.
 
-Each function returns ClaimReports; ``run_suite`` executes the whole battery
-with a single seed, prints one line per claim (human text or record lines)
-and aggregates the exit code.  All checks are exact; there are no epsilons
-anywhere.
+``CLAIMS`` is the battery: one ordered row per report function, holding the
+claim ids the function reports (two for the sweeps that settle two claims
+at once), its keyword params (every size the suite checks lives here and
+nowhere else) and whether it draws from the suite's seeded random.Random.
+``run_suite`` runs the rows in order with one rng for a given seed, so the
+record stream is byte-reproducible; it prints one line per claim (human text
+or record lines) to stdout and each row's wall time to stderr.  A row that
+raises does not end the battery: its ids get fail records with the exception
+class as witness, stderr gets one line, the remaining rows run and the exit
+code is 3.  Tests run the same runner on a small table.
+
+Most reports are sweeps over instances; each feeds report.first_failure a
+stream of None (the instance holds) or a witness (the first that fails), so
+steps is the instance count on a pass and the instances checked before the
+failure on a fail.  All checks are exact; there are no epsilons anywhere.
 
 Per-tiling theorem checks have two entry points with the same problem
 strings.  check_tiling_theorem takes any Tiling (random, pinwheel, parsed
@@ -18,46 +29,28 @@ mutated tile lists.
 from __future__ import annotations
 
 import random
-import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TextIO
+import time
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import a2, backend, n1, tiling
 from .errors import TheoremViolationError
 from .rational import Rational, ZERO, finite_sum
-from .report import ClaimReport, failed, passed
+from .report import ClaimReport, failed, first_failure, passed
+
+DEFAULT_SEED = 20170901
 
 
-@dataclass
-class SuiteConfig:
-    a2_max_index: int = 200
-    c1_area_cap: int = 16
-    c1_random_count: int = 1000
-    c1_pinwheel_count: int = 50
-    n1_max_a0: int = 10_000
-    n1_budget_scale: int = 4
-    n1_budget_offset: int = 1000
-    seed: int = 20170901
-    records: bool = False
-
-    def validate(self) -> None:
-        caps = (self.a2_max_index, self.c1_area_cap, self.c1_random_count,
-                self.c1_pinwheel_count, self.n1_max_a0)
-        if any(c < 1 for c in caps):
-            raise ValueError("all suite caps must be positive")
-        if self.n1_budget_scale < 0 or self.n1_budget_offset < 0:
-            raise ValueError("budget formula parameters must be non-negative")
-        if self.n1_budget_scale == 0 and self.n1_budget_offset == 0:
-            raise ValueError("budget formula must yield at least one step")
-        if self.c1_area_cap > tiling.ENUM_AREA_CAP:
-            raise ValueError(f"c1 area cap above the enumeration guard "
-                             f"{tiling.ENUM_AREA_CAP}")
-
-    def budget_for(self, a0: int) -> int:
-        return self.n1_budget_scale * a0 + self.n1_budget_offset
+def _per_start(claim_id: str, params: dict[str, int], starts: Iterable[int],
+               check: Callable[[int], ClaimReport]) -> ClaimReport:
+    """first_failure over a per-start check; a failing witness leads with the start."""
+    reports = ((a0, check(a0)) for a0 in starts)
+    return first_failure(claim_id, params,
+                         (None if rep.outcome else (a0,) + rep.witness
+                          for a0, rep in reports))
 
 
-# -- A2 battery ----------------------------------------------------------------
+# -- A2 ---------------------------------------------------------------------------
 
 def a2_base_case_report() -> ClaimReport:
     seq = a2.extend(a2.A2Sequence.initial())
@@ -70,71 +63,61 @@ def _random_rational(rng: random.Random) -> Rational:
     return Rational(rng.randint(-99, 99), rng.randint(1, 30))
 
 
-def a2_sum_lemma_report(rng: random.Random, instances: int = 500,
-                        max_n: int = 12) -> ClaimReport:
+def a2_sum_lemma_report(rng: random.Random, instances: int, max_n: int) -> ClaimReport:
     """Re-indexing, remove-zero, distributivity, subtraction and negation of sums."""
-    params = {"instances": instances, "max_n": max_n}
-    for trial in range(instances):
-        n = rng.randint(1, max_n)
-        fs = [_random_rational(rng) for _ in range(n)]
-        gs = [_random_rational(rng) for _ in range(n)]
-        r = _random_rational(rng)
-        f = fs.__getitem__
-        g = gs.__getitem__
-        checks = (
-            ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)),
-            ("remove_zero", finite_sum(f, 0, n) == f(0) + finite_sum(f, 1, n)),
-            ("distrib_left", r * finite_sum(f, 0, n) == finite_sum(lambda i: r * f(i), 0, n)),
-            ("subtractf", finite_sum(lambda i: f(i) - g(i), 0, n)
-             == finite_sum(f, 0, n) - finite_sum(g, 0, n)),
-            ("negf", finite_sum(lambda i: -f(i), 0, n) == -finite_sum(f, 0, n)),
-        )
-        for name, ok in checks:
-            if not ok:
-                return failed("a2.sum_lemmas", params, (trial, name, n), trial)
-    return passed("a2.sum_lemmas", params, steps=instances)
+    def witnesses() -> Iterator[tuple | None]:
+        for trial in range(instances):
+            n = rng.randint(1, max_n)
+            fs = [_random_rational(rng) for _ in range(n)]
+            gs = [_random_rational(rng) for _ in range(n)]
+            r = _random_rational(rng)
+            f = fs.__getitem__
+            g = gs.__getitem__
+            checks = (
+                ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)),
+                ("remove_zero", finite_sum(f, 0, n) == f(0) + finite_sum(f, 1, n)),
+                ("distrib_left",
+                 r * finite_sum(f, 0, n) == finite_sum(lambda i: r * f(i), 0, n)),
+                ("subtractf", finite_sum(lambda i: f(i) - g(i), 0, n)
+                 == finite_sum(f, 0, n) - finite_sum(g, 0, n)),
+                ("negf", finite_sum(lambda i: -f(i), 0, n) == -finite_sum(f, 0, n)),
+            )
+            bad = next((name for name, ok in checks if not ok), None)
+            yield None if bad is None else (trial, bad, n)
+
+    return first_failure("a2.sum_lemmas", {"instances": instances, "max_n": max_n},
+                         witnesses())
 
 
-def a2_subtraction_identity_report(max_n: int = 50) -> ClaimReport:
+def a2_subtraction_identity_report(max_n: int) -> ClaimReport:
     """(n+1) * sum_{k<n+1} a_k/(n+1-k) - n * sum_{k<n} a_k/(n-k) is exactly zero.
 
     Both inner sums are computed independently by finite_sum over the exact
     sequence values.
     """
-    seq = a2.build(max_n)
-    a = seq.values
-    params = {"max_n": max_n}
-    for n in range(2, max_n + 1):
-        lhs = ((n + 1) * finite_sum(lambda k: a[k] / (n + 1 - k), 0, n + 1)
-               - n * finite_sum(lambda k: a[k] / (n - k), 0, n))
-        if lhs != ZERO:
-            return failed("a2.subtraction_identity", params, (n,), n)
-    return passed("a2.subtraction_identity", params, steps=max_n - 1)
+    a = a2.build(max_n).values
+
+    def difference(n: int) -> Rational:
+        return ((n + 1) * finite_sum(lambda k: a[k] / (n + 1 - k), 0, n + 1)
+                - n * finite_sum(lambda k: a[k] / (n - k), 0, n))
+
+    return first_failure("a2.subtraction_identity", {"max_n": max_n},
+                         (None if difference(n) == ZERO else (n,)
+                          for n in range(2, max_n + 1)))
 
 
-def a2_coefficient_positivity_report(max_n: int = 50) -> ClaimReport:
+def a2_coefficient_positivity_report(max_n: int) -> ClaimReport:
     """n/(n-i) - (n+1)/(n+1-i) equals i/((n-i)(n+1-i)) and is positive."""
-    params = {"max_n": max_n}
-    checked = 0
-    for n in range(2, max_n + 1):
-        for i in range(1, n):
-            lhs = Rational(n, n - i) - Rational(n + 1, n + 1 - i)
-            rhs = Rational(i, (n - i) * (n + 1 - i))
-            if lhs != rhs or not lhs > ZERO:
-                return failed("a2.coefficient_positivity", params, (n, i), checked)
-            checked += 1
-    return passed("a2.coefficient_positivity", params, steps=checked)
+    def holds(n: int, i: int) -> bool:
+        lhs = Rational(n, n - i) - Rational(n + 1, n + 1 - i)
+        return lhs == Rational(i, (n - i) * (n + 1 - i)) and lhs > ZERO
+
+    return first_failure("a2.coefficient_positivity", {"max_n": max_n},
+                         (None if holds(n, i) else (n, i)
+                          for n in range(2, max_n + 1) for i in range(1, n)))
 
 
-def a2_battery(cfg: SuiteConfig, rng: random.Random) -> Iterator[ClaimReport]:
-    yield a2_base_case_report()
-    yield a2.verify(cfg.a2_max_index)
-    yield a2_sum_lemma_report(rng)
-    yield a2_subtraction_identity_report()
-    yield a2_coefficient_positivity_report()
-
-
-# -- C1 battery ----------------------------------------------------------------
+# -- C1 ---------------------------------------------------------------------------
 
 def _all_rects(coord_max: int) -> Iterator[tiling.Rect]:
     for x1 in range(coord_max):
@@ -144,60 +127,49 @@ def _all_rects(coord_max: int) -> Iterator[tiling.Rect]:
                     yield (x1, x2, y1, y2)
 
 
-def c1_counting_report(coord_max: int = 12) -> ClaimReport:
+def c1_counting_report(coord_max: int) -> ClaimReport:
     """Closed-form green/yellow counts against brute-force square enumeration."""
-    params = {"coord_max": coord_max}
-    checked = 0
-    for r in _all_rects(coord_max):
+    def holds(r: tiling.Rect) -> bool:
         brute_green = sum(1 for s in tiling.squares(r) if tiling.green(s))
         cg, cy = tiling.count_green(r), tiling.count_yellow(r)
-        if cg != brute_green or cy != tiling.area(r) - brute_green or cg + cy != tiling.area(r):
-            return failed("c1.counting", params, r, checked)
-        checked += 1
-    return passed("c1.counting", params, steps=checked)
+        return (cg == brute_green and cy == tiling.area(r) - brute_green
+                and cg + cy == tiling.area(r))
+
+    return first_failure("c1.counting", {"coord_max": coord_max},
+                         (None if holds(r) else r for r in _all_rects(coord_max)))
 
 
-def c1_classification_link_report(coord_max: int = 12) -> ClaimReport:
+def c1_classification_link_report(coord_max: int) -> ClaimReport:
     """Green rects have one extra green square, yellow one extra yellow, mixed tie."""
-    params = {"coord_max": coord_max}
-    checked = 0
-    for r in _all_rects(coord_max):
+    def witness(r: tiling.Rect) -> tuple | None:
         cg, cy = tiling.count_green(r), tiling.count_yellow(r)
         cls = tiling.classify_rect(r)
         ok = ((cls is tiling.RectClass.GREEN and cg == cy + 1)
               or (cls is tiling.RectClass.YELLOW and cy == cg + 1)
               or (cls is tiling.RectClass.MIXED and cg == cy))
-        if not ok:
-            return failed("c1.classification_link", params, (r, cls.value, cg, cy), checked)
-        checked += 1
-    return passed("c1.classification_link", params, steps=checked)
+        return None if ok else (r, cls.value, cg, cy)
+
+    return first_failure("c1.classification_link", {"coord_max": coord_max},
+                         map(witness, _all_rects(coord_max)))
 
 
-def c1_corner_lemma_report(max_side: int = 15) -> ClaimReport:
+def c1_corner_lemma_report(max_side: int) -> ClaimReport:
     """Odd-by-odd boards are green rectangles."""
-    params = {"max_side": max_side}
-    checked = 0
-    for a in range(1, max_side + 1, 2):
-        for b in range(1, max_side + 1, 2):
-            if tiling.classify_rect((0, a, 0, b)) is not tiling.RectClass.GREEN:
-                return failed("c1.corner_lemma", params, ((0, a, 0, b),), checked)
-            checked += 1
-    return passed("c1.corner_lemma", params, steps=checked)
+    boards = ((0, a, 0, b) for a in range(1, max_side + 1, 2)
+              for b in range(1, max_side + 1, 2))
+    return first_failure("c1.corner_lemma", {"max_side": max_side},
+                         (None if tiling.classify_rect(r) is tiling.RectClass.GREEN
+                          else (r,) for r in boards))
 
 
-def c1_parity_lemma_report(coord_max: int = 9) -> ClaimReport:
+def c1_parity_lemma_report(coord_max: int) -> ClaimReport:
     """Exhaustive green-inside-green distance parity over small coordinates."""
-    params = {"coord_max": coord_max}
     greens = [r for r in _all_rects(coord_max)
               if tiling.classify_rect(r) is tiling.RectClass.GREEN]
-    checked = 0
-    for ro in greens:
-        for ri in greens:
-            if tiling.inside(ri, ro):
-                if not tiling.parity_lemma_check(ri, ro).outcome:
-                    return failed("c1.parity_lemma_exhaustive", params, (ri, ro), checked)
-                checked += 1
-    return passed("c1.parity_lemma_exhaustive", params, steps=checked)
+    pairs = ((ri, ro) for ro in greens for ri in greens if tiling.inside(ri, ro))
+    return first_failure("c1.parity_lemma_exhaustive", {"coord_max": coord_max},
+                         (None if tiling.parity_lemma_check(ri, ro).outcome else (ri, ro)
+                          for ri, ro in pairs))
 
 
 def check_tiling_theorem(t: tiling.Tiling) -> str | None:
@@ -279,24 +251,21 @@ def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
             yield a, b
 
 
-def c1_exhaustive_theorem_report(area_cap: int = 16) -> ClaimReport:
+def c1_exhaustive_theorem_report(area_cap: int) -> ClaimReport:
     """Witness + green tile on every tiling of every odd-by-odd board under the cap.
 
     Runs check_raw_tiling_theorem on the enumerator's tuples with one
     BoardTable per board, so no Tiling is built; the acceptance test checks
     the same tilings through check_tiling_theorem's own primitives.
     """
-    params = {"area_cap": area_cap}
-    checked = 0
-    for a, b in _odd_boards(area_cap):
-        table = tiling.board_table(a, b)
-        for tiles in backend.enum_tilings(a, b):
-            problem = check_raw_tiling_theorem(table, tiles)[0]
-            if problem is not None:
-                return failed("c1.theorem_exhaustive", params,
-                              (a, b, problem, sorted(tiles)), checked)
-            checked += 1
-    return passed("c1.theorem_exhaustive", params, steps=checked)
+    def witnesses() -> Iterator[tuple | None]:
+        for a, b in _odd_boards(area_cap):
+            table = tiling.board_table(a, b)
+            for tiles in backend.enum_tilings(a, b):
+                problem = check_raw_tiling_theorem(table, tiles)[0]
+                yield None if problem is None else (a, b, problem, sorted(tiles))
+
+    return first_failure("c1.theorem_exhaustive", {"area_cap": area_cap}, witnesses())
 
 
 def c1_enumeration_count_report() -> ClaimReport:
@@ -320,71 +289,57 @@ def random_odd_board(rng: random.Random, max_a: int = 17, max_b: int = 11,
     return a, b
 
 
-def c1_random_theorem_report(rng: random.Random, count: int = 1000,
-                             pinwheels: int = 50) -> ClaimReport:
+def c1_random_theorem_report(rng: random.Random, count: int, pinwheels: int) -> ClaimReport:
     """Seeded guillotine tilings plus pinwheel fixtures, all of odd-by-odd boards."""
-    params = {"count": count, "pinwheels": pinwheels}
-    for i in range(count):
-        a, b = random_odd_board(rng)
-        t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
-        problem = check_tiling_theorem(t)
-        if problem is not None:
-            return failed("c1.theorem_random", params, ("guillotine", i, a, b, problem), i)
-    for i in range(pinwheels):
-        a, b = random_odd_board(rng, min_side=3)
-        cx1, cx2 = sorted(rng.sample(range(1, a), 2))
-        cy1, cy2 = sorted(rng.sample(range(1, b), 2))
-        t = tiling.pinwheel(a, b, cx1, cx2, cy1, cy2)
-        problem = check_tiling_theorem(t)
-        if problem is not None:
-            return failed("c1.theorem_random", params, ("pinwheel", i, a, b, problem),
-                          count + i)
-    return passed("c1.theorem_random", params, steps=count + pinwheels)
+    def witnesses() -> Iterator[tuple | None]:
+        for i in range(count):
+            a, b = random_odd_board(rng)
+            problem = check_tiling_theorem(tiling.gen_guillotine(a, b, rng.getrandbits(63)))
+            yield None if problem is None else ("guillotine", i, a, b, problem)
+        for i in range(pinwheels):
+            a, b = random_odd_board(rng, min_side=3)
+            cx1, cx2 = sorted(rng.sample(range(1, a), 2))
+            cy1, cy2 = sorted(rng.sample(range(1, b), 2))
+            problem = check_tiling_theorem(tiling.pinwheel(a, b, cx1, cx2, cy1, cy2))
+            yield None if problem is None else ("pinwheel", i, a, b, problem)
+
+    return first_failure("c1.theorem_random", {"count": count, "pinwheels": pinwheels},
+                         witnesses())
 
 
-def c1_roundtrip_report(rng: random.Random, samples: int = 25) -> ClaimReport:
+def c1_roundtrip_report(rng: random.Random, samples: int) -> ClaimReport:
     """parse/serialize round-trips on generated tilings; serialize is canonical."""
-    params = {"samples": samples}
-    for i in range(samples):
-        a, b = random_odd_board(rng)
-        t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
-        text = tiling.serialize_tiling(t)
-        back = tiling.parse_tiling(text)
-        if back != t or tiling.serialize_tiling(back) != text:
-            return failed("c1.roundtrip", params, (a, b), i)
-    return passed("c1.roundtrip", params, steps=samples)
+    def witnesses() -> Iterator[tuple | None]:
+        for _ in range(samples):
+            a, b = random_odd_board(rng)
+            t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
+            text = tiling.serialize_tiling(t)
+            back = tiling.parse_tiling(text)
+            ok = back == t and tiling.serialize_tiling(back) == text
+            yield None if ok else (a, b)
+
+    return first_failure("c1.roundtrip", {"samples": samples}, witnesses())
 
 
-def c1_battery(cfg: SuiteConfig, rng: random.Random) -> Iterator[ClaimReport]:
-    yield c1_counting_report()
-    yield c1_classification_link_report()
-    yield c1_corner_lemma_report()
-    yield c1_parity_lemma_report()
-    yield c1_exhaustive_theorem_report(cfg.c1_area_cap)
-    yield c1_enumeration_count_report()
-    yield c1_random_theorem_report(rng, cfg.c1_random_count, cfg.c1_pinwheel_count)
-    yield c1_roundtrip_report(rng)
+# -- N1 ---------------------------------------------------------------------------
 
-
-# -- N1 battery ----------------------------------------------------------------
-
-def n1_step_image_report(limit: int = 10 ** 5) -> ClaimReport:
+def n1_step_image_report(limit: int) -> ClaimReport:
     """Totality: each step lands on isqrt(x) or x + 3 and stays above 1."""
-    params = {"limit": limit}
-    for x in range(2, limit + 1):
+    def witness(x: int) -> tuple | None:
         nxt = n1.n1_step(x)
-        if nxt not in (n1.isqrt(x), x + 3) or nxt <= 1:
-            return failed("n1.step_image", params, (x, nxt), x)
-    return passed("n1.step_image", params, steps=limit - 1)
+        return None if nxt in (n1.isqrt(x), x + 3) and nxt > 1 else (x, nxt)
+
+    return first_failure("n1.step_image", {"limit": limit}, map(witness, range(2, limit + 1)))
 
 
-def n1_residue_preservation_report(limit: int = 10 ** 5) -> ClaimReport:
+def n1_residue_preservation_report(limit: int) -> ClaimReport:
     """x = 0 (mod 3) exactly when its successor is."""
-    params = {"limit": limit}
-    for x in range(2, limit + 1):
-        if (x % 3 == 0) != (n1.n1_step(x) % 3 == 0):
-            return failed("n1.residue_preservation", params, (x, n1.n1_step(x)), x)
-    return passed("n1.residue_preservation", params, steps=limit - 1)
+    def witness(x: int) -> tuple | None:
+        nxt = n1.n1_step(x)
+        return None if (x % 3 == 0) == (nxt % 3 == 0) else (x, nxt)
+
+    return first_failure("n1.residue_preservation", {"limit": limit},
+                         map(witness, range(2, limit + 1)))
 
 
 def n1_fixed_orbit_report() -> ClaimReport:
@@ -398,8 +353,8 @@ def n1_fixed_orbit_report() -> ClaimReport:
     return passed("n1.fixed_orbits", {"a0": 7}, steps=11)
 
 
-def n1_classification_reports(max_a0: int,
-                              budget_for: Callable[[int], int]) -> list[ClaimReport]:
+def n1_classification_reports(max_a0: int, budget_for: Callable[[int], int]
+                              = n1.default_budget) -> list[ClaimReport]:
     """One sweep, two claims: the classification theorem and the cycle shape.
 
     For every 2 <= a0 <= max_a0 the outcome must be PeriodicMult3 exactly
@@ -434,53 +389,27 @@ def n1_classification_reports(max_a0: int,
     return reports
 
 
-def n1_claim1_report(max_a0: int = 1000, window: int = 200) -> ClaimReport:
-    params = {"max_a0": max_a0, "window": window}
-    checked = 0
-    for a0 in range(2, max_a0 + 1):
-        if a0 % 3 != 2:
-            continue
-        rep = n1.check_claim1(a0, 0, window)
-        if not rep.outcome:
-            return failed("n1.claim1", params, rep.witness, checked)
-        checked += 1
-    return passed("n1.claim1", params, steps=checked)
+def n1_claim1_report(max_a0: int, window: int) -> ClaimReport:
+    return _per_start("n1.claim1", {"max_a0": max_a0, "window": window},
+                      range(2, max_a0 + 1, 3), lambda a0: n1.check_claim1(a0, 0, window))
 
 
-def n1_claim2_report(max_x: int = 10 ** 4) -> ClaimReport:
+def n1_claim2_report(max_x: int) -> ClaimReport:
     """The descent certificate for every eligible x up to the limit."""
-    params = {"max_x": max_x}
-    checked = 0
-    for x in range(10, max_x + 1):
-        if x % 3 == 2:
-            continue
-        rep = n1.check_claim2(x)
-        if not rep.outcome:
-            return failed("n1.claim2_certificate", params, (x,) + rep.witness, checked)
-        checked += 1
-    return passed("n1.claim2_certificate", params, steps=checked)
+    return _per_start("n1.claim2_certificate", {"max_x": max_x},
+                      (x for x in range(10, max_x + 1) if x % 3 != 2), n1.check_claim2)
 
 
-def n1_claim3_report(max_a0: int, budget_for: Callable[[int], int]) -> ClaimReport:
-    params = {"max_a0": max_a0}
-    for a0 in range(3, max_a0 + 1, 3):
-        rep = n1.check_claim3(a0, 0, budget_for(a0))
-        if not rep.outcome:
-            return failed("n1.claim3", params, (a0,) + rep.witness)
-    return passed("n1.claim3", params, steps=max_a0 // 3)
+def n1_claim3_report(max_a0: int, budget_for: Callable[[int], int]
+                     = n1.default_budget) -> ClaimReport:
+    return _per_start("n1.claim3", {"max_a0": max_a0}, range(3, max_a0 + 1, 3),
+                      lambda a0: n1.check_claim3(a0, 0, budget_for(a0)))
 
 
-def n1_claim4_report(max_a0: int, budget_for: Callable[[int], int]) -> ClaimReport:
-    params = {"max_a0": max_a0}
-    checked = 0
-    for a0 in range(2, max_a0 + 1):
-        if a0 % 3 != 1:
-            continue
-        rep = n1.check_claim4(a0, 0, budget_for(a0))
-        if not rep.outcome:
-            return failed("n1.claim4", params, (a0,) + rep.witness, checked)
-        checked += 1
-    return passed("n1.claim4", params, steps=checked)
+def n1_claim4_report(max_a0: int, budget_for: Callable[[int], int]
+                     = n1.default_budget) -> ClaimReport:
+    return _per_start("n1.claim4", {"max_a0": max_a0}, range(4, max_a0 + 1, 3),
+                      lambda a0: n1.check_claim4(a0, 0, budget_for(a0)))
 
 
 def n1_small_claims_report() -> ClaimReport:
@@ -494,108 +423,138 @@ def n1_small_claims_report() -> ClaimReport:
     return passed("n1.small_claims", steps=5)
 
 
-def n1_divergence_report(max_a0: int = 10 ** 4, window: int = 1000) -> ClaimReport:
+def n1_divergence_report(max_a0: int, window: int) -> ClaimReport:
     """Residue-2 starts: the first window of orbit values increases, square-free.
 
     The full range goes through the +3-run confirmation kernel; small starts
     are double-checked by a direct orbit scan.
     """
-    params = {"max_a0": max_a0, "window": window}
-    checked = 0
-    for a0 in range(2, max_a0 + 1):
-        if a0 % 3 != 2:
-            continue
+    def witness(a0: int) -> tuple | None:
         if backend.confirm_plus3_run(a0, window) != -1:
-            return failed("n1.divergence", params, (a0,), checked)
+            return (a0,)
         if a0 <= 500:
             vals = n1.orbit(a0, window - 1)
             increasing = all(u < v for u, v in zip(vals, vals[1:]))
             if not increasing or any(n1.is_perfect_square(v) for v in vals):
-                return failed("n1.divergence", params, (a0, "direct scan"), checked)
-        checked += 1
-    return passed("n1.divergence", params, steps=checked)
+                return (a0, "direct scan")
+        return None
+
+    return first_failure("n1.divergence", {"max_a0": max_a0, "window": window},
+                         map(witness, range(2, max_a0 + 1, 3)))
 
 
-def n1_propagation_reports(max_a0: int = 1000, budget: int = 300) -> list[ClaimReport]:
+def n1_propagation_reports(max_a0: int, budget: int) -> list[ClaimReport]:
     params = {"max_a0": max_a0, "budget": budget}
-    for a0 in range(3, max_a0 + 1, 3):
-        rep = n1.lemma_mult3_propagates(a0, budget)
-        if not rep.outcome:
-            return [failed("n1.mult3_propagates", params, (a0,) + rep.witness)]
-    out = [passed("n1.mult3_propagates", params, steps=max_a0 // 3)]
-    checked = 0
-    for a0 in range(2, max_a0 + 1):
-        if a0 % 3 == 0:
-            continue
-        rep = n1.lemma_nonmult3_propagates(a0, budget)
-        if not rep.outcome:
-            out.append(failed("n1.nonmult3_propagates", params, (a0,) + rep.witness,
-                              checked))
-            return out
-        checked += 1
-    out.append(passed("n1.nonmult3_propagates", params, steps=checked))
-    return out
+    return [
+        _per_start("n1.mult3_propagates", params, range(3, max_a0 + 1, 3),
+                   lambda a0: n1.lemma_mult3_propagates(a0, budget)),
+        _per_start("n1.nonmult3_propagates", params,
+                   (a0 for a0 in range(2, max_a0 + 1) if a0 % 3),
+                   lambda a0: n1.lemma_nonmult3_propagates(a0, budget)),
+    ]
 
 
-def n1_gt1_report(max_a0: int = 1000, budget: int = 300) -> ClaimReport:
-    params = {"max_a0": max_a0, "budget": budget}
-    for a0 in range(2, max_a0 + 1):
-        rep = n1.lemma_all_gt1(a0, budget)
-        if not rep.outcome:
-            return failed("n1.all_gt1", params, (a0,) + rep.witness)
-    return passed("n1.all_gt1", params, steps=max_a0 - 1)
+def n1_gt1_report(max_a0: int, budget: int) -> ClaimReport:
+    return _per_start("n1.all_gt1", {"max_a0": max_a0, "budget": budget},
+                      range(2, max_a0 + 1), lambda a0: n1.lemma_all_gt1(a0, budget))
 
 
-def n1_battery(cfg: SuiteConfig) -> Iterator[ClaimReport]:
-    yield n1.lemma_square_mod3_ne2()
-    yield n1.lemma_three_squares_mod3()
-    yield n1.lemma_square_mod3_zero()
-    yield n1_step_image_report()
-    yield n1_residue_preservation_report()
-    yield n1_fixed_orbit_report()
-    yield from n1_classification_reports(cfg.n1_max_a0, cfg.budget_for)
-    yield n1_claim1_report()
-    yield n1_claim2_report()
-    yield n1_claim3_report(1000, cfg.budget_for)
-    yield n1_claim4_report(1000, cfg.budget_for)
-    yield n1_small_claims_report()
-    yield n1_divergence_report()
-    yield from n1_propagation_reports()
-    yield n1_gt1_report()
+# -- the table and its runner -------------------------------------------------------
+
+@dataclass(frozen=True)
+class Claim:
+    """One row: the claim ids its report function returns, in order, and its params.
+
+    A seeded row's function takes the suite's random.Random first.
+    """
+
+    ids: tuple[str, ...]
+    report: Callable[..., ClaimReport | list[ClaimReport]]
+    params: dict[str, Any] = field(default_factory=dict)
+    seeded: bool = False
+
+    def run(self, rng: random.Random) -> list[ClaimReport]:
+        got = self.report(rng, **self.params) if self.seeded else self.report(**self.params)
+        return got if isinstance(got, list) else [got]
 
 
-# -- runner ----------------------------------------------------------------------
+# The rows run in this order, so the seeded ones draw from the rng in this order.
+CLAIMS: tuple[Claim, ...] = (
+    Claim(("a2.base_case",), a2_base_case_report),
+    Claim(("a2.verify",), a2.verify, {"n_max": 200}),
+    Claim(("a2.sum_lemmas",), a2_sum_lemma_report, {"instances": 500, "max_n": 12},
+          seeded=True),
+    Claim(("a2.subtraction_identity",), a2_subtraction_identity_report, {"max_n": 50}),
+    Claim(("a2.coefficient_positivity",), a2_coefficient_positivity_report, {"max_n": 50}),
+    Claim(("c1.counting",), c1_counting_report, {"coord_max": 12}),
+    Claim(("c1.classification_link",), c1_classification_link_report, {"coord_max": 12}),
+    Claim(("c1.corner_lemma",), c1_corner_lemma_report, {"max_side": 15}),
+    Claim(("c1.parity_lemma_exhaustive",), c1_parity_lemma_report, {"coord_max": 9}),
+    Claim(("c1.theorem_exhaustive",), c1_exhaustive_theorem_report,
+          {"area_cap": 16}),
+    Claim(("c1.enumeration_count",), c1_enumeration_count_report),
+    Claim(("c1.theorem_random",), c1_random_theorem_report,
+          {"count": 1000, "pinwheels": 50}, seeded=True),
+    Claim(("c1.roundtrip",), c1_roundtrip_report, {"samples": 25}, seeded=True),
+    Claim(("n1.square_mod3_ne2",), n1.lemma_square_mod3_ne2, {"scan_limit": 10 ** 4}),
+    Claim(("n1.three_squares_mod3",), n1.lemma_three_squares_mod3, {"scan_limit": 10 ** 4}),
+    Claim(("n1.square_mod3_zero",), n1.lemma_square_mod3_zero, {"scan_limit": 10 ** 4}),
+    Claim(("n1.step_image",), n1_step_image_report, {"limit": 10 ** 5}),
+    Claim(("n1.residue_preservation",), n1_residue_preservation_report, {"limit": 10 ** 5}),
+    Claim(("n1.fixed_orbits",), n1_fixed_orbit_report),
+    Claim(("n1.classification", "n1.cycle_shape"), n1_classification_reports,
+          {"max_a0": 10 ** 4}),
+    Claim(("n1.claim1",), n1_claim1_report, {"max_a0": 1000, "window": 200}),
+    Claim(("n1.claim2_certificate",), n1_claim2_report, {"max_x": 10 ** 4}),
+    Claim(("n1.claim3",), n1_claim3_report, {"max_a0": 1000}),
+    Claim(("n1.claim4",), n1_claim4_report, {"max_a0": 1000}),
+    Claim(("n1.small_claims",), n1_small_claims_report),
+    Claim(("n1.divergence",), n1_divergence_report, {"max_a0": 10 ** 4, "window": 1000}),
+    Claim(("n1.mult3_propagates", "n1.nonmult3_propagates"), n1_propagation_reports,
+          {"max_a0": 1000, "budget": 300}),
+    Claim(("n1.all_gt1",), n1_gt1_report, {"max_a0": 1000, "budget": 300}),
+)
 
-def run_suite(cfg: SuiteConfig, out: TextIO | None = None,
-              err: TextIO | None = None) -> int:
-    """Run the battery; exit code 0 iff every claim passes."""
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    cfg.validate()
-    rng = random.Random(cfg.seed)
-    seed_line = f"suite seed={cfg.seed}"
-    print(seed_line, file=err if cfg.records else out)
-    failures = 0
-    count = 0
-    for rep in _full_battery(cfg, rng):
-        count += 1
-        if cfg.records:
-            print(rep.record_line(), file=out)
-        else:
-            tag = "PASS" if rep.outcome else "FAIL"
-            extras = " ".join(f"{k}={v}" for k, v in rep.params.items())
-            line = f"{tag} {rep.claim_id} {extras}".rstrip()
-            if not rep.outcome and rep.witness:
-                line += f" witness={rep.witness}"
-            print(line, file=out)
-        if not rep.outcome:
-            failures += 1
-    summary = f"{count - failures}/{count} claims passed"
-    print(summary, file=err if cfg.records else out)
+
+def _human_line(rep: ClaimReport) -> str:
+    tag = "PASS" if rep.outcome else "FAIL"
+    extras = " ".join(f"{k}={v}" for k, v in rep.params.items())
+    line = f"{tag} {rep.claim_id} {extras}".rstrip()
+    if not rep.outcome and rep.witness:
+        line += f" witness={rep.witness}"
+    return line
+
+
+def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
+              claims: Sequence[Claim] = CLAIMS) -> int:
+    """Run the rows in order with one rng seeded by ``seed``.
+
+    Exit code 0 when every claim passes, 1 when one fails, 3 when a row
+    raised (which takes precedence).
+    """
+    rng = random.Random(seed)
+    diagnostics = err if records else out
+    print(f"suite seed={seed}", file=diagnostics)
+    count = failures = 0
+    raised = False
+    for claim in claims:
+        name = ",".join(claim.ids)
+        t0 = time.perf_counter()
+        try:
+            reports = claim.run(rng)
+        except Exception as exc:
+            raised = True
+            kind = type(exc).__name__
+            message = " ".join(str(exc).split())
+            print(f"imocheck: claim {name} raised {kind}: {message}", file=err)
+            reports = [failed(claim_id, witness=(kind,)) for claim_id in claim.ids]
+        elapsed = time.perf_counter() - t0
+        for rep in reports:
+            print(rep.record_line() if records else _human_line(rep), file=out)
+            count += 1
+            failures += not rep.outcome
+        print(f"time {name} {elapsed:.3f}s", file=err)
+    print(f"{count - failures}/{count} claims passed", file=diagnostics)
+    if raised:
+        return 3
     return 0 if failures == 0 else 1
-
-
-def _full_battery(cfg: SuiteConfig, rng: random.Random) -> Iterator[ClaimReport]:
-    yield from a2_battery(cfg, rng)
-    yield from c1_battery(cfg, rng)
-    yield from n1_battery(cfg)

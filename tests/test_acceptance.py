@@ -165,9 +165,9 @@ def test_n1_mod3_lemmas():
             assert (v * v) % 3 != 2, v
             assert ((v * v) % 3 == 0) == (v % 3 == 0), v
             assert {((v + 1) ** 2) % 3, ((v + 2) ** 2) % 3, ((v + 3) ** 2) % 3} == {0, 1}, v
-        assert n1.lemma_square_mod3_ne2().outcome
-        assert n1.lemma_three_squares_mod3().outcome
-        assert n1.lemma_square_mod3_zero().outcome
+        assert n1.lemma_square_mod3_ne2(10 ** 4).outcome
+        assert n1.lemma_three_squares_mod3(10 ** 4).outcome
+        assert n1.lemma_square_mod3_zero(10 ** 4).outcome
 
 
 def test_n1_fixed_orbits():
@@ -180,7 +180,7 @@ def test_n1_fixed_orbits():
 def test_n1_classification_theorem():
     with criterion("n1 classification for all 2 <= a0 <= 10^4", limit=60):
         for a0 in range(2, 10 ** 4 + 1):
-            trace = n1.classify(a0, 4 * a0 + 1000)
+            trace = n1.classify(a0, n1.default_budget(a0))
             assert trace.classification is not n1.OrbitClass.BUDGET_EXCEEDED, a0
             periodic = trace.classification is n1.OrbitClass.PERIODIC_MULT3
             assert periodic == (a0 % 3 == 0), a0

@@ -1,10 +1,11 @@
+import functools
 import re
 import subprocess
 import sys
 
 import pytest
 
-from imocheck import cli
+from imocheck import cli, suite
 
 
 def run_cli(argv, capsys):
@@ -173,14 +174,21 @@ def test_n1_classify_theorem_anomaly_exits_3(capsys, monkeypatch):
 
 # -- suite ----------------------------------------------------------------------
 
-SMALL_SUITE = ["suite", "--n1-max", "60", "--c1-random", "10", "--c1-pinwheels", "3",
-               "--a2-max", "10"]
-
 RECORD_RE = re.compile(r"^CLAIM \S+( \S+=\S+)* outcome=(pass|fail)$")
 
 
-def test_suite_records_grammar(capsys):
-    code, out, err = run_cli(SMALL_SUITE + ["--records"], capsys)
+@pytest.fixture
+def small_suite(monkeypatch, small_claims):
+    """`imocheck suite` runs the given table (the small one by default)."""
+    def use(table=None):
+        table = small_claims() if table is None else table
+        monkeypatch.setattr(cli, "run_suite", functools.partial(suite.run_suite, claims=table))
+    return use
+
+
+def test_suite_records_grammar(capsys, small_suite):
+    small_suite()
+    code, out, err = run_cli(["suite", "--records"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines, "records mode must emit CLAIM lines on stdout"
@@ -189,20 +197,30 @@ def test_suite_records_grammar(capsys):
     assert "seed=" in err  # diagnostics stay on stderr
 
 
-def test_suite_human_mode(capsys):
-    code, out, _ = run_cli(SMALL_SUITE, capsys)
+def test_suite_human_mode(capsys, small_suite):
+    small_suite()
+    code, out, err = run_cli(["suite"], capsys)
     assert code == 0
     assert "claims passed" in out
     assert all(not line.startswith("CLAIM ") for line in out.splitlines())
+    assert not any(line.startswith("time ") for line in out.splitlines())
+    assert len([line for line in err.splitlines() if line.startswith("time ")]) == 28
 
 
-def test_suite_starved_budget_fails(capsys):
-    code, out, _ = run_cli(
-        SMALL_SUITE + ["--records", "--n1-budget-scale", "0", "--n1-budget-offset", "1"],
-        capsys)
+def test_suite_starved_budget_fails(capsys, small_suite, small_claims):
+    starved = {"budget_for": lambda a0: 1}
+    small_suite(small_claims({"n1.classification": starved, "n1.claim3": starved,
+                              "n1.claim4": starved}))
+    code, out, _ = run_cli(["suite", "--records"], capsys)
     assert code == 1
     assert any("BudgetExceeded" in line and "outcome=fail" in line
                for line in out.splitlines())
+
+
+def test_suite_has_only_seed_and_records():
+    args = cli.build_parser().parse_args(["suite"])
+    assert set(vars(args)) == {"command", "func", "records", "seed"}
+    assert args.seed == suite.DEFAULT_SEED
 
 
 # -- inputs that end in a usage error ---------------------------------------------
@@ -213,8 +231,11 @@ def test_suite_starved_budget_fails(capsys):
     (["n1", "--a0", str(cli.N1_CLASSIFY_MAX_A0 + 1), "--classify"], None),
     (["a2", "--n", str(cli.A2_MAX_N + 1)], None),
     (["a2", "--n", str(cli.A2_MAX_N + 1), "--verify"], None),
+    (["n1", "--a0", "7", "--steps", str(cli.N1_MAX_STEPS + 1)], None),
+    (["n1", "--a0", "5", "--classify", "--budget", str(cli.N1_CLASSIFY_MAX_BUDGET + 1)], None),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
-        "a2-n-above-cap", "a2-verify-n-above-cap"])
+        "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
+        "n1-classify-budget-above-cap"])
 def test_bad_input_is_one_usage_line(tmp_path, argv, content):
     """Exit 2 with one stderr line and no traceback, before any work starts."""
     path = tmp_path / "in.tiling"

@@ -118,7 +118,7 @@ def test_classify_precondition():
 
 def test_trace_values_follow_step_rule():
     for a0 in (3, 4, 5, 48, 100, 9999):
-        trace = n1.classify(a0, 4 * a0 + 1000)
+        trace = n1.classify(a0, n1.default_budget(a0))
         for u, v in zip(trace.values, trace.values[1:]):
             assert v == n1.n1_step(u)
         assert all(v > 1 for v in trace.values)
@@ -126,7 +126,7 @@ def test_trace_values_follow_step_rule():
 
 def test_classification_theorem_small_range():
     for a0 in range(2, 400):
-        trace = n1.classify(a0, 4 * a0 + 1000)
+        trace = n1.classify(a0, n1.default_budget(a0))
         periodic = trace.classification is OrbitClass.PERIODIC_MULT3
         assert periodic == (a0 % 3 == 0), a0
         if periodic:
@@ -211,10 +211,16 @@ def test_claim4a():
 
 # -- mod-3 lemmas ---------------------------------------------------------------------------
 
+def test_default_budget():
+    assert n1.default_budget(999) == 4 * 999 + 1000
+    assert n1.default_budget(2) == 1008
+
+
 def test_mod3_lemmas():
-    assert n1.lemma_square_mod3_ne2().outcome
-    assert n1.lemma_three_squares_mod3().outcome
-    assert n1.lemma_square_mod3_zero().outcome
+    for rep in (n1.lemma_square_mod3_ne2(10 ** 4), n1.lemma_three_squares_mod3(10 ** 4),
+                n1.lemma_square_mod3_zero(10 ** 4)):
+        assert rep.outcome
+        assert rep.steps == 10 ** 4 + 4   # three residues, then 0..10^4
 
 
 def test_three_squares_worked_example():

@@ -1,25 +1,16 @@
+import dataclasses
 import io
 import random
 import re
+from pathlib import Path
 
 import pytest
 
-from imocheck import backend, suite, tiling
+from imocheck import backend, report, suite, tiling
 from imocheck.errors import TheoremViolationError
 from imocheck.report import ClaimReport
 
-
-def test_config_validation():
-    suite.SuiteConfig().validate()
-    with pytest.raises(ValueError):
-        suite.SuiteConfig(c1_random_count=0).validate()
-    with pytest.raises(ValueError):
-        suite.SuiteConfig(n1_budget_scale=0, n1_budget_offset=0).validate()
-    with pytest.raises(ValueError):
-        suite.SuiteConfig(c1_area_cap=20).validate()
-    cfg = suite.SuiteConfig(n1_budget_scale=0, n1_budget_offset=1)
-    cfg.validate()
-    assert cfg.budget_for(999) == 1
+DATA = Path(__file__).parent / "data"
 
 
 def test_record_line_grammar():
@@ -33,7 +24,7 @@ def test_record_line_grammar():
 def test_a2_reports_pass():
     rng = random.Random(0)
     assert suite.a2_base_case_report().outcome
-    assert suite.a2_sum_lemma_report(rng, instances=60).outcome
+    assert suite.a2_sum_lemma_report(rng, instances=60, max_n=12).outcome
     assert suite.a2_subtraction_identity_report(20).outcome
     assert suite.a2_coefficient_positivity_report(20).outcome
 
@@ -50,13 +41,12 @@ def test_c1_reports_pass():
 
 
 def test_n1_reports_pass():
-    budget = lambda a0: 4 * a0 + 1000
-    for rep in suite.n1_classification_reports(300, budget):
+    for rep in suite.n1_classification_reports(300):
         assert rep.outcome
     assert suite.n1_claim1_report(100, 50).outcome
     assert suite.n1_claim2_report(300).outcome
-    assert suite.n1_claim3_report(100, budget).outcome
-    assert suite.n1_claim4_report(100, budget).outcome
+    assert suite.n1_claim3_report(100).outcome
+    assert suite.n1_claim4_report(100).outcome
     assert suite.n1_small_claims_report().outcome
     assert suite.n1_divergence_report(300, 200).outcome
     for rep in suite.n1_propagation_reports(100, 50):
@@ -65,11 +55,10 @@ def test_n1_reports_pass():
 
 
 def test_n1_steps_count_the_starts_checked():
-    budget = lambda a0: 4 * a0 + 1000
-    classification, cycle_shape = suite.n1_classification_reports(100, budget)
+    classification, cycle_shape = suite.n1_classification_reports(100)
     assert (classification.steps, cycle_shape.steps) == (99, 33)   # 2..100; 3, 6, ..., 99
     assert suite.n1_claim1_report(100, 50).steps == 33             # 2, 5, ..., 98
-    assert suite.n1_claim4_report(100, budget).steps == 33         # 4, 7, ..., 100
+    assert suite.n1_claim4_report(100).steps == 33                 # 4, 7, ..., 100
     assert suite.n1_divergence_report(100, 50).steps == 33
     mult3, nonmult3 = suite.n1_propagation_reports(100, 50)
     assert (mult3.steps, nonmult3.steps) == (33, 66)
@@ -92,14 +81,89 @@ def test_check_tiling_theorem_lets_programming_errors_through(monkeypatch):
         suite.check_tiling_theorem(tiling.gen_guillotine(3, 3, 0))
 
 
-def test_run_suite_small_config():
-    cfg = suite.SuiteConfig(a2_max_index=10, c1_random_count=10,
-                            c1_pinwheel_count=2, n1_max_a0=60, records=True)
+def test_first_failure_counts_the_instances_before_it():
+    consumed = []
+
+    def witnesses():
+        for w in [None, None, (7,), None]:
+            consumed.append(w)
+            yield w
+
+    rep = report.first_failure("x.y", {"n": 4}, witnesses())
+    assert (rep.outcome, rep.witness, rep.steps, rep.params) == (False, (7,), 2, {"n": 4})
+    assert len(consumed) == 3   # the sweep stops at the failure
+    rep = report.first_failure("x.y", {}, iter([None] * 5))
+    assert (rep.outcome, rep.witness, rep.steps) == (True, (), 5)
+
+
+def test_failing_sweeps_lead_with_the_start_and_count_the_starts_before_it():
+    starved = lambda a0: 1
+    rep = suite.n1_claim3_report(30, starved)       # 3 needs three steps to return to 3
+    assert (rep.outcome, rep.witness[0], rep.steps) == (False, 3, 0)
+    rep = suite.n1_claim4_report(30, starved)       # 4 -> 2 holds, 7 -> 10 does not
+    assert (rep.outcome, rep.witness[0], rep.steps) == (False, 7, 1)
+
+
+def test_run_suite_small_config(small_claims):
     out, err = io.StringIO(), io.StringIO()
-    assert suite.run_suite(cfg, out, err) == 0
+    assert suite.run_suite(7, True, out, err, small_claims()) == 0
     lines = out.getvalue().splitlines()
+    assert len(lines) == 30
     assert all(line.startswith("CLAIM ") for line in lines)
-    assert f"seed={cfg.seed}" in err.getvalue()
+    errs = err.getvalue().splitlines()
+    assert errs[0] == "suite seed=7" and errs[-1] == "30/30 claims passed"
+    assert len(errs) == 2 + len(suite.CLAIMS)
+    for claim, line in zip(suite.CLAIMS, errs[1:-1]):
+        assert re.fullmatch(rf"time {re.escape(','.join(claim.ids))} \d+\.\d{{3}}s", line)
+
+
+def test_default_table_matches_golden_records():
+    """The default table at the default seed reproduces the committed record stream."""
+    out, err = io.StringIO(), io.StringIO()
+    assert suite.run_suite(suite.DEFAULT_SEED, True, out, err) == 0
+    golden = (DATA / f"suite_records_{suite.DEFAULT_SEED}.txt").read_text()
+    assert out.getvalue() == golden
+
+
+def _raises(*args, **params):
+    raise TypeError("a bug in a report\nfunction")
+
+
+def test_a_raising_row_does_not_end_the_battery(small_claims):
+    rows = small_claims()
+    middle = len(rows) // 2
+    broken = dataclasses.replace(rows[middle], report=_raises)
+    table = rows[:middle] + (broken,) + rows[middle + 1:]
+    out, err = io.StringIO(), io.StringIO()
+    assert suite.run_suite(7, True, out, err, table) == 3
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 30
+    records = {line.split()[1]: line for line in lines}
+    for claim_id in broken.ids:
+        assert records[claim_id] == f"CLAIM {claim_id} steps=0 witness=TypeError outcome=fail"
+    for claim in rows[middle + 1:]:
+        for claim_id in claim.ids:
+            assert records[claim_id].endswith("outcome=pass")
+    raised = [line for line in err.getvalue().splitlines() if "raised" in line]
+    assert raised == [f"imocheck: claim {','.join(broken.ids)} raised TypeError: "
+                      "a bug in a report function"]
+    assert "29/30 claims passed" in err.getvalue()
+
+
+def test_a_failing_claim_exits_1_and_a_raise_takes_precedence():
+    failing = suite.Claim(("x.fail",), lambda: report.failed("x.fail", witness=(1,)))
+    raising = suite.Claim(("x.raise",), _raises)
+    sink = io.StringIO()
+    assert suite.run_suite(1, True, sink, sink, (failing,)) == 1
+    assert suite.run_suite(1, True, sink, sink, (raising, failing)) == 3
+
+
+def test_keyboard_interrupt_ends_the_battery():
+    def interrupted():
+        raise KeyboardInterrupt
+    table = (suite.Claim(("x.stop",), interrupted),)
+    with pytest.raises(KeyboardInterrupt):
+        suite.run_suite(1, True, io.StringIO(), io.StringIO(), table)
 
 
 def _theorem_oracle(board, tiles):
