@@ -79,9 +79,11 @@ def render_lines(seq: A2Sequence) -> list[str]:
     return [f"{i}\t{render(v)}" for i, v in enumerate(seq.values)]
 
 
-def verify(n_max: int) -> ClaimReport:
+def verify(n_max: int, seq: A2Sequence | None = None) -> ClaimReport:
     """Machine-check a_1..a_{n_max}: positivity, exact residuals, closed form.
 
+    Checks ``seq`` when given (a prefix built by ``build(n_max)``, so a
+    caller that prints the sequence builds it once), else ``build(n_max)``.
     Passes iff for every 1 <= m <= n_max the term is positive, the relation
     residual at m is exactly 0/1, and (for m >= 2) the closed form applied to
     the shorter prefix reproduces the recurrence value.  On failure the
@@ -89,19 +91,21 @@ def verify(n_max: int) -> ClaimReport:
     """
     if n_max < 1:
         raise PreconditionFailedError("n_max must be at least 1")
+    if seq is None:
+        seq = build(n_max)
+    elif seq.last_index != n_max:
+        raise PreconditionFailedError(f"prefix ends at a_{seq.last_index}, not a_{n_max}")
     params = {"n_max": n_max}
-    seq = A2Sequence.initial()
+    a = seq.values
     for m in range(1, n_max + 1):
-        prev = seq
-        seq = extend(seq)
-        value = seq.values[m]
+        value = a[m]
         if not value > ZERO:
             return failed("a2.verify", params, (m, "positivity", render(value)), m)
         residual = recurrence_residual(seq, m)
         if residual != ZERO:
             return failed("a2.verify", params, (m, "residual", render(residual)), m)
         if m >= 2:
-            cf = closed_form_next(prev)
+            cf = closed_form_next(A2Sequence(a[:m]))
             if cf != value:
                 return failed("a2.verify", params,
                               (m, "closed_form", render(cf), render(value)), m)

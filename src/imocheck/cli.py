@@ -51,7 +51,7 @@ def cmd_a2(args: argparse.Namespace) -> int:
     for line in a2.render_lines(seq):
         print(line)
     if args.verify:
-        rep = a2.verify(args.n)
+        rep = a2.verify(args.n, seq)
         print(rep.record_line(), file=sys.stderr)
         return EXIT_PASS if rep.outcome else EXIT_FAIL
     return EXIT_PASS
@@ -81,6 +81,11 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
     try:
         rect, parity = tiling.witness(t)
     except TheoremViolationError as exc:
+        a, b = t.board[1], t.board[3]
+        if a % 2 == 0 or b % 2 == 0:
+            print(f"no parity witness on the {a}x{b} board: "
+                  "the theorem needs both sides odd", file=sys.stderr)
+            return EXIT_FAIL
         print(f"theorem anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
     ds = tiling.side_distances(rect, t.board)

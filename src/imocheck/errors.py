@@ -5,16 +5,8 @@ class ImocheckError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ZeroDenominatorError(ImocheckError, ZeroDivisionError):
-    """A rational was constructed with denominator zero."""
-
-
 class InvalidRectError(ImocheckError, ValueError):
     """An operation required a valid rectangle (x1 < x2 and y1 < y2)."""
-
-
-class InvalidRangeError(ImocheckError, ValueError):
-    """A half-open coordinate range was empty or reversed."""
 
 
 class InvalidPinwheelError(ImocheckError, ValueError):

@@ -8,6 +8,13 @@ bounded-budget contract: a repeated value within the budget certifies a
 cycle, a reached residue-2 value plus a confirmed strictly increasing tail
 certifies divergence within the examined window.
 
+The claims of the proof are checked one start at a time, from a_0: the
+orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
+and the three orbit lemmas are "first m where the orbit does X" statements
+and share one scan, _first_hit, which steps only as far as that m; a lemma
+that every value keeps a property looks for the first value that breaks it.
+Claim 1 compares consecutive values and so walks an orbit() prefix.
+
 Everything is integer arithmetic; square roots are exact integer floors.
 """
 
@@ -16,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError
@@ -161,21 +169,21 @@ def classify(a0: int, budget: int) -> OrbitTrace:
     return OrbitTrace(a0, tuple(values), kind, mod2_index=mod2_at, steps_used=budget)
 
 
-def check_claim1(a0: int, n: int, window: int) -> ClaimReport:
+def check_claim1(a0: int, window: int) -> ClaimReport:
     """From a residue-2 term on, every step is +3: no squares, residue kept.
 
-    Precondition: a_n = 2 (mod 3).  Passes iff for all n <= m <= n + window
-    the term is not a perfect square, keeps residue 2, and a_{m+1} = a_m + 3.
+    Precondition: a0 = 2 (mod 3).  Passes iff for all 0 <= m <= window the
+    term is not a perfect square, keeps residue 2, and a_{m+1} = a_m + 3.
     """
-    vals = orbit(a0, n + window + 1)
-    if vals[n] % 3 != 2:
-        raise PreconditionFailedError(f"a_{n} = {vals[n]} is not 2 mod 3")
-    params = {"a0": a0, "n": n, "window": window}
-    for m in range(n, n + window + 1):
+    if a0 % 3 != 2:
+        raise PreconditionFailedError(f"a0 = {a0} is not 2 mod 3")
+    vals = orbit(a0, window + 1)
+    params = {"a0": a0, "window": window}
+    for m in range(window + 1):
         bad = (is_perfect_square(vals[m]) or vals[m] % 3 != 2
                or vals[m + 1] != vals[m] + 3)
         if bad:
-            return failed("n1.claim1", params, (m, vals[m], vals[m + 1]), m - n)
+            return failed("n1.claim1", params, (m, vals[m], vals[m + 1]), m)
     return passed("n1.claim1", params, steps=window + 1)
 
 
@@ -213,49 +221,40 @@ def check_claim2(x: int) -> ClaimReport:
     return passed("n1.claim2", {**params, "square": v, "m": steps + 1}, steps=steps + 1)
 
 
-def _scan_orbit_for(a0: int, n: int, budget: int, claim_id: str,
-                    params: dict, hit) -> ClaimReport:
-    vals = orbit(a0, n + budget)
-    for m in range(n + 1, n + budget + 1):
-        if hit(vals[m]):
-            return passed(claim_id, {**params, "m": m}, steps=m - n)
-    return failed(claim_id, params, tuple(vals[-6:]), budget)
+def _first_hit(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple[int, int] | None:
+    """The first (m, a_m) with 1 <= m <= budget and hit(a_m), or None.
+
+    Steps the orbit one value at a time, only as far as that hit.
+    """
+    v = a0
+    for m in range(1, budget + 1):
+        v = n1_step(v)
+        if hit(v):
+            return m, v
+    return None
 
 
-def check_claim3(a0: int, n: int, budget: int) -> ClaimReport:
-    """A multiple of 3 leads to the value 3: some m > n has a_m = 3."""
-    vals = orbit(a0, n)
-    if vals[n] % 3 != 0:
-        raise PreconditionFailedError(f"a_{n} = {vals[n]} is not 0 mod 3")
-    return _scan_orbit_for(a0, n, budget, "n1.claim3",
-                           {"a0": a0, "n": n}, lambda v: v == 3)
+def _reaches(claim_id: str, a0: int, budget: int, hit: Callable[[int], bool]) -> ClaimReport:
+    """Passes with the first m <= budget where hit(a_m); fails with the last six values."""
+    params = {"a0": a0}
+    found = _first_hit(a0, budget, hit)
+    if found is None:
+        return failed(claim_id, params, tuple(orbit(a0, budget)[-6:]), budget)
+    return passed(claim_id, {**params, "m": found[0]}, steps=found[0])
 
 
-def check_claim3a(a0: int, n: int, budget: int) -> ClaimReport:
-    """Claim 3 restricted to small terms: a_n in {3, 6, 9}."""
-    vals = orbit(a0, n)
-    if vals[n] % 3 != 0 or vals[n] > 9:
-        raise PreconditionFailedError(f"a_{n} = {vals[n]} is not a small multiple of 3")
-    return _scan_orbit_for(a0, n, budget, "n1.claim3a",
-                           {"a0": a0, "n": n}, lambda v: v == 3)
+def check_claim3(a0: int, budget: int) -> ClaimReport:
+    """A multiple of 3 leads to the value 3: some 1 <= m <= budget has a_m = 3."""
+    if a0 <= 1 or a0 % 3 != 0:
+        raise PreconditionFailedError(f"a0 = {a0} is not a multiple of 3 above 1")
+    return _reaches("n1.claim3", a0, budget, lambda v: v == 3)
 
 
-def check_claim4(a0: int, n: int, budget: int) -> ClaimReport:
-    """A residue-1 term leads to a residue-2 term: some m > n has a_m = 2 (mod 3)."""
-    vals = orbit(a0, n)
-    if vals[n] % 3 != 1:
-        raise PreconditionFailedError(f"a_{n} = {vals[n]} is not 1 mod 3")
-    return _scan_orbit_for(a0, n, budget, "n1.claim4",
-                           {"a0": a0, "n": n}, lambda v: v % 3 == 2)
-
-
-def check_claim4a(a0: int, n: int, budget: int) -> ClaimReport:
-    """Claim 4 restricted to small terms: a_n in {4, 7}."""
-    vals = orbit(a0, n)
-    if vals[n] % 3 != 1 or vals[n] > 9:
-        raise PreconditionFailedError(f"a_{n} = {vals[n]} is not a small residue-1 value")
-    return _scan_orbit_for(a0, n, budget, "n1.claim4a",
-                           {"a0": a0, "n": n}, lambda v: v % 3 == 2)
+def check_claim4(a0: int, budget: int) -> ClaimReport:
+    """A residue-1 term leads to a residue-2 term: some 1 <= m <= budget has a_m = 2 (mod 3)."""
+    if a0 <= 1 or a0 % 3 != 1:
+        raise PreconditionFailedError(f"a0 = {a0} is not 1 mod 3 above 1")
+    return _reaches("n1.claim4", a0, budget, lambda v: v % 3 == 2)
 
 
 def _residues_then_scan(claim_id: str, scan_limit: int, holds) -> ClaimReport:
@@ -285,35 +284,32 @@ def lemma_square_mod3_zero(scan_limit: int) -> ClaimReport:
                                lambda x: ((x * x) % 3 == 0) == (x % 3 == 0))
 
 
+def _no_break(claim_id: str, a0: int, budget: int,
+              breaks: Callable[[int], bool]) -> ClaimReport:
+    """No 1 <= m <= budget has breaks(a_m); fails with the first (m, a_m) that does."""
+    params = {"a0": a0, "budget": budget}
+    found = _first_hit(a0, budget, breaks)
+    if found is None:
+        return passed(claim_id, params, steps=budget)
+    return failed(claim_id, params, found, found[0])
+
+
 def lemma_mult3_propagates(a0: int, budget: int) -> ClaimReport:
     """A multiple of 3 is always followed by another multiple of 3."""
     if a0 % 3 != 0:
         raise PreconditionFailedError("needs a0 = 0 mod 3")
-    vals = orbit(a0, budget)
-    params = {"a0": a0, "budget": budget}
-    for i, v in enumerate(vals):
-        if v % 3 != 0:
-            return failed("n1.mult3_propagates", params, (i, v), i)
-    return passed("n1.mult3_propagates", params, steps=budget)
+    return _no_break("n1.mult3_propagates", a0, budget, lambda v: v % 3 != 0)
 
 
 def lemma_nonmult3_propagates(a0: int, budget: int) -> ClaimReport:
     """A non-multiple of 3 never becomes one."""
     if a0 % 3 == 0:
         raise PreconditionFailedError("needs a0 != 0 mod 3")
-    vals = orbit(a0, budget)
-    params = {"a0": a0, "budget": budget}
-    for i, v in enumerate(vals):
-        if v % 3 == 0:
-            return failed("n1.nonmult3_propagates", params, (i, v), i)
-    return passed("n1.nonmult3_propagates", params, steps=budget)
+    return _no_break("n1.nonmult3_propagates", a0, budget, lambda v: v % 3 == 0)
 
 
 def lemma_all_gt1(a0: int, budget: int) -> ClaimReport:
     """Every orbit value stays above 1 when a0 > 1."""
-    vals = orbit(a0, budget)
-    params = {"a0": a0, "budget": budget}
-    for i, v in enumerate(vals):
-        if v <= 1:
-            return failed("n1.all_gt1", params, (i, v), i)
-    return passed("n1.all_gt1", params, steps=budget)
+    if a0 <= 1:
+        raise PreconditionFailedError("needs a0 > 1")
+    return _no_break("n1.all_gt1", a0, budget, lambda v: v <= 1)

@@ -5,7 +5,8 @@ numerators and denominators (denominators grow super-exponentially, e.g.
 a_4 = 19/720 already).  We reuse the standard library's ``fractions.Fraction``,
 which keeps values canonical: denominator positive, gcd(|num|, den) = 1, and
 zero stored as 0/1.  Structural equality of canonical forms is therefore
-plain ``==``, and arithmetic and order are Fraction's own operators.  All
+plain ``==``, and arithmetic and order are Fraction's own operators; a zero
+denominator raises the built-in ZeroDivisionError.  All
 operations here are pure and the values immutable, so everything is safe for
 unrestricted concurrent use.
 """
@@ -15,19 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ZeroDenominatorError
-
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def make_rational(num: int, den: int = 1) -> Rational:
-    """Canonical rational num/den; the sign is carried by the numerator."""
-    if den == 0:
-        raise ZeroDenominatorError(f"denominator is zero: {num}/0")
-    return Fraction(num, den)
 
 
 def render(q: Rational) -> str:

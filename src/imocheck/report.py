@@ -40,8 +40,8 @@ class ClaimReport:
 
 
 def passed(claim_id: str, params: dict[str, int] | None = None,
-           steps: int = 0, witness: tuple = ()) -> ClaimReport:
-    return ClaimReport(claim_id, params or {}, True, witness, steps)
+           steps: int = 0) -> ClaimReport:
+    return ClaimReport(claim_id, params or {}, True, (), steps)
 
 
 def failed(claim_id: str, params: dict[str, int] | None = None,

@@ -359,8 +359,9 @@ def n1_classification_reports(max_a0: int, budget_for: Callable[[int], int]
 
     For every 2 <= a0 <= max_a0 the outcome must be PeriodicMult3 exactly
     when a0 is a multiple of 3, with no BudgetExceeded; every cycle's value
-    set must be exactly {3, 6, 9}.  The classification counts every start,
-    the cycle shape every periodic one.
+    set must be exactly {3, 6, 9}.  As in report.first_failure, each claim's
+    steps count the instances that held before its first failure: the
+    classification counts starts, the cycle shape periodic starts.
     """
     params = {"max_a0": max_a0}
     class_fail = None
@@ -368,30 +369,26 @@ def n1_classification_reports(max_a0: int, budget_for: Callable[[int], int]
     starts = cycles = 0
     for a0 in range(2, max_a0 + 1):
         trace = n1.classify(a0, budget_for(a0))
-        starts += 1
         periodic = trace.classification is n1.OrbitClass.PERIODIC_MULT3
         exceeded = trace.classification is n1.OrbitClass.BUDGET_EXCEEDED
-        if class_fail is None and (exceeded or periodic != (a0 % 3 == 0)):
-            class_fail = (a0, trace.classification.value)
-        if periodic:
-            cycles += 1
-            if shape_fail is None and trace.cycle_values() != {3, 6, 9}:
+        if class_fail is None:
+            if exceeded or periodic != (a0 % 3 == 0):
+                class_fail = (a0, trace.classification.value)
+            else:
+                starts += 1
+        if periodic and shape_fail is None:
+            if trace.cycle_values() != {3, 6, 9}:
                 shape_fail = (a0, tuple(sorted(trace.cycle_values())))
-    reports = []
-    if class_fail is None:
-        reports.append(passed("n1.classification", params, steps=starts))
-    else:
-        reports.append(failed("n1.classification", params, class_fail, starts))
-    if shape_fail is None:
-        reports.append(passed("n1.cycle_shape", params, steps=cycles))
-    else:
-        reports.append(failed("n1.cycle_shape", params, shape_fail, cycles))
-    return reports
+            else:
+                cycles += 1
+    return [ClaimReport("n1.classification", params, class_fail is None, class_fail or (),
+                        starts),
+            ClaimReport("n1.cycle_shape", params, shape_fail is None, shape_fail or (), cycles)]
 
 
 def n1_claim1_report(max_a0: int, window: int) -> ClaimReport:
     return _per_start("n1.claim1", {"max_a0": max_a0, "window": window},
-                      range(2, max_a0 + 1, 3), lambda a0: n1.check_claim1(a0, 0, window))
+                      range(2, max_a0 + 1, 3), lambda a0: n1.check_claim1(a0, window))
 
 
 def n1_claim2_report(max_x: int) -> ClaimReport:
@@ -403,22 +400,22 @@ def n1_claim2_report(max_x: int) -> ClaimReport:
 def n1_claim3_report(max_a0: int, budget_for: Callable[[int], int]
                      = n1.default_budget) -> ClaimReport:
     return _per_start("n1.claim3", {"max_a0": max_a0}, range(3, max_a0 + 1, 3),
-                      lambda a0: n1.check_claim3(a0, 0, budget_for(a0)))
+                      lambda a0: n1.check_claim3(a0, budget_for(a0)))
 
 
 def n1_claim4_report(max_a0: int, budget_for: Callable[[int], int]
                      = n1.default_budget) -> ClaimReport:
     return _per_start("n1.claim4", {"max_a0": max_a0}, range(4, max_a0 + 1, 3),
-                      lambda a0: n1.check_claim4(a0, 0, budget_for(a0)))
+                      lambda a0: n1.check_claim4(a0, budget_for(a0)))
 
 
 def n1_small_claims_report() -> ClaimReport:
-    """The small-value sub-claims: a_n in {3, 6, 9} reaches 3; {4, 7} reach residue 2."""
+    """The small-value sub-claims, within 10 steps: 3, 6 and 9 reach 3; 4 and 7 reach residue 2."""
     for a0 in (3, 6, 9):
-        if not n1.check_claim3a(a0, 0, 10).outcome:
+        if not n1.check_claim3(a0, 10).outcome:
             return failed("n1.small_claims", witness=("claim3a", a0))
     for a0 in (4, 7):
-        if not n1.check_claim4a(a0, 0, 10).outcome:
+        if not n1.check_claim4(a0, 10).outcome:
             return failed("n1.small_claims", witness=("claim4a", a0))
     return passed("n1.small_claims", steps=5)
 

@@ -11,13 +11,15 @@ has distances to the four board sides that are all even or all odd.  The
 proof chain runs through corner colors, green/yellow counting and the
 parity-of-distances lemma, and every link is executable here.
 
-Set-level predicates (overlap, inside) exist twice: literally over
-materialized square sets, and as interval arithmetic fast paths.  The
-tiling validator for arbitrary tilings, tiling_problems, checks cover and
-non-overlap by counting areas and sweeping the tiles in x, never
-materializing squares, so its cost depends on the tile count and not on the
-board area.  The property tests assert its agreement with the literal cover
-and overlap_literal definitions, keeping the set definitions authoritative.
+The set-level predicates are defined literally over materialized square
+sets (cover, overlap_literal, inside_literal); only inside also has an
+interval form, and its property test checks it against inside_literal.
+The tiling validator for arbitrary tilings, tiling_problems, checks cover
+and non-overlap by counting areas and sweeping the tiles in x (with its own
+interval test between neighbours), never materializing squares, so its
+cost depends on the tile count and not on the board area.  The property
+tests assert its agreement with the literal cover and overlap_literal
+definitions, keeping the set definitions authoritative.
 
 The exhaustive theorem check over enumerated tilings takes another route:
 board_table maps every rect inside a small board to its facts (square bit
@@ -39,9 +41,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import backend
-from .errors import (BoardTooLargeError, InvalidPinwheelError, InvalidRangeError,
-                     InvalidRectError, PreconditionFailedError, TheoremViolationError,
-                     TilingParseError)
+from .errors import (BoardTooLargeError, InvalidPinwheelError, InvalidRectError,
+                     PreconditionFailedError, TheoremViolationError, TilingParseError)
 from .report import ClaimReport, failed, passed
 
 Rect = tuple[int, int, int, int]
@@ -71,13 +72,7 @@ def squares(r: Rect) -> set[Square]:
     return {(x, y) for x in range(x1, x2) for y in range(y1, y2)}
 
 
-# -- set-level predicates: interval fast paths + literal oracles --------------
-
-def overlap(r1: Rect, r2: Rect) -> bool:
-    """Whether the two rects share a square (interval form)."""
-    return (max(r1[0], r2[0]) < min(r1[1], r2[1])
-            and max(r1[2], r2[2]) < min(r1[3], r2[3]))
-
+# -- set-level predicates: the interval form of inside + literal oracles -------
 
 def overlap_literal(r1: Rect, r2: Rect) -> bool:
     return bool(squares(r1) & squares(r2))
@@ -152,14 +147,6 @@ def count_yellow(r: Rect) -> int:
     _require_valid(r)
     k = area(r)
     return k // 2 if green((r[0], r[2])) else (k + 1) // 2
-
-
-def count_green_row(x1: int, x2: int, y0: int) -> int:
-    """Green squares in the single row y0, x in [x1, x2)."""
-    if x1 >= x2:
-        raise InvalidRangeError(f"row needs x1 < x2, got [{x1}, {x2})")
-    n = x2 - x1
-    return (n + 1) // 2 if green((x1, y0)) else n // 2
 
 
 # -- tilings -------------------------------------------------------------------

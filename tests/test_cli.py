@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from imocheck import cli, suite
+from imocheck.errors import TheoremViolationError
 
 
 def run_cli(argv, capsys):
@@ -36,6 +37,18 @@ def test_a2_verify(capsys):
     code, out, err = run_cli(["a2", "--n", "10", "--verify"], capsys)
     assert code == 0
     assert "outcome=pass" in err
+
+
+def test_a2_verify_builds_the_sequence_once(capsys, monkeypatch):
+    from imocheck import a2
+    calls = []
+    extend = a2.extend
+    monkeypatch.setattr(a2, "extend", lambda seq: calls.append(seq) or extend(seq))
+    code, out, err = run_cli(["a2", "--n", "30", "--verify"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 31
+    assert err.splitlines() == ["CLAIM a2.verify n_max=30 steps=30 outcome=pass"]
+    assert len(calls) == 30
 
 
 def test_a2_rejects_n0(capsys):
@@ -74,6 +87,40 @@ def test_c1_check_overlap_exits_1(tmp_path, capsys):
     assert "overlap" in err
     assert "(0, 2, 0, 1)" in err and "(1, 2, 0, 1)" in err
     assert out == ""
+
+
+def test_c1_check_odd_board_without_witness_is_an_anomaly(tmp_path, capsys, monkeypatch):
+    """On an odd-by-odd board a missing witness breaks the theorem: exit 3."""
+    from imocheck import tiling
+
+    def no_witness(t):
+        raise TheoremViolationError(f"no parity witness in a tiling of {t.board}")
+
+    monkeypatch.setattr(tiling, "witness", no_witness)
+    path = tmp_path / "nine.tiling"
+    path.write_text(NINE_UNITS)
+    code, out, err = run_cli(["c1-check", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["theorem anomaly: no parity witness in a tiling of (0, 3, 0, 3)"]
+
+
+def test_c1_check_even_board_without_witness_exits_1(tmp_path, capsys):
+    path = tmp_path / "two.tiling"
+    path.write_text("board 2 1\ntile 0 1 0 1\ntile 1 2 0 1\n")
+    code, out, err = run_cli(["c1-check", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "no parity witness on the 2x1 board: the theorem needs both sides odd"]
+
+
+def test_c1_check_even_board_with_witness_exits_0(tmp_path, capsys):
+    path = tmp_path / "domino.tiling"
+    path.write_text("board 2 1\ntile 0 2 0 1\n")
+    code, out, _ = run_cli(["c1-check", str(path)], capsys)
+    assert code == 0
+    assert out == "witness (0,2,0,1) ds=(0,0,0,0) AllEven\n"
 
 
 def test_c1_check_parse_error_exits_2(tmp_path, capsys):

@@ -136,11 +136,11 @@ def test_classification_theorem_small_range():
 # -- claims ------------------------------------------------------------------------------
 
 def test_claim1():
-    assert n1.check_claim1(5, 0, 500).outcome
+    assert n1.check_claim1(5, 500).outcome
     assert n1.orbit(7, 5)[-1] == 2
-    assert n1.check_claim1(7, 5, 500).outcome
+    assert n1.check_claim1(2, 500).outcome    # a_5 of 7 onwards
     with pytest.raises(PreconditionFailedError):
-        n1.check_claim1(3, 0, 10)
+        n1.check_claim1(3, 10)
 
 
 def test_claim2_examples():
@@ -169,44 +169,52 @@ def test_claim2_first_square_offset():
 
 
 def test_claim3():
-    rep = n1.check_claim3(6, 0, 50)
+    rep = n1.check_claim3(6, 50)
     assert rep.outcome and rep.params["m"] == 2
-    rep = n1.check_claim3(9, 0, 50)
+    rep = n1.check_claim3(9, 50)
     assert rep.outcome and rep.params["m"] == 1
-    assert n1.check_claim3(12, 0, 50).outcome
+    assert n1.check_claim3(12, 50).outcome
     with pytest.raises(PreconditionFailedError):
-        n1.check_claim3(5, 0, 50)
+        n1.check_claim3(5, 50)
 
 
 def test_claim3_budget_exhausted_reports_tail():
-    rep = n1.check_claim3(12, 0, 2)
+    rep = n1.check_claim3(12, 2)
     assert not rep.outcome
-    assert len(rep.witness) > 0
+    assert rep.witness == (12, 15, 18) and rep.steps == 2
+    rep = n1.check_claim3(12, 8)
+    assert not rep.outcome
+    assert rep.witness == tuple(n1.orbit(12, 8)[-6:])
+
+
+def test_claim3_stops_stepping_at_the_first_hit(monkeypatch):
+    calls = []
+    step = n1.n1_step
+    monkeypatch.setattr(n1, "n1_step", lambda x: calls.append(x) or step(x))
+    rep = n1.check_claim3(999, n1.default_budget(999))
+    assert rep.outcome and rep.steps == rep.params["m"] == 35
+    assert len(calls) <= 40
 
 
 def test_claim3a():
-    for a0 in (3, 6, 9):
-        assert n1.check_claim3a(a0, 0, 10).outcome
-    with pytest.raises(PreconditionFailedError):
-        n1.check_claim3a(12, 0, 10)
+    """The small multiples of 3 (n1.small_claims) reach 3 within 10 steps."""
+    assert [n1.check_claim3(a0, 10).params["m"] for a0 in (3, 6, 9)] == [3, 2, 1]
 
 
 def test_claim4():
-    rep = n1.check_claim4(4, 0, 50)
+    rep = n1.check_claim4(4, 50)
     assert rep.outcome and rep.params["m"] == 1
-    rep = n1.check_claim4(7, 0, 50)
+    rep = n1.check_claim4(7, 50)
     assert rep.outcome and rep.params["m"] == 5
-    rep = n1.check_claim4(10, 0, 50)
+    rep = n1.check_claim4(10, 50)
     assert rep.outcome and rep.params["m"] == 4
     with pytest.raises(PreconditionFailedError):
-        n1.check_claim4(6, 0, 50)
+        n1.check_claim4(6, 50)
 
 
 def test_claim4a():
-    for a0 in (4, 7):
-        assert n1.check_claim4a(a0, 0, 10).outcome
-    with pytest.raises(PreconditionFailedError):
-        n1.check_claim4a(10, 0, 10)
+    """The small residue-1 values (n1.small_claims) reach residue 2 within 10 steps."""
+    assert [n1.check_claim4(a0, 10).params["m"] for a0 in (4, 7)] == [1, 5]
 
 
 # -- mod-3 lemmas ---------------------------------------------------------------------------
@@ -236,3 +244,16 @@ def test_orbit_lemmas():
         n1.lemma_mult3_propagates(5, 10)
     with pytest.raises(PreconditionFailedError):
         n1.lemma_nonmult3_propagates(6, 10)
+    with pytest.raises(PreconditionFailedError):
+        n1.lemma_all_gt1(1, 10)
+
+
+def test_orbit_lemma_failures_report_the_first_break(monkeypatch):
+    # a broken step rule that drops 6 to 5 and 5 to 1
+    step = n1.n1_step
+    monkeypatch.setattr(n1, "n1_step", lambda x: {6: 5, 5: 1}.get(x, step(x)))
+    rep = n1.lemma_mult3_propagates(3, 100)       # 3, 6, 5
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (2, 5), 2)
+    rep = n1.lemma_all_gt1(3, 100)                # 3, 6, 5, 1
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (3, 1), 3)
+    assert n1.lemma_all_gt1(3, 2).outcome          # the break lies past the budget

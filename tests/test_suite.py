@@ -102,6 +102,9 @@ def test_failing_sweeps_lead_with_the_start_and_count_the_starts_before_it():
     assert (rep.outcome, rep.witness[0], rep.steps) == (False, 3, 0)
     rep = suite.n1_claim4_report(30, starved)       # 4 -> 2 holds, 7 -> 10 does not
     assert (rep.outcome, rep.witness[0], rep.steps) == (False, 7, 1)
+    cls, shape = suite.n1_classification_reports(100, starved)   # 2 holds, 3 does not
+    assert (cls.outcome, cls.witness, cls.steps) == (False, (3, "BudgetExceeded"), 1)
+    assert (shape.outcome, shape.steps) == (True, 0)             # no start cycles in one step
 
 
 def test_run_suite_small_config(small_claims):

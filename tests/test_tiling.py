@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imocheck import tiling
-from imocheck.errors import (BoardTooLargeError, InvalidPinwheelError,
-                             InvalidRangeError, InvalidRectError,
+from imocheck.errors import (BoardTooLargeError, InvalidPinwheelError, InvalidRectError,
                              PreconditionFailedError, TilingParseError)
 from imocheck.tiling import RectClass, Tiling, WitnessParity
 
@@ -23,16 +22,6 @@ def test_squares_examples():
     assert tiling.squares((0, 2, 0, 1)) == {(0, 0), (1, 0)}
     assert tiling.squares((3, 3, 0, 5)) == set()
     assert len(tiling.squares((0, 17, 0, 11))) == 187
-
-
-def test_overlap_examples():
-    assert tiling.overlap((0, 2, 0, 2), (1, 3, 1, 3))
-    assert not tiling.overlap((0, 2, 0, 2), (2, 4, 0, 2))
-
-
-@given(any_rects, any_rects)
-def test_overlap_agrees_with_square_sets(r1, r2):
-    assert tiling.overlap(r1, r2) == tiling.overlap_literal(r1, r2)
 
 
 @given(any_rects, any_rects)
@@ -108,21 +97,6 @@ def test_classification_count_link(r):
     expected = {RectClass.GREEN: cy + 1, RectClass.YELLOW: cy - 1,
                 RectClass.MIXED: cy}[tiling.classify_rect(r)]
     assert cg == expected
-
-
-def test_count_green_row():
-    assert tiling.count_green_row(0, 3, 0) == 2
-    assert tiling.count_green_row(1, 2, 0) == 0
-    assert tiling.count_green_row(0, 4, 1) == 2
-    with pytest.raises(InvalidRangeError):
-        tiling.count_green_row(3, 3, 0)
-
-
-@given(st.integers(0, 8), st.integers(1, 8), st.integers(0, 8))
-def test_count_green_row_matches_brute_force(x1, width, y0):
-    x2 = x1 + width
-    brute = sum(1 for x in range(x1, x2) if tiling.green((x, y0)))
-    assert tiling.count_green_row(x1, x2, y0) == brute
 
 
 # -- witness machinery ------------------------------------------------------------
