@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionFailedError
 from .rational import Rational, ZERO, finite_sum, render
-from .report import ClaimReport, failed, passed
+from .report import ClaimReport, first_failure
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def verify(n_max: int, seq: A2Sequence | None = None) -> ClaimReport:
     Passes iff for every 1 <= m <= n_max the term is positive, the relation
     residual at m is exactly 0/1, and (for m >= 2) the closed form applied to
     the shorter prefix reproduces the recurrence value.  On failure the
-    report carries the first offending index and the values involved.
+    report carries the first offending index and the values involved, and
+    steps counts the indices before it.
     """
     if n_max < 1:
         raise PreconditionFailedError("n_max must be at least 1")
@@ -95,18 +96,19 @@ def verify(n_max: int, seq: A2Sequence | None = None) -> ClaimReport:
         seq = build(n_max)
     elif seq.last_index != n_max:
         raise PreconditionFailedError(f"prefix ends at a_{seq.last_index}, not a_{n_max}")
-    params = {"n_max": n_max}
     a = seq.values
-    for m in range(1, n_max + 1):
+
+    def witness(m: int) -> tuple | None:
         value = a[m]
         if not value > ZERO:
-            return failed("a2.verify", params, (m, "positivity", render(value)), m)
+            return m, "positivity", render(value)
         residual = recurrence_residual(seq, m)
         if residual != ZERO:
-            return failed("a2.verify", params, (m, "residual", render(residual)), m)
+            return m, "residual", render(residual)
         if m >= 2:
             cf = closed_form_next(A2Sequence(a[:m]))
             if cf != value:
-                return failed("a2.verify", params,
-                              (m, "closed_form", render(cf), render(value)), m)
-    return passed("a2.verify", params, steps=n_max)
+                return m, "closed_form", render(cf), render(value)
+        return None
+
+    return first_failure("a2.verify", {"n_max": n_max}, map(witness, range(1, n_max + 1)))

@@ -99,10 +99,7 @@ def cmd_c1_gen(args: argparse.Namespace) -> int:
     if args.kind == "pinwheel":
         if args.a < 3 or args.b < 3:
             return _fail_usage("pinwheel needs both sides >= 3")
-        rng = random.Random(args.seed)
-        cx1, cx2 = sorted(rng.sample(range(1, args.a), 2))
-        cy1, cy2 = sorted(rng.sample(range(1, args.b), 2))
-        t = tiling.pinwheel(args.a, args.b, cx1, cx2, cy1, cy2)
+        t = tiling.random_pinwheel(args.a, args.b, random.Random(args.seed))
     else:
         t = tiling.gen_guillotine(args.a, args.b, args.seed)
     sys.stdout.write(tiling.serialize_tiling(t))

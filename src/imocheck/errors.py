@@ -5,20 +5,8 @@ class ImocheckError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidRectError(ImocheckError, ValueError):
-    """An operation required a valid rectangle (x1 < x2 and y1 < y2)."""
-
-
-class InvalidPinwheelError(ImocheckError, ValueError):
-    """Pinwheel cut positions violate 0 < c1 < c2 < side."""
-
-
-class BoardTooLargeError(ImocheckError, ValueError):
-    """Exhaustive tiling enumeration was asked for a board over the area cap."""
-
-
 class PreconditionFailedError(ImocheckError, ValueError):
-    """A checker was invoked on inputs outside its stated precondition."""
+    """A function was called on inputs outside its stated precondition."""
 
 
 class TheoremViolationError(ImocheckError, AssertionError):

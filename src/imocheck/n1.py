@@ -13,7 +13,12 @@ orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
 and the three orbit lemmas are "first m where the orbit does X" statements
 and share one scan, _first_hit, which steps only as far as that m; a lemma
 that every value keeps a property looks for the first value that breaks it.
-Claim 1 compares consecutive values and so walks an orbit() prefix.
+Claim 1 compares consecutive values and so walks an orbit() prefix.  Claim 2
+finds its first square with the +3-run kernel.
+
+An instance check (claims 1-4 and the three orbit lemmas, one start each)
+returns None when the instance holds and a witness tuple when it fails;
+only claims, here the mod-3 lemma scans, build a ClaimReport.
 
 Everything is integer arithmetic; square roots are exact integer floors.
 """
@@ -27,7 +32,7 @@ from typing import Callable
 
 from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError
-from .report import ClaimReport, failed, first_failure, passed
+from .report import ClaimReport, first_failure
 
 
 def isqrt(x: int) -> int:
@@ -169,56 +174,52 @@ def classify(a0: int, budget: int) -> OrbitTrace:
     return OrbitTrace(a0, tuple(values), kind, mod2_index=mod2_at, steps_used=budget)
 
 
-def check_claim1(a0: int, window: int) -> ClaimReport:
+def check_claim1(a0: int, window: int) -> tuple | None:
     """From a residue-2 term on, every step is +3: no squares, residue kept.
 
-    Precondition: a0 = 2 (mod 3).  Passes iff for all 0 <= m <= window the
-    term is not a perfect square, keeps residue 2, and a_{m+1} = a_m + 3.
+    Precondition: a0 = 2 (mod 3).  Holds iff for all 0 <= m <= window the
+    term is not a perfect square, keeps residue 2, and a_{m+1} = a_m + 3;
+    else the witness is the first offending (m, a_m, a_{m+1}).
     """
     if a0 % 3 != 2:
         raise PreconditionFailedError(f"a0 = {a0} is not 2 mod 3")
     vals = orbit(a0, window + 1)
-    params = {"a0": a0, "window": window}
     for m in range(window + 1):
-        bad = (is_perfect_square(vals[m]) or vals[m] % 3 != 2
-               or vals[m + 1] != vals[m] + 3)
-        if bad:
-            return failed("n1.claim1", params, (m, vals[m], vals[m + 1]), m)
-    return passed("n1.claim1", params, steps=window + 1)
+        if (is_perfect_square(vals[m]) or vals[m] % 3 != 2
+                or vals[m + 1] != vals[m] + 3):
+            return m, vals[m], vals[m + 1]
+    return None
 
 
-def check_claim2(x: int) -> ClaimReport:
+def check_claim2(x: int) -> tuple | None:
     """Descent certificate: from x (residue not 2, x > 9) a smaller value appears.
 
     With t the largest integer whose square is below x, the first perfect
     square reached is one of (t+1)^2, (t+2)^2, (t+3)^2, so the next value is
-    at most t + 3 < t^2 < x.  The search is capped at 2*isqrt(x) + 6 steps,
-    which the certificate itself justifies; the report records t, the square
-    and the step count, and fails loudly if any part of the chain breaks.
+    at most t + 3 < t^2 < x.  The search for that square is capped at
+    2*isqrt(x) + 6 steps, which the certificate itself justifies, and runs
+    on the +3-run kernel.  The witness names the first link of the chain
+    that breaks, with the value involved.
     """
     if x % 3 == 2 or x <= 9:
         raise PreconditionFailedError("claim 2 needs x mod 3 != 2 and x > 9")
     t = isqrt(x - 1)
     bound = 2 * isqrt(x) + 6
-    params = {"x": x, "t": t, "bound": bound}
     if t < 3:
-        return failed("n1.claim2", params, ("t<3", t))
-    v = x
-    steps = 0
-    while not is_perfect_square(v):
-        v += 3
-        steps += 1
-        if steps > bound:
-            return failed("n1.claim2", params, ("no square within bound", v), steps)
+        return "t<3", t
+    steps = backend.confirm_plus3_run(x, bound + 1)
+    if steps < 0:
+        return "no square within bound", x + 3 * (bound + 1)
+    v = x + 3 * steps
     if v not in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2):
-        return failed("n1.claim2", params, ("unexpected first square", v), steps)
+        return "unexpected first square", v
     after = sqrt_exact(v)
     if not (after <= t + 3 < t * t < x):
-        return failed("n1.claim2", params, ("descent chain broken", after), steps)
+        return "descent chain broken", after
     # one more step lands on `after`, the smaller value
     if steps + 1 > bound:
-        return failed("n1.claim2", params, ("descent slower than bound", steps + 1), steps)
-    return passed("n1.claim2", {**params, "square": v, "m": steps + 1}, steps=steps + 1)
+        return "descent slower than bound", steps + 1
+    return None
 
 
 def _first_hit(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple[int, int] | None:
@@ -234,27 +235,25 @@ def _first_hit(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple[int, i
     return None
 
 
-def _reaches(claim_id: str, a0: int, budget: int, hit: Callable[[int], bool]) -> ClaimReport:
-    """Passes with the first m <= budget where hit(a_m); fails with the last six values."""
-    params = {"a0": a0}
-    found = _first_hit(a0, budget, hit)
-    if found is None:
-        return failed(claim_id, params, tuple(orbit(a0, budget)[-6:]), budget)
-    return passed(claim_id, {**params, "m": found[0]}, steps=found[0])
+def _reaches(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple | None:
+    """None when some 1 <= m <= budget has hit(a_m); else the last six values."""
+    if _first_hit(a0, budget, hit) is None:
+        return tuple(orbit(a0, budget)[-6:])
+    return None
 
 
-def check_claim3(a0: int, budget: int) -> ClaimReport:
+def check_claim3(a0: int, budget: int) -> tuple | None:
     """A multiple of 3 leads to the value 3: some 1 <= m <= budget has a_m = 3."""
     if a0 <= 1 or a0 % 3 != 0:
         raise PreconditionFailedError(f"a0 = {a0} is not a multiple of 3 above 1")
-    return _reaches("n1.claim3", a0, budget, lambda v: v == 3)
+    return _reaches(a0, budget, lambda v: v == 3)
 
 
-def check_claim4(a0: int, budget: int) -> ClaimReport:
+def check_claim4(a0: int, budget: int) -> tuple | None:
     """A residue-1 term leads to a residue-2 term: some 1 <= m <= budget has a_m = 2 (mod 3)."""
     if a0 <= 1 or a0 % 3 != 1:
         raise PreconditionFailedError(f"a0 = {a0} is not 1 mod 3 above 1")
-    return _reaches("n1.claim4", a0, budget, lambda v: v % 3 == 2)
+    return _reaches(a0, budget, lambda v: v % 3 == 2)
 
 
 def _residues_then_scan(claim_id: str, scan_limit: int, holds) -> ClaimReport:
@@ -284,32 +283,22 @@ def lemma_square_mod3_zero(scan_limit: int) -> ClaimReport:
                                lambda x: ((x * x) % 3 == 0) == (x % 3 == 0))
 
 
-def _no_break(claim_id: str, a0: int, budget: int,
-              breaks: Callable[[int], bool]) -> ClaimReport:
-    """No 1 <= m <= budget has breaks(a_m); fails with the first (m, a_m) that does."""
-    params = {"a0": a0, "budget": budget}
-    found = _first_hit(a0, budget, breaks)
-    if found is None:
-        return passed(claim_id, params, steps=budget)
-    return failed(claim_id, params, found, found[0])
-
-
-def lemma_mult3_propagates(a0: int, budget: int) -> ClaimReport:
+def lemma_mult3_propagates(a0: int, budget: int) -> tuple[int, int] | None:
     """A multiple of 3 is always followed by another multiple of 3."""
     if a0 % 3 != 0:
         raise PreconditionFailedError("needs a0 = 0 mod 3")
-    return _no_break("n1.mult3_propagates", a0, budget, lambda v: v % 3 != 0)
+    return _first_hit(a0, budget, lambda v: v % 3 != 0)
 
 
-def lemma_nonmult3_propagates(a0: int, budget: int) -> ClaimReport:
+def lemma_nonmult3_propagates(a0: int, budget: int) -> tuple[int, int] | None:
     """A non-multiple of 3 never becomes one."""
     if a0 % 3 == 0:
         raise PreconditionFailedError("needs a0 != 0 mod 3")
-    return _no_break("n1.nonmult3_propagates", a0, budget, lambda v: v % 3 == 0)
+    return _first_hit(a0, budget, lambda v: v % 3 == 0)
 
 
-def lemma_all_gt1(a0: int, budget: int) -> ClaimReport:
+def lemma_all_gt1(a0: int, budget: int) -> tuple[int, int] | None:
     """Every orbit value stays above 1 when a0 > 1."""
     if a0 <= 1:
         raise PreconditionFailedError("needs a0 > 1")
-    return _no_break("n1.all_gt1", a0, budget, lambda v: v <= 1)
+    return _first_hit(a0, budget, lambda v: v <= 1)

@@ -11,10 +11,13 @@ raises does not end the battery: its ids get fail records with the exception
 class as witness, stderr gets one line, the remaining rows run and the exit
 code is 3.  Tests run the same runner on a small table.
 
-Most reports are sweeps over instances; each feeds report.first_failure a
-stream of None (the instance holds) or a witness (the first that fails), so
-steps is the instance count on a pass and the instances checked before the
-failure on a fail.  All checks are exact; there are no epsilons anywhere.
+Only claims build a ClaimReport.  An instance check (one start, one pair
+of rects, one tiling) returns None when the instance holds and a witness
+(for a tiling, the problem string) when it fails.  Most reports are sweeps
+that feed report.first_failure one such result per instance, so steps is
+the instance count on a pass and the instances checked before the failure
+on a fail.  All checks are exact;
+there are no epsilons anywhere.
 
 Per-tiling theorem checks have two entry points with the same problem
 strings.  check_tiling_theorem takes any Tiling (random, pinwheel, parsed
@@ -42,12 +45,10 @@ DEFAULT_SEED = 20170901
 
 
 def _per_start(claim_id: str, params: dict[str, int], starts: Iterable[int],
-               check: Callable[[int], ClaimReport]) -> ClaimReport:
+               check: Callable[[int], tuple | None]) -> ClaimReport:
     """first_failure over a per-start check; a failing witness leads with the start."""
-    reports = ((a0, check(a0)) for a0 in starts)
     return first_failure(claim_id, params,
-                         (None if rep.outcome else (a0,) + rep.witness
-                          for a0, rep in reports))
+                         (None if (w := check(a0)) is None else (a0,) + w for a0 in starts))
 
 
 # -- A2 ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def c1_parity_lemma_report(coord_max: int) -> ClaimReport:
               if tiling.classify_rect(r) is tiling.RectClass.GREEN]
     pairs = ((ri, ro) for ro in greens for ri in greens if tiling.inside(ri, ro))
     return first_failure("c1.parity_lemma_exhaustive", {"coord_max": coord_max},
-                         (None if tiling.parity_lemma_check(ri, ro).outcome else (ri, ro)
+                         (None if tiling.parity_lemma_check(ri, ro) is None else (ri, ro)
                           for ri, ro in pairs))
 
 
@@ -277,7 +278,8 @@ def c1_enumeration_count_report() -> ClaimReport:
         enumerated = sum(1 for _ in tiling.enumerate_tilings(a, b))
         reference = tiling.count_tilings_reference(a, b)
         if enumerated != reference:
-            return failed("c1.enumeration_count", params, (a, b, enumerated, reference))
+            return failed("c1.enumeration_count", params, (a, b, enumerated, reference),
+                          total)
         total += enumerated
     return passed("c1.enumeration_count", params, steps=total)
 
@@ -298,9 +300,7 @@ def c1_random_theorem_report(rng: random.Random, count: int, pinwheels: int) -> 
             yield None if problem is None else ("guillotine", i, a, b, problem)
         for i in range(pinwheels):
             a, b = random_odd_board(rng, min_side=3)
-            cx1, cx2 = sorted(rng.sample(range(1, a), 2))
-            cy1, cy2 = sorted(rng.sample(range(1, b), 2))
-            problem = check_tiling_theorem(tiling.pinwheel(a, b, cx1, cx2, cy1, cy2))
+            problem = check_tiling_theorem(tiling.random_pinwheel(a, b, rng))
             yield None if problem is None else ("pinwheel", i, a, b, problem)
 
     return first_failure("c1.theorem_random", {"count": count, "pinwheels": pinwheels},
@@ -411,13 +411,11 @@ def n1_claim4_report(max_a0: int, budget_for: Callable[[int], int]
 
 def n1_small_claims_report() -> ClaimReport:
     """The small-value sub-claims, within 10 steps: 3, 6 and 9 reach 3; 4 and 7 reach residue 2."""
-    for a0 in (3, 6, 9):
-        if not n1.check_claim3(a0, 10).outcome:
-            return failed("n1.small_claims", witness=("claim3a", a0))
-    for a0 in (4, 7):
-        if not n1.check_claim4(a0, 10).outcome:
-            return failed("n1.small_claims", witness=("claim4a", a0))
-    return passed("n1.small_claims", steps=5)
+    cases = [(n1.check_claim3, "claim3a", a0) for a0 in (3, 6, 9)]
+    cases += [(n1.check_claim4, "claim4a", a0) for a0 in (4, 7)]
+    return first_failure("n1.small_claims", {},
+                         (None if check(a0, 10) is None else (name, a0)
+                          for check, name, a0 in cases))
 
 
 def n1_divergence_report(max_a0: int, window: int) -> ClaimReport:

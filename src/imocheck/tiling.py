@@ -9,7 +9,9 @@ corner.  Squares are colored green when x + y is even, yellow otherwise.
 The checked theorem: in any tiling of a board with both sides odd, some tile
 has distances to the four board sides that are all even or all odd.  The
 proof chain runs through corner colors, green/yellow counting and the
-parity-of-distances lemma, and every link is executable here.
+parity-of-distances lemma, and every link is executable here.  An instance
+check (parity_lemma_check, one pair of rects) returns None when it holds and
+a witness when it fails; the claims over many instances live in the suite.
 
 The set-level predicates are defined literally over materialized square
 sets (cover, overlap_literal, inside_literal); only inside also has an
@@ -41,9 +43,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import backend
-from .errors import (BoardTooLargeError, InvalidPinwheelError, InvalidRectError,
-                     PreconditionFailedError, TheoremViolationError, TilingParseError)
-from .report import ClaimReport, failed, passed
+from .errors import PreconditionFailedError, TheoremViolationError, TilingParseError
 
 Rect = tuple[int, int, int, int]
 Square = tuple[int, int]
@@ -56,7 +56,7 @@ def valid_rect(r: Rect) -> bool:
 
 def _require_valid(r: Rect) -> None:
     if not valid_rect(r):
-        raise InvalidRectError(f"rect {r} needs x1 < x2 and y1 < y2")
+        raise PreconditionFailedError(f"rect {r} needs x1 < x2 and y1 < y2")
 
 
 def area(r: Rect) -> int:
@@ -271,19 +271,19 @@ def witness(t: Tiling) -> tuple[Rect, WitnessParity]:
     raise TheoremViolationError(f"no parity witness in a tiling of {t.board}")
 
 
-def parity_lemma_check(ri: Rect, ro: Rect) -> ClaimReport:
-    """Green-inside-green distance parity: the four gaps are all even or all odd."""
+def parity_lemma_check(ri: Rect, ro: Rect) -> tuple[int, int, int, int] | None:
+    """Green-inside-green distance parity: the four gaps are all even or all odd.
+
+    None when they are; else the gaps (left, right, bottom, top).
+    """
     if not (valid_rect(ri) and valid_rect(ro)):
         raise PreconditionFailedError("both rects must be valid")
     if classify_rect(ri) is not RectClass.GREEN or classify_rect(ro) is not RectClass.GREEN:
         raise PreconditionFailedError("both rects must be green")
     if not inside(ri, ro):
         raise PreconditionFailedError("ri must lie inside ro")
-    ds = (ri[0] - ro[0], ro[1] - ri[1], ri[2] - ro[2], ro[3] - ri[3])
-    params = {"d_left": ds[0], "d_right": ds[1], "d_bottom": ds[2], "d_top": ds[3]}
-    if distance_parity(ds) is None:
-        return failed("c1.parity_lemma", params, (ri, ro))
-    return passed("c1.parity_lemma", params, steps=1)
+    ds = side_distances(ri, ro)
+    return ds if distance_parity(ds) is None else None
 
 
 # -- generators and enumeration -------------------------------------------------
@@ -291,7 +291,7 @@ def parity_lemma_check(ri: Rect, ro: Rect) -> ClaimReport:
 def gen_guillotine(a: int, b: int, seed: int) -> Tiling:
     """A valid tiling by recursive straight cuts; deterministic per seed."""
     if a < 1 or b < 1:
-        raise InvalidRectError(f"board {a}x{b} needs positive sides")
+        raise PreconditionFailedError(f"board {a}x{b} needs positive sides")
     rng = random.Random(seed)
     out: list[Rect] = []
 
@@ -319,7 +319,7 @@ def pinwheel(a: int, b: int, cx1: int, cx2: int, cy1: int, cy2: int) -> Tiling:
     Not a grid decomposition, so it exercises the general tiling definition.
     """
     if not (0 < cx1 < cx2 < a and 0 < cy1 < cy2 < b):
-        raise InvalidPinwheelError(
+        raise PreconditionFailedError(
             f"need 0 < {cx1} < {cx2} < {a} and 0 < {cy1} < {cy2} < {b}")
     rects = frozenset([
         (0, cx2, 0, cy1),
@@ -331,6 +331,13 @@ def pinwheel(a: int, b: int, cx1: int, cx2: int, cy1: int, cy2: int) -> Tiling:
     return Tiling((0, a, 0, b), rects)
 
 
+def random_pinwheel(a: int, b: int, rng: random.Random) -> Tiling:
+    """A pinwheel with cut pairs drawn from rng, x pair first; both sides >= 3."""
+    cx1, cx2 = sorted(rng.sample(range(1, a), 2))
+    cy1, cy2 = sorted(rng.sample(range(1, b), 2))
+    return pinwheel(a, b, cx1, cx2, cy1, cy2)
+
+
 ENUM_AREA_CAP = 16
 
 
@@ -340,7 +347,7 @@ def enumerate_tilings(a: int, b: int) -> Iterator[Tiling]:
     Guarded: enumeration is exponential, so the board area is capped.
     """
     if a * b > ENUM_AREA_CAP:
-        raise BoardTooLargeError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
+        raise PreconditionFailedError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
     board = (0, a, 0, b)
     for tile_list in backend.enum_tilings(a, b):
         yield Tiling(board, frozenset(tile_list))
@@ -373,7 +380,7 @@ def board_table(a: int, b: int) -> BoardTable:
     once per board and used for all of its enumerated tilings.
     """
     if a * b > ENUM_AREA_CAP:
-        raise BoardTooLargeError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
+        raise PreconditionFailedError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
     board = (0, a, 0, b)
     facts: dict[Rect, TileFacts] = {}
     for x1 in range(a):
@@ -422,7 +429,7 @@ def serialize_tiling(t: Tiling) -> str:
     canonical form: parse followed by serialize is the identity on its output.
     """
     if t.board[0] != 0 or t.board[2] != 0:
-        raise InvalidRectError(f"board {t.board} is not anchored at the origin")
+        raise PreconditionFailedError(f"board {t.board} is not anchored at the origin")
     lines = [f"board {t.board[1]} {t.board[3]}"]
     lines += [f"tile {x1} {x2} {y1} {y2}" for x1, x2, y1, y2 in sorted(t.tiles)]
     return "\n".join(lines) + "\n"

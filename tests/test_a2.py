@@ -61,6 +61,14 @@ def test_verify_passes():
     assert rep.params == {"n_max": 50}
 
 
+def test_verify_failure_counts_the_indices_before_it(monkeypatch):
+    closed_form = a2.closed_form_next
+    monkeypatch.setattr(a2, "closed_form_next",
+                        lambda seq: Rational(7) if seq.last_index == 4 else closed_form(seq))
+    rep = a2.verify(10)                           # a_5 is the first term it breaks
+    assert (rep.outcome, rep.witness[:3], rep.steps) == (False, (5, "closed_form", "7/1"), 4)
+
+
 def test_verify_rejects_zero():
     with pytest.raises(PreconditionFailedError):
         a2.verify(0)

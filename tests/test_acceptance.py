@@ -193,10 +193,12 @@ def test_n1_claim2_certificates():
         for x in range(10, 10 ** 4 + 1):
             if x % 3 == 2:
                 continue
-            rep = n1.check_claim2(x)
-            assert rep.outcome, x
-            t = rep.params["t"]
-            assert rep.params["square"] in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2), x
-            assert rep.params["m"] <= 2 * n1.isqrt(x) + 6, x
+            assert n1.check_claim2(x) is None, x
+            # the certificate recomputed from the orbit: the first square, m steps on
+            t, bound = n1.isqrt(x - 1), 2 * n1.isqrt(x) + 6
+            vals = n1.orbit(x, bound)
+            m = next(i for i, v in enumerate(vals) if n1.is_perfect_square(v)) + 1
+            assert vals[m - 1] in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2), x
+            assert m <= bound, x
             if x <= 2000:  # direct orbit confirmation of the descent
-                assert n1.orbit(x, rep.params["m"])[-1] < x, x
+                assert n1.orbit(x, m)[-1] < x, x

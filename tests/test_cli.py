@@ -163,6 +163,15 @@ def test_c1_gen_pinwheel_round_trips(tmp_path, capsys):
     assert run_cli(["c1-check", str(path)], capsys)[0] == 0
 
 
+def test_c1_gen_pinwheel_output_is_pinned(capsys):
+    """The cut draws (x pair, then y pair) are part of the seed's contract."""
+    code, out, _ = run_cli(
+        ["c1-gen", "--a", "9", "--b", "7", "--seed", "3", "--kind", "pinwheel"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["board 9 7", "tile 0 4 2 7", "tile 0 5 0 2",
+                                "tile 4 5 2 5", "tile 4 9 5 7", "tile 5 9 0 5"]
+
+
 def test_c1_gen_pinwheel_too_small(capsys):
     code, _, err = run_cli(
         ["c1-gen", "--a", "2", "--b", "2", "--kind", "pinwheel"], capsys)

@@ -136,21 +136,25 @@ def test_classification_theorem_small_range():
 # -- claims ------------------------------------------------------------------------------
 
 def test_claim1():
-    assert n1.check_claim1(5, 500).outcome
+    assert n1.check_claim1(5, 500) is None
     assert n1.orbit(7, 5)[-1] == 2
-    assert n1.check_claim1(2, 500).outcome    # a_5 of 7 onwards
+    assert n1.check_claim1(2, 500) is None    # a_5 of 7 onwards
     with pytest.raises(PreconditionFailedError):
         n1.check_claim1(3, 10)
 
 
+def claim2_certificate(x):
+    """(t, first square, m) recomputed from the orbit; m steps reach the square's root."""
+    vals = n1.orbit(x, 2 * n1.isqrt(x) + 6)
+    k = next(i for i, v in enumerate(vals) if n1.is_perfect_square(v))
+    return n1.isqrt(x - 1), vals[k], k + 1
+
+
 def test_claim2_examples():
-    rep = n1.check_claim2(12)
-    assert rep.outcome
-    assert rep.params["t"] == 3
-    assert rep.params["square"] == 36
-    rep = n1.check_claim2(10)
-    assert rep.outcome
-    assert rep.params["square"] == 16
+    assert n1.check_claim2(12) is None
+    assert claim2_certificate(12)[:2] == (3, 36)
+    assert n1.check_claim2(10) is None
+    assert claim2_certificate(10)[1] == 16
     with pytest.raises(PreconditionFailedError):
         n1.check_claim2(11)
     with pytest.raises(PreconditionFailedError):
@@ -161,60 +165,65 @@ def test_claim2_first_square_offset():
     for x in range(10, 2000):
         if x % 3 == 2:
             continue
-        rep = n1.check_claim2(x)
-        assert rep.outcome, x
-        t = rep.params["t"]
-        assert rep.params["square"] in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2)
-        assert rep.params["m"] <= 2 * n1.isqrt(x) + 6
+        assert n1.check_claim2(x) is None, x
+        t, square, m = claim2_certificate(x)
+        assert square in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2), x
+        assert m <= 2 * n1.isqrt(x) + 6, x
+
+
+def test_claim2_failure_witnesses(monkeypatch):
+    from imocheck import backend
+    monkeypatch.setattr(backend, "confirm_plus3_run", lambda start, nsteps: -1)
+    bound = 2 * n1.isqrt(12) + 6
+    assert n1.check_claim2(12) == ("no square within bound", 12 + 3 * (bound + 1))
+    monkeypatch.setattr(backend, "confirm_plus3_run", lambda start, nsteps: 1)
+    assert n1.check_claim2(12) == ("unexpected first square", 15)
+
+
+def hit_index(check, a0):
+    """The least budget within which check(a0, budget) holds: the first hit m."""
+    return next(budget for budget in range(51) if check(a0, budget) is None)
 
 
 def test_claim3():
-    rep = n1.check_claim3(6, 50)
-    assert rep.outcome and rep.params["m"] == 2
-    rep = n1.check_claim3(9, 50)
-    assert rep.outcome and rep.params["m"] == 1
-    assert n1.check_claim3(12, 50).outcome
+    assert hit_index(n1.check_claim3, 6) == 2
+    assert hit_index(n1.check_claim3, 9) == 1
+    assert n1.check_claim3(12, 50) is None
     with pytest.raises(PreconditionFailedError):
         n1.check_claim3(5, 50)
 
 
 def test_claim3_budget_exhausted_reports_tail():
-    rep = n1.check_claim3(12, 2)
-    assert not rep.outcome
-    assert rep.witness == (12, 15, 18) and rep.steps == 2
-    rep = n1.check_claim3(12, 8)
-    assert not rep.outcome
-    assert rep.witness == tuple(n1.orbit(12, 8)[-6:])
+    assert n1.check_claim3(12, 2) == (12, 15, 18)
+    assert n1.check_claim3(12, 8) == tuple(n1.orbit(12, 8)[-6:])
 
 
 def test_claim3_stops_stepping_at_the_first_hit(monkeypatch):
     calls = []
     step = n1.n1_step
     monkeypatch.setattr(n1, "n1_step", lambda x: calls.append(x) or step(x))
-    rep = n1.check_claim3(999, n1.default_budget(999))
-    assert rep.outcome and rep.steps == rep.params["m"] == 35
+    assert n1.check_claim3(999, n1.default_budget(999)) is None
     assert len(calls) <= 40
+    assert n1.check_claim3(999, 35) is None
+    assert n1.check_claim3(999, 34) is not None
 
 
 def test_claim3a():
     """The small multiples of 3 (n1.small_claims) reach 3 within 10 steps."""
-    assert [n1.check_claim3(a0, 10).params["m"] for a0 in (3, 6, 9)] == [3, 2, 1]
+    assert [hit_index(n1.check_claim3, a0) for a0 in (3, 6, 9)] == [3, 2, 1]
 
 
 def test_claim4():
-    rep = n1.check_claim4(4, 50)
-    assert rep.outcome and rep.params["m"] == 1
-    rep = n1.check_claim4(7, 50)
-    assert rep.outcome and rep.params["m"] == 5
-    rep = n1.check_claim4(10, 50)
-    assert rep.outcome and rep.params["m"] == 4
+    assert hit_index(n1.check_claim4, 4) == 1
+    assert hit_index(n1.check_claim4, 7) == 5
+    assert hit_index(n1.check_claim4, 10) == 4
     with pytest.raises(PreconditionFailedError):
         n1.check_claim4(6, 50)
 
 
 def test_claim4a():
     """The small residue-1 values (n1.small_claims) reach residue 2 within 10 steps."""
-    assert [n1.check_claim4(a0, 10).params["m"] for a0 in (4, 7)] == [1, 5]
+    assert [hit_index(n1.check_claim4, a0) for a0 in (4, 7)] == [1, 5]
 
 
 # -- mod-3 lemmas ---------------------------------------------------------------------------
@@ -237,9 +246,9 @@ def test_three_squares_worked_example():
 
 
 def test_orbit_lemmas():
-    assert n1.lemma_mult3_propagates(6, 100).outcome
-    assert n1.lemma_nonmult3_propagates(5, 100).outcome
-    assert n1.lemma_all_gt1(2, 500).outcome
+    assert n1.lemma_mult3_propagates(6, 100) is None
+    assert n1.lemma_nonmult3_propagates(5, 100) is None
+    assert n1.lemma_all_gt1(2, 500) is None
     with pytest.raises(PreconditionFailedError):
         n1.lemma_mult3_propagates(5, 10)
     with pytest.raises(PreconditionFailedError):
@@ -252,8 +261,6 @@ def test_orbit_lemma_failures_report_the_first_break(monkeypatch):
     # a broken step rule that drops 6 to 5 and 5 to 1
     step = n1.n1_step
     monkeypatch.setattr(n1, "n1_step", lambda x: {6: 5, 5: 1}.get(x, step(x)))
-    rep = n1.lemma_mult3_propagates(3, 100)       # 3, 6, 5
-    assert (rep.outcome, rep.witness, rep.steps) == (False, (2, 5), 2)
-    rep = n1.lemma_all_gt1(3, 100)                # 3, 6, 5, 1
-    assert (rep.outcome, rep.witness, rep.steps) == (False, (3, 1), 3)
-    assert n1.lemma_all_gt1(3, 2).outcome          # the break lies past the budget
+    assert n1.lemma_mult3_propagates(3, 100) == (2, 5)      # 3, 6, 5
+    assert n1.lemma_all_gt1(3, 100) == (3, 1)               # 3, 6, 5, 1
+    assert n1.lemma_all_gt1(3, 2) is None                   # the break lies past the budget

@@ -64,6 +64,24 @@ def test_n1_steps_count_the_starts_checked():
     assert (mult3.steps, nonmult3.steps) == (33, 66)
 
 
+def test_small_claims_failure_counts_the_cases_before_it(monkeypatch):
+    from imocheck import n1
+    claim3 = n1.check_claim3
+    monkeypatch.setattr(n1, "check_claim3",
+                        lambda a0, budget: ("broken",) if a0 == 6 else claim3(a0, budget))
+    rep = suite.n1_small_claims_report()
+    assert (rep.outcome, rep.witness, rep.steps) == (False, ("claim3a", 6), 1)   # 3 held
+
+
+def test_enumeration_count_failure_counts_the_tilings_before_it(monkeypatch):
+    reference = tiling.count_tilings_reference
+    monkeypatch.setattr(tiling, "count_tilings_reference",
+                        lambda a, b: 9 if (a, b) == (2, 2) else reference(a, b))
+    rep = suite.c1_enumeration_count_report()
+    assert (rep.outcome, rep.witness) == (False, (2, 2, 8, 9))
+    assert rep.steps == 1 + 2 + 4   # the tilings of 1x1, 2x1 and 1x3
+
+
 def test_check_tiling_theorem_flags_bad_input():
     from imocheck.tiling import Tiling
     bad = Tiling((0, 2, 0, 1), frozenset([(0, 1, 0, 1)]))

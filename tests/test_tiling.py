@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imocheck import tiling
-from imocheck.errors import (BoardTooLargeError, InvalidPinwheelError, InvalidRectError,
-                             PreconditionFailedError, TilingParseError)
+from imocheck.errors import PreconditionFailedError, TilingParseError
 from imocheck.tiling import RectClass, Tiling, WitnessParity
 
 # rects with coordinates in [0, 8]; roughly half are invalid, on purpose
@@ -66,7 +65,7 @@ def test_corners():
     assert tiling.corners((0, 1, 0, 1)) == {(0, 0)}
     assert tiling.corners((0, 17, 0, 11)) == {(0, 0), (0, 10), (16, 0), (16, 10)}
     assert tiling.corners((2, 4, 3, 5)) == {(2, 3), (2, 4), (3, 3), (3, 4)}
-    with pytest.raises(InvalidRectError):
+    with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
         tiling.corners((1, 1, 0, 2))
 
 
@@ -80,7 +79,7 @@ def test_count_examples():
     assert (tiling.count_green((0, 3, 0, 3)), tiling.count_yellow((0, 3, 0, 3))) == (5, 4)
     assert (tiling.count_green((0, 1, 0, 1)), tiling.count_yellow((0, 1, 0, 1))) == (1, 0)
     assert (tiling.count_green((1, 3, 0, 2)), tiling.count_yellow((1, 3, 0, 2))) == (2, 2)
-    with pytest.raises(InvalidRectError):
+    with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
         tiling.count_green((2, 2, 0, 1))
 
 
@@ -144,12 +143,12 @@ def test_witness_pinwheel_cross_checked_by_scan():
     assert (parity is WitnessParity.ALL_EVEN) == expected[1]
 
 
-def test_parity_lemma_check():
-    rep = tiling.parity_lemma_check((0, 3, 0, 3), (0, 3, 0, 3))
-    assert rep.outcome
-    rep = tiling.parity_lemma_check((1, 2, 1, 2), (0, 3, 0, 3))
-    assert rep.outcome
-    assert rep.params == {"d_left": 1, "d_right": 1, "d_bottom": 1, "d_top": 1}
+def test_parity_lemma_check(monkeypatch):
+    assert tiling.parity_lemma_check((0, 3, 0, 3), (0, 3, 0, 3)) is None
+    assert tiling.parity_lemma_check((1, 2, 1, 2), (0, 3, 0, 3)) is None
+    # with the parity test broken, the check fails with the four gaps
+    monkeypatch.setattr(tiling, "distance_parity", lambda ds: None)
+    assert tiling.parity_lemma_check((1, 2, 1, 2), (0, 3, 0, 3)) == (1, 1, 1, 1)
 
 
 def test_parity_lemma_preconditions():
@@ -184,7 +183,7 @@ def test_pinwheel_examples():
     assert tiling.is_valid_tiling(t)
     t = tiling.pinwheel(17, 11, 5, 12, 4, 8)
     assert tiling.is_valid_tiling(t)
-    with pytest.raises(InvalidPinwheelError):
+    with pytest.raises(PreconditionFailedError, match="need 0 < 1 < 1 < 2 and 0 < 1 < 1 < 2"):
         tiling.pinwheel(2, 2, 1, 1, 1, 1)
 
 
@@ -231,7 +230,7 @@ def test_enumeration_subset_brute_force_oracle():
 
 
 def test_enumeration_area_guard():
-    with pytest.raises(BoardTooLargeError):
+    with pytest.raises(PreconditionFailedError, match="17x11 exceeds the area cap 16"):
         next(tiling.enumerate_tilings(17, 11))
 
 
@@ -243,7 +242,7 @@ def test_board_table_examples():
     assert table.facts[(0, 1, 0, 2)] == (0b000011, WitnessParity.ALL_EVEN, False, 1, 1)
     assert table.facts[(0, 3, 0, 1)] == (0b010101, None, True, 2, 1)
     assert (table.count_green, table.count_yellow) == (3, 3)
-    with pytest.raises(BoardTooLargeError):
+    with pytest.raises(PreconditionFailedError, match="17x1 exceeds the area cap 16"):
         tiling.board_table(17, 1)
 
 
