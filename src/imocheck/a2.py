@@ -12,6 +12,9 @@ Two independent routes produce each term: solving the defining relation
 
 (``closed_form_next``).  Their exact agreement is itself one of the checks,
 so the two deliberately share no summation logic beyond ``finite_sum``.
+Every sum hands ``finite_sum`` its terms as integer pairs taken straight
+from the prefix's numerators and denominators, so no per-term Fraction is
+built.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ def extend(seq: A2Sequence) -> A2Sequence:
     """
     n = seq.last_index
     a = seq.values
-    tail = finite_sum(lambda k: a[n + 1 - k] / (k + 1), 1, n + 2)
+    tail = finite_sum(lambda k: (a[n + 1 - k].numerator, a[n + 1 - k].denominator * (k + 1)),
+                      1, n + 2)
     return A2Sequence(a + (-tail,))
 
 
@@ -56,14 +60,15 @@ def closed_form_next(seq: A2Sequence) -> Rational:
     if n < 1:
         raise PreconditionFailedError("closed form needs the prefix up to a_1 at least")
     a = seq.values
-    s = finite_sum(lambda k: Rational(k, (n - k + 1) * (n - k + 2)) * a[k], 1, n + 1)
+    s = finite_sum(lambda k: (k * a[k].numerator, (n - k + 1) * (n - k + 2) * a[k].denominator),
+                   1, n + 1)
     return s / (n + 2)
 
 
 def recurrence_residual(seq: A2Sequence, m: int) -> Rational:
     """sum_{k=0..m} a_{m-k}/(k+1); exactly zero whenever the relation holds at m."""
     a = seq.values
-    return finite_sum(lambda k: a[m - k] / (k + 1), 0, m + 1)
+    return finite_sum(lambda k: (a[m - k].numerator, a[m - k].denominator * (k + 1)), 0, m + 1)
 
 
 def build(n: int) -> A2Sequence:

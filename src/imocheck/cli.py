@@ -23,7 +23,9 @@ EXIT_USAGE = 2
 EXIT_ANOMALY = 3
 
 # Input caps, checked before any work starts (exit 2 above them).
-# a2 --n: build and verify are cubic in n (about 5 s at n = 400).
+# a2 --n: n^2 exact terms whose bit length grows with n, so the cost grows
+# faster than n^3 (a2 --n N --verify: 1.2 s at N = 400, 36 s at N = 1000
+# on a 2-core host).
 A2_MAX_N = 1000
 # n1 --classify --a0: classify keeps every value up to the first residue-2
 # value or repeat, up to about (2/3) sqrt(a0) of them (98 MB peak at

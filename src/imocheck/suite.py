@@ -72,16 +72,17 @@ def a2_sum_lemma_report(rng: random.Random, instances: int, max_n: int) -> Claim
             fs = [_random_rational(rng) for _ in range(n)]
             gs = [_random_rational(rng) for _ in range(n)]
             r = _random_rational(rng)
-            f = fs.__getitem__
-            g = gs.__getitem__
+            f = lambda i: fs[i].as_integer_ratio()
+            g = lambda i: gs[i].as_integer_ratio()
             checks = (
                 ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)),
-                ("remove_zero", finite_sum(f, 0, n) == f(0) + finite_sum(f, 1, n)),
-                ("distrib_left",
-                 r * finite_sum(f, 0, n) == finite_sum(lambda i: r * f(i), 0, n)),
-                ("subtractf", finite_sum(lambda i: f(i) - g(i), 0, n)
+                ("remove_zero", finite_sum(f, 0, n) == fs[0] + finite_sum(f, 1, n)),
+                ("distrib_left", r * finite_sum(f, 0, n)
+                 == finite_sum(lambda i: (r * fs[i]).as_integer_ratio(), 0, n)),
+                ("subtractf", finite_sum(lambda i: (fs[i] - gs[i]).as_integer_ratio(), 0, n)
                  == finite_sum(f, 0, n) - finite_sum(g, 0, n)),
-                ("negf", finite_sum(lambda i: -f(i), 0, n) == -finite_sum(f, 0, n)),
+                ("negf", finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n)
+                 == -finite_sum(f, 0, n)),
             )
             bad = next((name for name, ok in checks if not ok), None)
             yield None if bad is None else (trial, bad, n)
@@ -99,8 +100,9 @@ def a2_subtraction_identity_report(max_n: int) -> ClaimReport:
     a = a2.build(max_n).values
 
     def difference(n: int) -> Rational:
-        return ((n + 1) * finite_sum(lambda k: a[k] / (n + 1 - k), 0, n + 1)
-                - n * finite_sum(lambda k: a[k] / (n - k), 0, n))
+        return ((n + 1) * finite_sum(lambda k: (a[k].numerator, a[k].denominator * (n + 1 - k)),
+                                     0, n + 1)
+                - n * finite_sum(lambda k: (a[k].numerator, a[k].denominator * (n - k)), 0, n))
 
     return first_failure("a2.subtraction_identity", {"max_n": max_n},
                          (None if difference(n) == ZERO else (n,)
@@ -343,14 +345,24 @@ def n1_residue_preservation_report(limit: int) -> ClaimReport:
 
 
 def n1_fixed_orbit_report() -> ClaimReport:
-    """The worked orbits: 7 descends through 16 to 2; 3 cycles through 3, 6, 9."""
-    if n1.orbit(7, 5) != [7, 10, 13, 16, 4, 2]:
-        return failed("n1.fixed_orbits", {"a0": 7}, tuple(n1.orbit(7, 5)))
-    if n1.orbit(3, 6) != [3, 6, 9, 3, 6, 9, 3]:
-        return failed("n1.fixed_orbits", {"a0": 3}, tuple(n1.orbit(3, 6)))
-    if n1.detect_cycle(3, 10) != (0, 3) or n1.detect_cycle(6, 10) != (0, 3):
-        return failed("n1.fixed_orbits", {"a0": 3}, ("detect_cycle",))
-    return passed("n1.fixed_orbits", {"a0": 7}, steps=11)
+    """The worked orbits: 7 descends through 16 to 2; 3 cycles through 3, 6, 9.
+
+    The record keeps a0=7 on every outcome.  steps counts the orbit steps
+    that held: 5 for the orbit of 7, then 6 for the orbit of 3; a failure's
+    witness leads with its start.
+    """
+    params = {"a0": 7}
+    steps = 0
+    for a0, m, expected in ((7, 5, [7, 10, 13, 16, 4, 2]), (3, 6, [3, 6, 9, 3, 6, 9, 3])):
+        got = n1.orbit(a0, m)
+        if got != expected:
+            return failed("n1.fixed_orbits", params, (a0, *got), steps)
+        steps += m
+    for a0 in (3, 6):
+        cycle = n1.detect_cycle(a0, 10)
+        if cycle != (0, 3):
+            return failed("n1.fixed_orbits", params, (a0, "detect_cycle", cycle), steps)
+    return passed("n1.fixed_orbits", params, steps=steps)
 
 
 def n1_classification_reports(max_a0: int, budget_for: Callable[[int], int]

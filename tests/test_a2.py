@@ -22,6 +22,17 @@ def test_extend_matches_hand_values():
         assert seq.values[n] == expected, f"a_{n}"
 
 
+def test_build_matches_a_fraction_fold_recurrence():
+    """Oracle: the relation solved term by term with one Fraction per term."""
+    values = [Rational(-1)]
+    for n in range(120):
+        tail = ZERO
+        for k in range(1, n + 2):
+            tail += values[n + 1 - k] / (k + 1)
+        values.append(-tail)
+    assert a2.build(120).values == tuple(values)
+
+
 def test_base_case_is_one_half():
     assert a2.build(1).values[1] == Rational(1, 2)
 

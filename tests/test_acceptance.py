@@ -59,13 +59,15 @@ def test_sum_lemmas_500_random_instances():
             fs = [Rational(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n)]
             gs = [Rational(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n)]
             r = Rational(rng.randint(-99, 99), rng.randint(1, 30))
-            f, g = fs.__getitem__, gs.__getitem__
+            f = lambda i: fs[i].as_integer_ratio()
+            g = lambda i: gs[i].as_integer_ratio()
             assert finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)
-            assert finite_sum(f, 0, n) == f(0) + finite_sum(f, 1, n)
-            assert r * finite_sum(f, 0, n) == finite_sum(lambda i: r * f(i), 0, n)
-            assert (finite_sum(lambda i: f(i) - g(i), 0, n)
+            assert finite_sum(f, 0, n) == fs[0] + finite_sum(f, 1, n)
+            assert (r * finite_sum(f, 0, n)
+                    == finite_sum(lambda i: (r * fs[i]).as_integer_ratio(), 0, n))
+            assert (finite_sum(lambda i: (fs[i] - gs[i]).as_integer_ratio(), 0, n)
                     == finite_sum(f, 0, n) - finite_sum(g, 0, n))
-            assert finite_sum(lambda i: -f(i), 0, n) == -finite_sum(f, 0, n)
+            assert finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n) == -finite_sum(f, 0, n)
 
 
 def _rects(coord_max):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import re
 import subprocess
 import sys
@@ -49,6 +50,14 @@ def test_a2_verify_builds_the_sequence_once(capsys, monkeypatch):
     assert len(out.splitlines()) == 31
     assert err.splitlines() == ["CLAIM a2.verify n_max=30 steps=30 outcome=pass"]
     assert len(calls) == 30
+
+
+def test_a2_n200_verify_output_is_pinned(capsys):
+    code, out, err = run_cli(["a2", "--n", "200", "--verify"], capsys)
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "9dafe550c687770dd564ce438dd1978772ef18513b478d31b6b9fac4952c3a06")
+    assert err.splitlines() == ["CLAIM a2.verify n_max=200 steps=200 outcome=pass"]
 
 
 def test_a2_rejects_n0(capsys):

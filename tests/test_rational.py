@@ -68,37 +68,71 @@ def test_multiplicative_inverse(a):
 
 
 def test_finite_sum_examples():
-    assert finite_sum(lambda k: Rational(1), 0, 3) == Rational(3)
-    assert finite_sum(lambda k: Rational(k, 1), 5, 5) == ZERO
-    assert finite_sum(lambda k: Rational(1, k + 1), 0, 2) == Rational(3, 2)
+    assert finite_sum(lambda k: (1, 1), 0, 3) == Rational(3)
+    assert finite_sum(lambda k: (k, 1), 5, 5) == ZERO
+    assert finite_sum(lambda k: (1, k + 1), 0, 2) == Rational(3, 2)
+    assert finite_sum(lambda k: (2, -4), 0, 3) == Rational(-3, 2)   # unreduced, negative den
+
+
+def test_finite_sum_empty_range_is_canonical_zero():
+    total = finite_sum(lambda k: (1, 0), 3, 3)                    # f is never called
+    assert (total.numerator, total.denominator) == (0, 1)
+    assert render(total) == "0/1"
+
+
+@pytest.mark.parametrize("zero_at", [0, 1, 2])
+def test_finite_sum_zero_denominator_raises(zero_at):
+    with pytest.raises(ZeroDivisionError):
+        finite_sum(lambda k: (1, 0 if k == zero_at else k + 2), 0, 3)
+
+
+big = st.integers(-10**40, 10**40)
+int_pairs = st.tuples(big, big.filter(bool))
+
+
+@given(st.lists(int_pairs, max_size=20), st.integers(-5, 5))
+def test_finite_sum_equals_a_fraction_fold(terms, lo):
+    """Oracle: summing over the lcm matches a left fold of canonical Fractions."""
+    expected = ZERO
+    for p, q in terms:
+        expected += Rational(p, q)
+    total = finite_sum(lambda k: terms[k - lo], lo, lo + len(terms))
+    assert total == expected
+    assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+
+
+def pairs_of(qs):
+    """A finite_sum term function over a list of Rationals."""
+    return lambda i: qs[i].as_integer_ratio()
 
 
 @given(st.lists(rationals, min_size=1, max_size=12))
 def test_sum_reindex(fs):
     n = len(fs)
-    f = fs.__getitem__
+    f = pairs_of(fs)
     assert finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)
 
 
 @given(st.lists(rationals, min_size=1, max_size=12))
 def test_sum_remove_zero(fs):
     n = len(fs)
-    f = fs.__getitem__
-    assert finite_sum(f, 0, n) == f(0) + finite_sum(f, 1, n)
+    f = pairs_of(fs)
+    assert finite_sum(f, 0, n) == fs[0] + finite_sum(f, 1, n)
 
 
 @given(st.lists(rationals, min_size=1, max_size=12), rationals)
 def test_sum_distrib_left(fs, r):
     n = len(fs)
-    f = fs.__getitem__
-    assert r * finite_sum(f, 0, n) == finite_sum(lambda i: r * f(i), 0, n)
+    f = pairs_of(fs)
+    assert r * finite_sum(f, 0, n) == finite_sum(pairs_of([r * q for q in fs]), 0, n)
 
 
 @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=12))
 def test_sum_subtract_and_negate(pairs):
     n = len(pairs)
-    f = lambda i: pairs[i][0]
-    g = lambda i: pairs[i][1]
-    assert (finite_sum(lambda i: f(i) - g(i), 0, n)
+    fs = [p[0] for p in pairs]
+    gs = [p[1] for p in pairs]
+    f, g = pairs_of(fs), pairs_of(gs)
+    assert (finite_sum(pairs_of([x - y for x, y in pairs]), 0, n)
             == finite_sum(f, 0, n) - finite_sum(g, 0, n))
-    assert finite_sum(lambda i: -f(i), 0, n) == -finite_sum(f, 0, n)
+    assert finite_sum(pairs_of([-x for x in fs]), 0, n) == -finite_sum(f, 0, n)

@@ -73,6 +73,28 @@ def test_small_claims_failure_counts_the_cases_before_it(monkeypatch):
     assert (rep.outcome, rep.witness, rep.steps) == (False, ("claim3a", 6), 1)   # 3 held
 
 
+def test_fixed_orbits_failure_in_the_orbit_of_3_keeps_a0_7(monkeypatch):
+    from imocheck import n1
+    orbit = n1.orbit
+    monkeypatch.setattr(n1, "orbit",
+                        lambda a0, m: [3, 6, 9, 3, 6, 9, 4] if a0 == 3 else orbit(a0, m))
+    rep = suite.n1_fixed_orbit_report()
+    assert (rep.outcome, rep.params, rep.witness, rep.steps) == (
+        False, {"a0": 7}, (3, 3, 6, 9, 3, 6, 9, 4), 5)          # the orbit of 7 held
+    assert rep.record_line() == (
+        "CLAIM n1.fixed_orbits a0=7 steps=5 witness=3;3;6;9;3;6;9;4 outcome=fail")
+
+
+def test_fixed_orbits_failure_in_detect_cycle_counts_both_orbits(monkeypatch):
+    from imocheck import n1
+    monkeypatch.setattr(n1, "detect_cycle", lambda a0, budget: None)
+    rep = suite.n1_fixed_orbit_report()
+    assert (rep.outcome, rep.params, rep.witness, rep.steps) == (
+        False, {"a0": 7}, (3, "detect_cycle", None), 11)
+    assert rep.record_line() == (
+        "CLAIM n1.fixed_orbits a0=7 steps=11 witness=3;detect_cycle;None outcome=fail")
+
+
 def test_enumeration_count_failure_counts_the_tilings_before_it(monkeypatch):
     reference = tiling.count_tilings_reference
     monkeypatch.setattr(tiling, "count_tilings_reference",
