@@ -135,7 +135,7 @@ def cmd_n1(args: argparse.Namespace) -> int:
         start, period = trace.cycle
         print(f"{cls.value} cycle=({start},{period})")
     elif cls is n1.OrbitClass.BUDGET_EXCEEDED:
-        print(f"{cls.value} steps={trace.steps_used}")
+        print(f"{cls.value} steps={budget}")
         return EXIT_ANOMALY
     else:
         print(f"{cls.value} m={trace.mod2_index}")

@@ -118,12 +118,10 @@ class OrbitTrace:
     a_m = 2 (mod 3) for divergent ones.
     """
 
-    a0: int
     values: tuple[int, ...]
     classification: OrbitClass
     cycle: tuple[int, int] | None = None
     mod2_index: int | None = None
-    steps_used: int = 0
 
     def cycle_values(self) -> frozenset[int]:
         if self.cycle is None:
@@ -156,22 +154,21 @@ def classify(a0: int, budget: int) -> OrbitTrace:
             values.append(v)
             if v in seen:
                 start = seen[v]
-                return OrbitTrace(a0, tuple(values), OrbitClass.PERIODIC_MULT3,
-                                  cycle=(start, j - start), steps_used=j)
+                return OrbitTrace(tuple(values), OrbitClass.PERIODIC_MULT3,
+                                  cycle=(start, j - start))
             seen[v] = j
             if v % 3 == 2:
                 mod2_at = j
                 break
     if mod2_at is None:
-        return OrbitTrace(a0, tuple(values), OrbitClass.BUDGET_EXCEEDED,
-                          steps_used=budget)
+        return OrbitTrace(tuple(values), OrbitClass.BUDGET_EXCEEDED)
     square_at = backend.confirm_plus3_run(values[mod2_at], budget - mod2_at)
     if square_at >= 0:
         raise TheoremViolationError(
             f"square {values[mod2_at] + 3 * square_at} found in a residue-2 run from "
             f"{values[mod2_at]}")
     kind = OrbitClass.DIVERGENT_MOD2 if a0 % 3 == 2 else OrbitClass.DIVERGENT_VIA_MOD1
-    return OrbitTrace(a0, tuple(values), kind, mod2_index=mod2_at, steps_used=budget)
+    return OrbitTrace(tuple(values), kind, mod2_index=mod2_at)
 
 
 def check_claim1(a0: int, window: int) -> tuple | None:

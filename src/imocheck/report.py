@@ -1,7 +1,10 @@
 """Machine-readable outcome records for individual lemma/claim checks.
 
-Every check in the suite produces one ClaimReport.  The record line format
-is the stable wire contract of the CLI:
+Every claim produces one ClaimReport, and first_failure is the one place
+that builds it: a claim is a sweep over instances, each of which holds or
+gives a witness.  steps is the number of instances that held before the
+first failure (all of them on a pass).  The record line format is the
+stable wire contract of the CLI:
 
     CLAIM <id> <key>=<value> ... outcome=<pass|fail>
 
@@ -10,7 +13,7 @@ Tokens are space-separated, so no key or value may contain whitespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -23,10 +26,10 @@ class ClaimReport:
     """
 
     claim_id: str
-    params: dict[str, int] = field(default_factory=dict)
-    outcome: bool = False
-    witness: tuple = ()
-    steps: int = 0
+    params: dict[str, int]
+    outcome: bool
+    witness: tuple
+    steps: int
 
     def record_line(self) -> str:
         tokens = ["CLAIM", self.claim_id]
@@ -37,16 +40,6 @@ class ClaimReport:
             tokens.append(f"witness={rendered}")
         tokens.append("outcome=" + ("pass" if self.outcome else "fail"))
         return " ".join(tokens)
-
-
-def passed(claim_id: str, params: dict[str, int] | None = None,
-           steps: int = 0) -> ClaimReport:
-    return ClaimReport(claim_id, params or {}, True, (), steps)
-
-
-def failed(claim_id: str, params: dict[str, int] | None = None,
-           witness: tuple = (), steps: int = 0) -> ClaimReport:
-    return ClaimReport(claim_id, params or {}, False, witness, steps)
 
 
 def first_failure(claim_id: str, params: dict[str, int],
@@ -61,6 +54,6 @@ def first_failure(claim_id: str, params: dict[str, int],
     checked = 0
     for w in witnesses:
         if w is not None:
-            return failed(claim_id, params, w, checked)
+            return ClaimReport(claim_id, params, False, w, checked)
         checked += 1
-    return passed(claim_id, params, steps=checked)
+    return ClaimReport(claim_id, params, True, (), checked)

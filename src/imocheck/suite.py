@@ -1,9 +1,10 @@
 """The claim suite: every lemma, claim and theorem check as one table.
 
 ``CLAIMS`` is the battery: one ordered row per report function, holding the
-claim ids the function reports (two for the sweeps that settle two claims
-at once), its keyword params (every size the suite checks lives here and
-nowhere else) and whether it draws from the suite's seeded random.Random.
+claim ids the function reports (two for n1.classification and
+n1.cycle_shape, which share one classify call per start), its keyword params
+(every size the suite checks lives here and nowhere else) and whether it
+draws from the suite's seeded random.Random.
 ``run_suite`` runs the rows in order with one rng for a given seed, so the
 record stream is byte-reproducible; it prints one line per claim (human text
 or record lines) to stdout and each row's wall time to stderr.  A row that
@@ -11,13 +12,14 @@ raises does not end the battery: its ids get fail records with the exception
 class as witness, stderr gets one line, the remaining rows run and the exit
 code is 3.  Tests run the same runner on a small table.
 
-Only claims build a ClaimReport.  An instance check (one start, one pair
-of rects, one tiling) returns None when the instance holds and a witness
-(for a tiling, the problem string) when it fails.  Most reports are sweeps
-that feed report.first_failure one such result per instance, so steps is
-the instance count on a pass and the instances checked before the failure
-on a fail.  All checks are exact;
-there are no epsilons anywhere.
+An instance check (one start, one pair of rects, one tiling) returns None
+when the instance holds and a witness (for a tiling, the problem string)
+when it fails.  Every report is a sweep that feeds report.first_failure one
+such result per instance, so steps is the instance count on a pass and the
+instances that held before the failure on a fail.  The instance is not
+always the obvious one: c1.enumeration_count counts tilings,
+n1.fixed_orbits orbit steps and n1.cycle_shape periodic starts.  All
+checks are exact; there are no epsilons anywhere.
 
 Per-tiling theorem checks have two entry points with the same problem
 strings.  check_tiling_theorem takes any Tiling (random, pinwheel, parsed
@@ -34,12 +36,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import a2, backend, n1, tiling
 from .errors import TheoremViolationError
-from .rational import Rational, ZERO, finite_sum
-from .report import ClaimReport, failed, first_failure, passed
+from .rational import Rational, ZERO, finite_sum, render
+from .report import ClaimReport, first_failure
 
 DEFAULT_SEED = 20170901
 
@@ -54,10 +57,9 @@ def _per_start(claim_id: str, params: dict[str, int], starts: Iterable[int],
 # -- A2 ---------------------------------------------------------------------------
 
 def a2_base_case_report() -> ClaimReport:
-    seq = a2.extend(a2.A2Sequence.initial())
-    if seq.values[1] == Rational(1, 2):
-        return passed("a2.base_case", steps=1)
-    return failed("a2.base_case", witness=(a2.render_lines(seq)[1],))
+    """a_1 = 1/2, one instance; a failure's witness is (1, a_1)."""
+    a1 = a2.extend(a2.A2Sequence.initial()).values[1]
+    return first_failure("a2.base_case", {}, [None if a1 == Rational(1, 2) else (1, render(a1))])
 
 
 def _random_rational(rng: random.Random) -> Rational:
@@ -272,18 +274,23 @@ def c1_exhaustive_theorem_report(area_cap: int) -> ClaimReport:
 
 
 def c1_enumeration_count_report() -> ClaimReport:
-    """Enumerator totals against the independent square-set recursive counter."""
+    """Enumerator totals against the independent square-set recursive counter.
+
+    The instances are the enumerated tilings, so a failure counts the
+    tilings of the boards before the failing one.
+    """
     boards = [(1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
-    params = {"boards": len(boards)}
-    total = 0
-    for a, b in boards:
-        enumerated = sum(1 for _ in tiling.enumerate_tilings(a, b))
-        reference = tiling.count_tilings_reference(a, b)
-        if enumerated != reference:
-            return failed("c1.enumeration_count", params, (a, b, enumerated, reference),
-                          total)
-        total += enumerated
-    return passed("c1.enumeration_count", params, steps=total)
+
+    def witnesses() -> Iterator[tuple | None]:
+        for a, b in boards:
+            enumerated = sum(1 for _ in tiling.enumerate_tilings(a, b))
+            reference = tiling.count_tilings_reference(a, b)
+            if enumerated != reference:
+                yield a, b, enumerated, reference
+            else:
+                yield from repeat(None, enumerated)
+
+    return first_failure("c1.enumeration_count", {"boards": len(boards)}, witnesses())
 
 
 def random_odd_board(rng: random.Random, max_a: int = 17, max_b: int = 11,
@@ -347,55 +354,50 @@ def n1_residue_preservation_report(limit: int) -> ClaimReport:
 def n1_fixed_orbit_report() -> ClaimReport:
     """The worked orbits: 7 descends through 16 to 2; 3 cycles through 3, 6, 9.
 
-    The record keeps a0=7 on every outcome.  steps counts the orbit steps
-    that held: 5 for the orbit of 7, then 6 for the orbit of 3; a failure's
-    witness leads with its start.
+    The record keeps a0=7 on every outcome.  The instances are orbit steps:
+    5 for the orbit of 7, then 6 for the orbit of 3; the detect_cycle checks
+    on 3 and 6 can fail but add no steps.  A failure's witness leads with
+    its start.
     """
-    params = {"a0": 7}
-    steps = 0
-    for a0, m, expected in ((7, 5, [7, 10, 13, 16, 4, 2]), (3, 6, [3, 6, 9, 3, 6, 9, 3])):
-        got = n1.orbit(a0, m)
-        if got != expected:
-            return failed("n1.fixed_orbits", params, (a0, *got), steps)
-        steps += m
-    for a0 in (3, 6):
-        cycle = n1.detect_cycle(a0, 10)
-        if cycle != (0, 3):
-            return failed("n1.fixed_orbits", params, (a0, "detect_cycle", cycle), steps)
-    return passed("n1.fixed_orbits", params, steps=steps)
+    def witnesses() -> Iterator[tuple | None]:
+        for a0, m, expected in ((7, 5, [7, 10, 13, 16, 4, 2]), (3, 6, [3, 6, 9, 3, 6, 9, 3])):
+            got = n1.orbit(a0, m)
+            if got != expected:
+                yield (a0, *got)
+            else:
+                yield from repeat(None, m)
+        for a0 in (3, 6):
+            cycle = n1.detect_cycle(a0, 10)
+            if cycle != (0, 3):
+                yield a0, "detect_cycle", cycle
+
+    return first_failure("n1.fixed_orbits", {"a0": 7}, witnesses())
 
 
 def n1_classification_reports(max_a0: int, budget_for: Callable[[int], int]
                               = n1.default_budget) -> list[ClaimReport]:
-    """One sweep, two claims: the classification theorem and the cycle shape.
+    """One classify per start, two claims: the classification theorem and the cycle shape.
 
     For every 2 <= a0 <= max_a0 the outcome must be PeriodicMult3 exactly
     when a0 is a multiple of 3, with no BudgetExceeded; every cycle's value
-    set must be exactly {3, 6, 9}.  As in report.first_failure, each claim's
-    steps count the instances that held before its first failure: the
-    classification counts starts, the cycle shape periodic starts.
+    set must be exactly {3, 6, 9}.  The classification's instances are the
+    starts, the cycle shape's the periodic starts.
     """
     params = {"max_a0": max_a0}
-    class_fail = None
-    shape_fail = None
-    starts = cycles = 0
+    runs = []
     for a0 in range(2, max_a0 + 1):
         trace = n1.classify(a0, budget_for(a0))
-        periodic = trace.classification is n1.OrbitClass.PERIODIC_MULT3
-        exceeded = trace.classification is n1.OrbitClass.BUDGET_EXCEEDED
-        if class_fail is None:
-            if exceeded or periodic != (a0 % 3 == 0):
-                class_fail = (a0, trace.classification.value)
-            else:
-                starts += 1
-        if periodic and shape_fail is None:
-            if trace.cycle_values() != {3, 6, 9}:
-                shape_fail = (a0, tuple(sorted(trace.cycle_values())))
-            else:
-                cycles += 1
-    return [ClaimReport("n1.classification", params, class_fail is None, class_fail or (),
-                        starts),
-            ClaimReport("n1.cycle_shape", params, shape_fail is None, shape_fail or (), cycles)]
+        cycle = None if trace.cycle is None else tuple(sorted(trace.cycle_values()))
+        runs.append((a0, trace.classification, cycle))
+    return [
+        first_failure("n1.classification", params,
+                      (None if cls is not n1.OrbitClass.BUDGET_EXCEEDED
+                       and (cls is n1.OrbitClass.PERIODIC_MULT3) == (a0 % 3 == 0)
+                       else (a0, cls.value) for a0, cls, _ in runs)),
+        first_failure("n1.cycle_shape", params,
+                      (None if cycle == (3, 6, 9) else (a0, cycle)
+                       for a0, _, cycle in runs if cycle is not None)),
+    ]
 
 
 def n1_claim1_report(max_a0: int, window: int) -> ClaimReport:
@@ -434,31 +436,28 @@ def n1_divergence_report(max_a0: int, window: int) -> ClaimReport:
     """Residue-2 starts: the first window of orbit values increases, square-free.
 
     The full range goes through the +3-run confirmation kernel; small starts
-    are double-checked by a direct orbit scan.
+    are double-checked by claim 1's direct orbit scan over the same window.
     """
     def witness(a0: int) -> tuple | None:
         if backend.confirm_plus3_run(a0, window) != -1:
             return (a0,)
-        if a0 <= 500:
-            vals = n1.orbit(a0, window - 1)
-            increasing = all(u < v for u, v in zip(vals, vals[1:]))
-            if not increasing or any(n1.is_perfect_square(v) for v in vals):
-                return (a0, "direct scan")
+        if a0 <= 500 and n1.check_claim1(a0, window - 1) is not None:
+            return (a0, "direct scan")
         return None
 
     return first_failure("n1.divergence", {"max_a0": max_a0, "window": window},
                          map(witness, range(2, max_a0 + 1, 3)))
 
 
-def n1_propagation_reports(max_a0: int, budget: int) -> list[ClaimReport]:
-    params = {"max_a0": max_a0, "budget": budget}
-    return [
-        _per_start("n1.mult3_propagates", params, range(3, max_a0 + 1, 3),
-                   lambda a0: n1.lemma_mult3_propagates(a0, budget)),
-        _per_start("n1.nonmult3_propagates", params,
-                   (a0 for a0 in range(2, max_a0 + 1) if a0 % 3),
-                   lambda a0: n1.lemma_nonmult3_propagates(a0, budget)),
-    ]
+def n1_mult3_report(max_a0: int, budget: int) -> ClaimReport:
+    return _per_start("n1.mult3_propagates", {"max_a0": max_a0, "budget": budget},
+                      range(3, max_a0 + 1, 3), lambda a0: n1.lemma_mult3_propagates(a0, budget))
+
+
+def n1_nonmult3_report(max_a0: int, budget: int) -> ClaimReport:
+    return _per_start("n1.nonmult3_propagates", {"max_a0": max_a0, "budget": budget},
+                      (a0 for a0 in range(2, max_a0 + 1) if a0 % 3),
+                      lambda a0: n1.lemma_nonmult3_propagates(a0, budget))
 
 
 def n1_gt1_report(max_a0: int, budget: int) -> ClaimReport:
@@ -517,8 +516,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim(("n1.claim4",), n1_claim4_report, {"max_a0": 1000}),
     Claim(("n1.small_claims",), n1_small_claims_report),
     Claim(("n1.divergence",), n1_divergence_report, {"max_a0": 10 ** 4, "window": 1000}),
-    Claim(("n1.mult3_propagates", "n1.nonmult3_propagates"), n1_propagation_reports,
-          {"max_a0": 1000, "budget": 300}),
+    Claim(("n1.mult3_propagates",), n1_mult3_report, {"max_a0": 1000, "budget": 300}),
+    Claim(("n1.nonmult3_propagates",), n1_nonmult3_report, {"max_a0": 1000, "budget": 300}),
     Claim(("n1.all_gt1",), n1_gt1_report, {"max_a0": 1000, "budget": 300}),
 )
 
@@ -554,7 +553,7 @@ def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
             kind = type(exc).__name__
             message = " ".join(str(exc).split())
             print(f"imocheck: claim {name} raised {kind}: {message}", file=err)
-            reports = [failed(claim_id, witness=(kind,)) for claim_id in claim.ids]
+            reports = [first_failure(claim_id, {}, [(kind,)]) for claim_id in claim.ids]
         elapsed = time.perf_counter() - t0
         for rep in reports:
             print(rep.record_line() if records else _human_line(rep), file=out)

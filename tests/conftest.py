@@ -29,6 +29,7 @@ SMALL_PARAMS = {
     "n1.claim4": {"max_a0": 60},
     "n1.divergence": {"max_a0": 300, "window": 200},
     "n1.mult3_propagates": {"max_a0": 60, "budget": 50},
+    "n1.nonmult3_propagates": {"max_a0": 60, "budget": 50},
     "n1.all_gt1": {"max_a0": 60, "budget": 50},
 }
 

@@ -269,7 +269,8 @@ def test_suite_human_mode(capsys, small_suite):
     assert "claims passed" in out
     assert all(not line.startswith("CLAIM ") for line in out.splitlines())
     assert not any(line.startswith("time ") for line in out.splitlines())
-    assert len([line for line in err.splitlines() if line.startswith("time ")]) == 28
+    time_lines = [line for line in err.splitlines() if line.startswith("time ")]
+    assert len(time_lines) == len(suite.CLAIMS)
 
 
 def test_suite_starved_budget_fails(capsys, small_suite, small_claims):

@@ -9,6 +9,7 @@ import pytest
 from imocheck import backend, report, suite, tiling
 from imocheck.errors import TheoremViolationError
 from imocheck.report import ClaimReport
+from test_cli import RECORD_RE
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,9 +50,18 @@ def test_n1_reports_pass():
     assert suite.n1_claim4_report(100).outcome
     assert suite.n1_small_claims_report().outcome
     assert suite.n1_divergence_report(300, 200).outcome
-    for rep in suite.n1_propagation_reports(100, 50):
-        assert rep.outcome
+    assert suite.n1_mult3_report(100, 50).outcome
+    assert suite.n1_nonmult3_report(100, 50).outcome
     assert suite.n1_gt1_report(100, 50).outcome
+
+
+def test_base_case_failure_is_one_record_line(monkeypatch):
+    from imocheck import a2
+    from imocheck.rational import Rational
+    monkeypatch.setattr(a2, "extend", lambda seq: a2.A2Sequence(seq.values + (Rational(1, 3),)))
+    line = suite.a2_base_case_report().record_line()
+    assert line == "CLAIM a2.base_case steps=0 witness=1;1/3 outcome=fail"
+    assert RECORD_RE.match(line)
 
 
 def test_n1_steps_count_the_starts_checked():
@@ -60,7 +70,7 @@ def test_n1_steps_count_the_starts_checked():
     assert suite.n1_claim1_report(100, 50).steps == 33             # 2, 5, ..., 98
     assert suite.n1_claim4_report(100).steps == 33                 # 4, 7, ..., 100
     assert suite.n1_divergence_report(100, 50).steps == 33
-    mult3, nonmult3 = suite.n1_propagation_reports(100, 50)
+    mult3, nonmult3 = suite.n1_mult3_report(100, 50), suite.n1_nonmult3_report(100, 50)
     assert (mult3.steps, nonmult3.steps) == (33, 66)
 
 
@@ -168,6 +178,14 @@ def test_default_table_matches_golden_records():
     assert out.getvalue() == golden
 
 
+def test_default_table_matches_golden_human_output():
+    """Human mode at the default seed reproduces the committed PASS/FAIL lines."""
+    out, err = io.StringIO(), io.StringIO()
+    assert suite.run_suite(suite.DEFAULT_SEED, False, out, err) == 0
+    golden = (DATA / f"suite_human_{suite.DEFAULT_SEED}.txt").read_text()
+    assert out.getvalue() == golden
+
+
 def _raises(*args, **params):
     raise TypeError("a bug in a report\nfunction")
 
@@ -194,7 +212,7 @@ def test_a_raising_row_does_not_end_the_battery(small_claims):
 
 
 def test_a_failing_claim_exits_1_and_a_raise_takes_precedence():
-    failing = suite.Claim(("x.fail",), lambda: report.failed("x.fail", witness=(1,)))
+    failing = suite.Claim(("x.fail",), lambda: report.first_failure("x.fail", {}, [(1,)]))
     raising = suite.Claim(("x.raise",), _raises)
     sink = io.StringIO()
     assert suite.run_suite(1, True, sink, sink, (failing,)) == 1
