@@ -27,12 +27,14 @@ EXIT_ANOMALY = 3
 # faster than n^3 (a2 --n N --verify: 1.2 s at N = 400, 36 s at N = 1000
 # on a 2-core host).
 A2_MAX_N = 1000
-# n1 --classify --a0: classify keeps every value up to the first residue-2
-# value or repeat, up to about (2/3) sqrt(a0) of them (98 MB peak at
-# a0 = 999999^2 + 1, just under the cap).
+# n1 --classify --a0: classify jumps square to square and keeps only the
+# orbit's +3 runs, a handful at any a0 (n1 --a0 999999999999 --classify,
+# 1.33M steps to its cycle: 0.11 s and 17 MB peak RSS on a 2-core host, the
+# same as a bare n1 --steps 0).  Divergent starts cost the budget scan below.
 N1_CLASSIFY_MAX_A0 = 10 ** 12
 # n1 --classify --budget: confirming the +3 run costs about sqrt(3 * budget)
-# (1.2 s at 10^13); the cap is the default budget at the a0 cap.
+# square tests (n1 --a0 1000000000000 --classify, whose default budget is
+# this cap: 0.8 s and 17 MB); the cap is the default budget at the a0 cap.
 N1_CLASSIFY_MAX_BUDGET = n1.default_budget(N1_CLASSIFY_MAX_A0)
 # n1 --steps: orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).

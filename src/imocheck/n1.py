@@ -8,6 +8,10 @@ bounded-budget contract: a repeated value within the budget certifies a
 cycle, a reached residue-2 value plus a confirmed strictly increasing tail
 certifies divergence within the examined window.
 
+classify jumps along the orbit's +3 runs from square to square, so its cost
+is a handful of runs even at a_0 = 10^12, while the budget still counts
+steps; detect_cycle and orbit step, and the tests use them as its oracle.
+
 The claims of the proof are checked one start at a time, from a_0: the
 orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
 and the three orbit lemmas are "first m where the orbit does X" statements
@@ -111,27 +115,40 @@ class OrbitClass(Enum):
 class OrbitTrace:
     """Classification of one orbit with its certificate.
 
-    ``values`` is the examined prefix up to the decision point (the closing
-    repeat, or the first residue-2 value); the strictly increasing tail that
-    confirms divergence is not materialized.  ``cycle`` is (entry index,
-    period) for periodic orbits; ``mod2_index`` is the first m with
-    a_m = 2 (mod 3) for divergent ones.
+    ``cycle`` is (index of the first repeated value, period) for periodic
+    orbits, and ``cycle_value`` is that repeated value; ``mod2_index`` is
+    the first m with a_m = 2 (mod 3) for divergent ones.  No orbit values
+    are kept: the decision comes from the +3 runs between squares.
     """
 
-    values: tuple[int, ...]
     classification: OrbitClass
     cycle: tuple[int, int] | None = None
+    cycle_value: int | None = None
     mod2_index: int | None = None
 
     def cycle_values(self) -> frozenset[int]:
+        """The values of one period, stepped from the repeated value."""
         if self.cycle is None:
             raise PreconditionFailedError("no cycle certificate on this trace")
-        start, period = self.cycle
-        return frozenset(self.values[start:start + period])
+        return frozenset(orbit(self.cycle_value, self.cycle[1] - 1))
+
+
+def first_repeat_in_run(runs: list[tuple[int, int, int]], start: int,
+                        last: int) -> tuple[int, int] | None:
+    """The first value of the +3 run start, start + 3, ..., last that an earlier run holds.
+
+    ``runs`` lists the earlier runs as (start value, start index, last
+    value).  Two runs share values when they have the same residue mod 3
+    and their spans meet; the first shared value is then the later of the
+    two starts.  Returns (that value, its orbit index in the earlier run),
+    or None when no earlier run shares a value.
+    """
+    return min(((max(u, start), j + (max(u, start) - u) // 3) for u, j, w in runs
+                if (u - start) % 3 == 0 and u <= last and start <= w), default=None)
 
 
 def classify(a0: int, budget: int) -> OrbitTrace:
-    """Classify the orbit of a0 within a step budget.
+    """Classify the orbit of a0 within a step budget, jumping square to square.
 
     PeriodicMult3 when a value repeats among a_0..a_budget (cycle
     certificate); DivergentMod2 / DivergentViaMod1 when a residue-2 value is
@@ -139,36 +156,45 @@ def classify(a0: int, budget: int) -> OrbitTrace:
     steps (strict increase; squares are never congruent to 2 mod 3);
     BudgetExceeded otherwise.  At sufficient budget the outcome is
     PeriodicMult3 exactly when a0 is a multiple of 3.
+
+    The orbit is a chain of +3 runs.  A run from a non-square v ends at the
+    first square s^2 >= v with s^2 = v (mod 3), (s^2 - v) / 3 steps later,
+    and the next run starts at s; a square is a run of one value.  Residues
+    are constant along a run, so the first residue-2 value starts a run.
+    The first repeat is found from the runs themselves, not from the known
+    cycle: either the current run starts inside an earlier run of the same
+    residue, or an earlier run starts inside the current one.  Up to the
+    decision, time and memory grow with the number of runs, not of steps.
     """
     if a0 <= 1:
         raise PreconditionFailedError("classify needs a0 > 1")
     if budget < 1:
         raise PreconditionFailedError("classify needs budget >= 1")
-    values = [a0]
-    mod2_at = 0 if a0 % 3 == 2 else None
-    if mod2_at is None:
-        seen = {a0: 0}
-        v = a0
-        for j in range(1, budget + 1):
-            v = n1_step(v)
-            values.append(v)
-            if v in seen:
-                start = seen[v]
-                return OrbitTrace(tuple(values), OrbitClass.PERIODIC_MULT3,
-                                  cycle=(start, j - start))
-            seen[v] = j
-            if v % 3 == 2:
-                mod2_at = j
+    runs: list[tuple[int, int, int]] = []       # (start value, start index, last value)
+    v, i = a0, 0
+    while i <= budget and v % 3 != 2:
+        s = backend.isqrt(v - 1) + 1            # the least s with s * s >= v
+        while (s * s - v) % 3:
+            s += 1
+        last = s * s
+        repeat = first_repeat_in_run(runs, v, last)
+        if repeat is not None:
+            value, first = repeat
+            at = i + (value - v) // 3
+            if at > budget:
                 break
-    if mod2_at is None:
-        return OrbitTrace(tuple(values), OrbitClass.BUDGET_EXCEEDED)
-    square_at = backend.confirm_plus3_run(values[mod2_at], budget - mod2_at)
+            return OrbitTrace(OrbitClass.PERIODIC_MULT3, cycle=(first, at - first),
+                              cycle_value=value)
+        runs.append((v, i, last))
+        v, i = s, i + (last - v) // 3 + 1
+    if i > budget or v % 3 != 2:
+        return OrbitTrace(OrbitClass.BUDGET_EXCEEDED)
+    square_at = backend.confirm_plus3_run(v, budget - i)
     if square_at >= 0:
         raise TheoremViolationError(
-            f"square {values[mod2_at] + 3 * square_at} found in a residue-2 run from "
-            f"{values[mod2_at]}")
+            f"square {v + 3 * square_at} found in a residue-2 run from {v}")
     kind = OrbitClass.DIVERGENT_MOD2 if a0 % 3 == 2 else OrbitClass.DIVERGENT_VIA_MOD1
-    return OrbitTrace(tuple(values), kind, mod2_index=mod2_at)
+    return OrbitTrace(kind, mod2_index=i)
 
 
 def check_claim1(a0: int, window: int) -> tuple | None:

@@ -435,8 +435,20 @@ def serialize_tiling(t: Tiling) -> str:
     return "\n".join(lines) + "\n"
 
 
+# parse_tiling's input caps.  Every number in a file, board side or tile
+# coordinate, is at most MAX_SIDE: a coordinate above it lies outside every
+# board the parser accepts.  A file holds at most MAX_TILES tiles; the
+# validator's sweep costs O(k log k) in the tile count k.
+MAX_SIDE = 10 ** 6
+MAX_TILES = 10 ** 5
+
+
 def parse_tiling(text: str) -> Tiling:
-    """Parse the tiling text format; malformed lines raise with their number."""
+    """Parse the tiling text format; malformed lines raise with their number.
+
+    A number above MAX_SIDE or a tile past the MAX_TILES-th raises at its
+    line, before the rest of the file is parsed.
+    """
     board: Rect | None = None
     rects: set[Rect] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -447,6 +459,10 @@ def parse_tiling(text: str) -> Tiling:
         keyword, args = tokens[0], tokens[1:]
         if not all(tok.isascii() and tok.isdecimal() for tok in args):
             raise TilingParseError(line_no, f"expected decimal naturals, got {args}")
+        # the length test comes first: int() refuses numbers of thousands of digits
+        if any(len(tok.lstrip("0")) > len(str(MAX_SIDE)) or int(tok) > MAX_SIDE
+               for tok in args):
+            raise TilingParseError(line_no, f"a number above the cap {MAX_SIDE}")
         values = [int(tok) for tok in args]
         if keyword == "board":
             if board is not None:
@@ -459,6 +475,8 @@ def parse_tiling(text: str) -> Tiling:
                 raise TilingParseError(line_no, "tile before board line")
             if len(values) != 4:
                 raise TilingParseError(line_no, "tile needs exactly X1 X2 Y1 Y2")
+            if len(rects) == MAX_TILES:
+                raise TilingParseError(line_no, f"more than {MAX_TILES} tiles")
             rect = (values[0], values[1], values[2], values[3])
             if rect in rects:
                 raise TilingParseError(line_no, f"duplicate tile {rect}")

@@ -1,12 +1,16 @@
 import functools
 import hashlib
+import importlib.util
+import math
+import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from imocheck import cli, suite
+from imocheck import cli, n1, suite, tiling
 from imocheck.errors import TheoremViolationError
 
 
@@ -237,6 +241,39 @@ def test_n1_classify_theorem_anomaly_exits_3(capsys, monkeypatch):
     assert err.splitlines() == ["theorem anomaly: square 11 found in a residue-2 run from 5"]
 
 
+
+def load_perfbench_oracles():
+    """The benchmark's output oracles, which share no code with imocheck."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_n1_classify_lines_equal_the_square_to_square_reference(capsys):
+    """2000 seeded log-uniform starts in [2, 10^12], against perfbench's n1_reference.
+
+    Each start runs at its default budget capped at 4*10^6 steps.  That is
+    past every decision index up to 10^12 (about (4/3)*10^6 at most), so a
+    right answer prints the default-budget line, and a wrong index shows as
+    BudgetExceeded; only the divergent tails' confirmation scans are
+    shorter.  The two starts at the a0 cap run at their full default budget.
+    """
+    reference = load_perfbench_oracles().n1_reference
+    rng = random.Random(20170901)
+    lo, hi = math.log(2), math.log(10 ** 12)
+    for _ in range(2000):
+        a0 = max(2, int(math.exp(rng.uniform(lo, hi))))
+        budget = min(n1.default_budget(a0), 4 * 10 ** 6)
+        code, out, err = run_cli(["n1", "--a0", str(a0), "--classify", "--budget", str(budget)],
+                                 capsys)
+        assert (code, out, err) == (0, reference(a0) + "\n", ""), a0
+    for a0 in (cli.N1_CLASSIFY_MAX_A0 - 1, cli.N1_CLASSIFY_MAX_A0):
+        code, out, err = run_cli(["n1", "--a0", str(a0), "--classify"], capsys)
+        assert (code, out, err) == (0, reference(a0) + "\n", ""), a0
+
+
 # -- suite ----------------------------------------------------------------------
 
 RECORD_RE = re.compile(r"^CLAIM \S+( \S+=\S+)* outcome=(pass|fail)$")
@@ -299,9 +336,14 @@ def test_suite_has_only_seed_and_records():
     (["a2", "--n", str(cli.A2_MAX_N + 1), "--verify"], None),
     (["n1", "--a0", "7", "--steps", str(cli.N1_MAX_STEPS + 1)], None),
     (["n1", "--a0", "5", "--classify", "--budget", str(cli.N1_CLASSIFY_MAX_BUDGET + 1)], None),
+    (["c1-check", "{path}"], "".join(
+        [f"board {tiling.MAX_TILES + 1} 1\n"]
+        + [f"tile {x} {x + 1} 0 1\n" for x in range(tiling.MAX_TILES + 1)]).encode()),
+    (["c1-check", "{path}"], f"board 3 {tiling.MAX_SIDE + 1}\ntile 0 3 0 1\n".encode()),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
-        "n1-classify-budget-above-cap"])
+        "n1-classify-budget-above-cap", "c1-check-tiles-above-cap",
+        "c1-check-board-side-above-cap"])
 def test_bad_input_is_one_usage_line(tmp_path, argv, content):
     """Exit 2 with one stderr line and no traceback, before any work starts."""
     path = tmp_path / "in.tiling"

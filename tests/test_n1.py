@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -108,7 +109,7 @@ def test_classify_examples():
 def test_classify_budget_exceeded():
     trace = n1.classify(27, 1)
     assert trace.classification is OrbitClass.BUDGET_EXCEEDED
-    assert trace.values == (27, 30)
+    assert n1.orbit(27, 1) == [27, 30]
 
 
 def test_classify_precondition():
@@ -117,11 +118,81 @@ def test_classify_precondition():
 
 
 def test_trace_values_follow_step_rule():
+    """The trace's certificate agrees with the stepped orbit up to its decision."""
     for a0 in (3, 4, 5, 48, 100, 9999):
-        trace = n1.classify(a0, n1.default_budget(a0))
-        for u, v in zip(trace.values, trace.values[1:]):
-            assert v == n1.n1_step(u)
-        assert all(v > 1 for v in trace.values)
+        budget = n1.default_budget(a0)
+        trace = n1.classify(a0, budget)
+        if trace.cycle is not None:
+            assert n1.detect_cycle(a0, budget) == trace.cycle
+            start, period = trace.cycle
+            values = n1.orbit(a0, start + period)
+            assert values[start] == values[-1] == trace.cycle_value
+        else:
+            values = n1.orbit(a0, trace.mod2_index)
+            assert [v % 3 == 2 for v in values].index(True) == trace.mod2_index
+        assert all(v > 1 for v in values)
+
+
+def test_first_repeat_in_run_from_either_side():
+    # the current run 6, 9 starts inside the earlier run 3, 6, 9 (from index 5)
+    assert n1.first_repeat_in_run([(3, 5, 9)], 6, 9) == (6, 6)
+    # the earlier run 6, 9 starts inside the current run 3, 6, 9
+    assert n1.first_repeat_in_run([(6, 5, 9)], 3, 9) == (6, 5)
+    # the earliest shared value wins over the runs
+    assert n1.first_repeat_in_run([(9, 2, 9), (6, 7, 9)], 3, 9) == (6, 7)
+    # another residue, or spans that do not meet, share nothing
+    assert n1.first_repeat_in_run([(4, 0, 16)], 6, 9) is None
+    assert n1.first_repeat_in_run([(12, 0, 36)], 3, 9) is None
+
+
+def stepped_classify(a0, budget):
+    """Reference classification by stepping: (class, cycle, m), without the tail scan."""
+    seen = {a0: 0}
+    v = a0
+    if v % 3 == 2:
+        return "DivergentMod2", None, 0
+    for j in range(1, budget + 1):
+        v = n1.n1_step(v)
+        if v in seen:
+            return "PeriodicMult3", (seen[v], j - seen[v]), None
+        seen[v] = j
+        if v % 3 == 2:
+            return "DivergentViaMod1", None, j
+    return "BudgetExceeded", None, None
+
+
+def jump_classify(a0, budget):
+    trace = n1.classify(a0, budget)
+    return trace.classification.value, trace.cycle, trace.mod2_index
+
+
+def test_jump_classify_equals_stepping_at_the_default_budget():
+    for a0 in range(2, 10 ** 4 + 1):
+        budget = n1.default_budget(a0)
+        assert jump_classify(a0, budget) == stepped_classify(a0, budget), a0
+
+
+def test_jump_classify_equals_stepping_at_every_short_budget():
+    """Every budget from 1 to two past the decision index, where the outcome flips."""
+    for a0 in range(2, 2001):
+        _, cycle, m = stepped_classify(a0, n1.default_budget(a0))
+        decided_at = m if cycle is None else cycle[0] + cycle[1]
+        for budget in range(1, decided_at + 3):
+            assert jump_classify(a0, budget) == stepped_classify(a0, budget), (a0, budget)
+
+
+def test_classify_at_the_cap_keeps_no_orbit():
+    """1.33M steps to the cycle, decided from a handful of +3 runs."""
+    a0 = 999999999999
+    budget = n1.default_budget(a0)
+    tracemalloc.start()
+    try:
+        trace = n1.classify(a0, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert (trace.classification, trace.cycle) == (OrbitClass.PERIODIC_MULT3, (1334703, 3))
 
 
 def test_classification_theorem_small_range():

@@ -283,11 +283,34 @@ def test_parse_comments_and_blank_lines():
     ("# nothing\n", 1),                         # missing board
     ("board \u0663 1\n", 1),                    # Arabic-Indic digit three
     ("board 2 1\ntile 0 \uff12 0 1\n", 2),      # fullwidth digit two
+    (f"board {tiling.MAX_SIDE + 1} 1\n", 1),    # board side above the cap
+    ("board 3 3\ntile 0 3 0 " + "9" * 5000 + "\n", 2),  # too long for int()
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(TilingParseError) as exc:
         tiling.parse_tiling(text)
     assert exc.value.line_no == line
+
+
+def unit_row(tiles):
+    """A 1-high board of `tiles` unit tiles, as tiling-file lines."""
+    return [f"board {tiles} 1"] + [f"tile {x} {x + 1} 0 1" for x in range(tiles)]
+
+
+def test_parse_caps_admit_their_limits():
+    t = tiling.parse_tiling("\n".join(unit_row(tiling.MAX_TILES)))
+    assert len(t.tiles) == tiling.MAX_TILES and tiling.is_valid_tiling(t)
+    side = tiling.MAX_SIDE
+    t = tiling.parse_tiling(f"board {side} 000{side}\ntile 0 {side} 0 {side}\n")
+    assert t.board == (0, side, 0, side) and tiling.is_valid_tiling(t)
+
+
+def test_parse_stops_at_the_tile_past_the_cap():
+    lines = unit_row(tiling.MAX_TILES + 1) + ["not a tiling line"]
+    with pytest.raises(TilingParseError) as exc:
+        tiling.parse_tiling("\n".join(lines))
+    assert exc.value.line_no == tiling.MAX_TILES + 2
+    assert "more than" in exc.value.message
 
 
 @given(st.integers(0, 2**32))
