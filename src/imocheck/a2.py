@@ -20,10 +20,10 @@ built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import PreconditionFailedError
 from .rational import Rational, ZERO, finite_sum, render
-from .report import ClaimReport, first_failure
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,17 @@ def render_lines(seq: A2Sequence) -> list[str]:
     return [f"{i}\t{render(v)}" for i, v in enumerate(seq.values)]
 
 
-def verify(n_max: int, seq: A2Sequence | None = None) -> ClaimReport:
+def verify(n_max: int, seq: A2Sequence | None = None) -> Iterator[tuple | None]:
     """Machine-check a_1..a_{n_max}: positivity, exact residuals, closed form.
 
     Checks ``seq`` when given (a prefix built by ``build(n_max)``, so a
     caller that prints the sequence builds it once), else ``build(n_max)``.
-    Passes iff for every 1 <= m <= n_max the term is positive, the relation
-    residual at m is exactly 0/1, and (for m >= 2) the closed form applied to
-    the shorter prefix reproduces the recurrence value.  On failure the
-    report carries the first offending index and the values involved, and
-    steps counts the indices before it.
+    The preconditions are checked and the prefix built on the call; the
+    returned stream then checks one index m = 1..n_max per item, lazily.
+    Index m holds (None) iff the term is positive, the relation residual at
+    m is exactly 0/1, and (for m >= 2) the closed form applied to the
+    shorter prefix reproduces the recurrence value; otherwise its witness
+    is m and the values involved.
     """
     if n_max < 1:
         raise PreconditionFailedError("n_max must be at least 1")
@@ -116,4 +117,4 @@ def verify(n_max: int, seq: A2Sequence | None = None) -> ClaimReport:
                 return m, "closed_form", render(cf), render(value)
         return None
 
-    return first_failure("a2.verify", {"n_max": n_max}, map(witness, range(1, n_max + 1)))
+    return map(witness, range(1, n_max + 1))

@@ -15,6 +15,7 @@ import sys
 from . import a2, n1, tiling
 from .backend import BACKEND_NAME
 from .errors import TheoremViolationError, TilingParseError
+from .report import first_failure
 from .suite import DEFAULT_SEED, run_suite
 
 EXIT_PASS = 0
@@ -39,6 +40,9 @@ N1_CLASSIFY_MAX_BUDGET = n1.default_budget(N1_CLASSIFY_MAX_A0)
 # n1 --steps: orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).
 N1_MAX_STEPS = 10 ** 6
+# c1-gen takes c1-check's caps, tiling.MAX_SIDE and MAX_TILES, so every file
+# it writes passes them: a guillotine tiling of an a x b board has at most
+# a*b tiles, a pinwheel always 5.
 
 
 def _fail_usage(message: str) -> int:
@@ -55,7 +59,7 @@ def cmd_a2(args: argparse.Namespace) -> int:
     for line in a2.render_lines(seq):
         print(line)
     if args.verify:
-        rep = a2.verify(args.n, seq)
+        rep = first_failure("a2.verify", {"n_max": args.n}, a2.verify(args.n, seq))
         print(rep.record_line(), file=sys.stderr)
         return EXIT_PASS if rep.outcome else EXIT_FAIL
     return EXIT_PASS
@@ -100,6 +104,10 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
 def cmd_c1_gen(args: argparse.Namespace) -> int:
     if args.a < 1 or args.b < 1:
         return _fail_usage("board sides must be at least 1")
+    if max(args.a, args.b) > tiling.MAX_SIDE:
+        return _fail_usage(f"c1-gen needs --a and --b <= {tiling.MAX_SIDE}")
+    if args.kind == "guillotine" and args.a * args.b > tiling.MAX_TILES:
+        return _fail_usage(f"c1-gen --kind guillotine needs a*b <= {tiling.MAX_TILES}")
     if args.kind == "pinwheel":
         if args.a < 3 or args.b < 3:
             return _fail_usage("pinwheel needs both sides >= 3")
@@ -167,8 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_c1_check)
 
     p = sub.add_parser("c1-gen", help="generate a tiling file on stdout")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--a", type=int, required=True,
+                   help=f"board width (1..{tiling.MAX_SIDE}; a*b at most "
+                        f"{tiling.MAX_TILES} for guillotine)")
+    p.add_argument("--b", type=int, required=True, help="board height, as --a")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=("guillotine", "pinwheel"), default="guillotine")
     p.set_defaults(func=cmd_c1_gen)

@@ -21,8 +21,9 @@ Claim 1 compares consecutive values and so walks an orbit() prefix.  Claim 2
 finds its first square with the +3-run kernel.
 
 An instance check (claims 1-4 and the three orbit lemmas, one start each)
-returns None when the instance holds and a witness tuple when it fails;
-only claims, here the mod-3 lemma scans, build a ClaimReport.
+returns None when the instance holds and a witness tuple when it fails.
+The three mod-3 lemma scans return the stream of such results over their
+instances, and the suite builds each claim's record from it.
 
 Everything is integer arithmetic; square roots are exact integer floors.
 """
@@ -32,11 +33,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError
-from .report import ClaimReport, first_failure
 
 
 def isqrt(x: int) -> int:
@@ -279,31 +279,29 @@ def check_claim4(a0: int, budget: int) -> tuple | None:
     return _reaches(a0, budget, lambda v: v % 3 == 2)
 
 
-def _residues_then_scan(claim_id: str, scan_limit: int, holds) -> ClaimReport:
+def _residues_then_scan(scan_limit: int, holds: Callable[[int], bool]
+                        ) -> Iterator[tuple | None]:
     """holds(x) on each residue 0, 1, 2 (the proof), then on every 0 <= x <= scan_limit."""
-    witnesses = itertools.chain(
+    return itertools.chain(
         (None if holds(r) else ("residue", r) for r in (0, 1, 2)),
         (None if holds(x) else (x,) for x in range(scan_limit + 1)))
-    return first_failure(claim_id, {"scan_limit": scan_limit}, witnesses)
 
 
-def lemma_square_mod3_ne2(scan_limit: int) -> ClaimReport:
+def lemma_square_mod3_ne2(scan_limit: int) -> Iterator[tuple | None]:
     """No square is 2 mod 3."""
-    return _residues_then_scan("n1.square_mod3_ne2", scan_limit,
-                               lambda s: (s * s) % 3 != 2)
+    return _residues_then_scan(scan_limit, lambda s: (s * s) % 3 != 2)
 
 
-def lemma_three_squares_mod3(scan_limit: int) -> ClaimReport:
+def lemma_three_squares_mod3(scan_limit: int) -> Iterator[tuple | None]:
     """{(t+1)^2, (t+2)^2, (t+3)^2} mod 3 is exactly {0, 1} for every t."""
     return _residues_then_scan(
-        "n1.three_squares_mod3", scan_limit,
+        scan_limit,
         lambda t: {((t + 1) ** 2) % 3, ((t + 2) ** 2) % 3, ((t + 3) ** 2) % 3} == {0, 1})
 
 
-def lemma_square_mod3_zero(scan_limit: int) -> ClaimReport:
+def lemma_square_mod3_zero(scan_limit: int) -> Iterator[tuple | None]:
     """x^2 = 0 (mod 3) exactly when x = 0 (mod 3)."""
-    return _residues_then_scan("n1.square_mod3_zero", scan_limit,
-                               lambda x: ((x * x) % 3 == 0) == (x % 3 == 0))
+    return _residues_then_scan(scan_limit, lambda x: ((x * x) % 3 == 0) == (x % 3 == 0))
 
 
 def lemma_mult3_propagates(a0: int, budget: int) -> tuple[int, int] | None:

@@ -1,32 +1,32 @@
 """The claim suite: every lemma, claim and theorem check as one table.
 
-``CLAIMS`` is the battery: one ordered row per report function, holding the
-claim ids the function reports (two for n1.classification and
-n1.cycle_shape, which share one classify call per start), its keyword params
-(every size the suite checks lives here and nowhere else) and whether it
-draws from the suite's seeded random.Random.
+``CLAIMS`` is the battery: one ordered row per claim, holding its id, its
+sweep, the sweep's keyword params (every size the suite checks lives here
+and nowhere else, and the record prints them) and whether the sweep draws
+from the suite's seeded random.Random.  The row is the only place a claim's
+id and params are spelled; ``Claim.run`` builds its record.
 ``run_suite`` runs the rows in order with one rng for a given seed, so the
 record stream is byte-reproducible; it prints one line per claim (human text
 or record lines) to stdout and each row's wall time to stderr.  A row that
-raises does not end the battery: its ids get fail records with the exception
+raises does not end the battery: it gets a fail record with the exception
 class as witness, stderr gets one line, the remaining rows run and the exit
 code is 3.  Tests run the same runner on a small table.
 
 An instance check (one start, one pair of rects, one tiling) returns None
 when the instance holds and a witness (for a tiling, the problem string)
-when it fails.  Every report is a sweep that feeds report.first_failure one
-such result per instance, so steps is the instance count on a pass and the
-instances that held before the failure on a fail.  The instance is not
-always the obvious one: c1.enumeration_count counts tilings,
-n1.fixed_orbits orbit steps and n1.cycle_shape periodic starts.  All
-checks are exact; there are no epsilons anywhere.
+when it fails.  A sweep yields one such result per instance and
+report.first_failure consumes it, so steps is the instance count on a pass
+and the instances that held before the failure on a fail.  The instance is
+not always the obvious one: the enumeration count counts tilings, the fixed
+orbits orbit steps and the cycle shape multiples of 3.  All checks are
+exact; there are no epsilons anywhere.
 
 Per-tiling theorem checks have two entry points with the same problem
 strings.  check_tiling_theorem takes any Tiling (random, pinwheel, parsed
 files).  check_raw_tiling_theorem takes a raw tile sequence plus the
 board's tiling.board_table and runs the whole chain in one pass over the
-tiles, with validity as a union of square bit masks; c1.theorem_exhaustive
-runs it on the enumerator's tuples.  tests/test_suite.py checks the two
+tiles, with validity as a union of square bit masks; the exhaustive theorem
+sweep runs it on the enumerator's tuples.  tests/test_suite.py checks the two
 against each other on every tiling of every board of area at most 12 and on
 mutated tile lists.
 """
@@ -46,54 +46,51 @@ from .report import ClaimReport, first_failure
 
 DEFAULT_SEED = 20170901
 
+# A sweep's result: per instance, None when it holds or the witness that it fails.
+Witnesses = Iterator[tuple | None]
 
-def _per_start(claim_id: str, params: dict[str, int], starts: Iterable[int],
-               check: Callable[[int], tuple | None]) -> ClaimReport:
-    """first_failure over a per-start check; a failing witness leads with the start."""
-    return first_failure(claim_id, params,
-                         (None if (w := check(a0)) is None else (a0,) + w for a0 in starts))
+
+def _per_start(starts: Iterable[int], check: Callable[[int], tuple | None]) -> Witnesses:
+    """A per-start check over the starts; a failing witness leads with the start."""
+    return (None if (w := check(a0)) is None else (a0,) + w for a0 in starts)
 
 
 # -- A2 ---------------------------------------------------------------------------
 
-def a2_base_case_report() -> ClaimReport:
+def a2_base_case() -> Witnesses:
     """a_1 = 1/2, one instance; a failure's witness is (1, a_1)."""
     a1 = a2.extend(a2.A2Sequence.initial()).values[1]
-    return first_failure("a2.base_case", {}, [None if a1 == Rational(1, 2) else (1, render(a1))])
+    yield None if a1 == Rational(1, 2) else (1, render(a1))
 
 
 def _random_rational(rng: random.Random) -> Rational:
     return Rational(rng.randint(-99, 99), rng.randint(1, 30))
 
 
-def a2_sum_lemma_report(rng: random.Random, instances: int, max_n: int) -> ClaimReport:
+def a2_sum_lemmas(rng: random.Random, instances: int, max_n: int) -> Witnesses:
     """Re-indexing, remove-zero, distributivity, subtraction and negation of sums."""
-    def witnesses() -> Iterator[tuple | None]:
-        for trial in range(instances):
-            n = rng.randint(1, max_n)
-            fs = [_random_rational(rng) for _ in range(n)]
-            gs = [_random_rational(rng) for _ in range(n)]
-            r = _random_rational(rng)
-            f = lambda i: fs[i].as_integer_ratio()
-            g = lambda i: gs[i].as_integer_ratio()
-            checks = (
-                ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)),
-                ("remove_zero", finite_sum(f, 0, n) == fs[0] + finite_sum(f, 1, n)),
-                ("distrib_left", r * finite_sum(f, 0, n)
-                 == finite_sum(lambda i: (r * fs[i]).as_integer_ratio(), 0, n)),
-                ("subtractf", finite_sum(lambda i: (fs[i] - gs[i]).as_integer_ratio(), 0, n)
-                 == finite_sum(f, 0, n) - finite_sum(g, 0, n)),
-                ("negf", finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n)
-                 == -finite_sum(f, 0, n)),
-            )
-            bad = next((name for name, ok in checks if not ok), None)
-            yield None if bad is None else (trial, bad, n)
-
-    return first_failure("a2.sum_lemmas", {"instances": instances, "max_n": max_n},
-                         witnesses())
+    for trial in range(instances):
+        n = rng.randint(1, max_n)
+        fs = [_random_rational(rng) for _ in range(n)]
+        gs = [_random_rational(rng) for _ in range(n)]
+        r = _random_rational(rng)
+        f = lambda i: fs[i].as_integer_ratio()
+        g = lambda i: gs[i].as_integer_ratio()
+        checks = (
+            ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)),
+            ("remove_zero", finite_sum(f, 0, n) == fs[0] + finite_sum(f, 1, n)),
+            ("distrib_left", r * finite_sum(f, 0, n)
+             == finite_sum(lambda i: (r * fs[i]).as_integer_ratio(), 0, n)),
+            ("subtractf", finite_sum(lambda i: (fs[i] - gs[i]).as_integer_ratio(), 0, n)
+             == finite_sum(f, 0, n) - finite_sum(g, 0, n)),
+            ("negf", finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n)
+             == -finite_sum(f, 0, n)),
+        )
+        bad = next((name for name, ok in checks if not ok), None)
+        yield None if bad is None else (trial, bad, n)
 
 
-def a2_subtraction_identity_report(max_n: int) -> ClaimReport:
+def a2_subtraction_identity(max_n: int) -> Witnesses:
     """(n+1) * sum_{k<n+1} a_k/(n+1-k) - n * sum_{k<n} a_k/(n-k) is exactly zero.
 
     Both inner sums are computed independently by finite_sum over the exact
@@ -106,20 +103,16 @@ def a2_subtraction_identity_report(max_n: int) -> ClaimReport:
                                      0, n + 1)
                 - n * finite_sum(lambda k: (a[k].numerator, a[k].denominator * (n - k)), 0, n))
 
-    return first_failure("a2.subtraction_identity", {"max_n": max_n},
-                         (None if difference(n) == ZERO else (n,)
-                          for n in range(2, max_n + 1)))
+    return (None if difference(n) == ZERO else (n,) for n in range(2, max_n + 1))
 
 
-def a2_coefficient_positivity_report(max_n: int) -> ClaimReport:
+def a2_coefficient_positivity(max_n: int) -> Witnesses:
     """n/(n-i) - (n+1)/(n+1-i) equals i/((n-i)(n+1-i)) and is positive."""
     def holds(n: int, i: int) -> bool:
         lhs = Rational(n, n - i) - Rational(n + 1, n + 1 - i)
         return lhs == Rational(i, (n - i) * (n + 1 - i)) and lhs > ZERO
 
-    return first_failure("a2.coefficient_positivity", {"max_n": max_n},
-                         (None if holds(n, i) else (n, i)
-                          for n in range(2, max_n + 1) for i in range(1, n)))
+    return (None if holds(n, i) else (n, i) for n in range(2, max_n + 1) for i in range(1, n))
 
 
 # -- C1 ---------------------------------------------------------------------------
@@ -132,7 +125,7 @@ def _all_rects(coord_max: int) -> Iterator[tiling.Rect]:
                     yield (x1, x2, y1, y2)
 
 
-def c1_counting_report(coord_max: int) -> ClaimReport:
+def c1_counting(coord_max: int) -> Witnesses:
     """Closed-form green/yellow counts against brute-force square enumeration."""
     def holds(r: tiling.Rect) -> bool:
         brute_green = sum(1 for s in tiling.squares(r) if tiling.green(s))
@@ -140,11 +133,10 @@ def c1_counting_report(coord_max: int) -> ClaimReport:
         return (cg == brute_green and cy == tiling.area(r) - brute_green
                 and cg + cy == tiling.area(r))
 
-    return first_failure("c1.counting", {"coord_max": coord_max},
-                         (None if holds(r) else r for r in _all_rects(coord_max)))
+    return (None if holds(r) else r for r in _all_rects(coord_max))
 
 
-def c1_classification_link_report(coord_max: int) -> ClaimReport:
+def c1_classification_link(coord_max: int) -> Witnesses:
     """Green rects have one extra green square, yellow one extra yellow, mixed tie."""
     def witness(r: tiling.Rect) -> tuple | None:
         cg, cy = tiling.count_green(r), tiling.count_yellow(r)
@@ -154,27 +146,24 @@ def c1_classification_link_report(coord_max: int) -> ClaimReport:
               or (cls is tiling.RectClass.MIXED and cg == cy))
         return None if ok else (r, cls.value, cg, cy)
 
-    return first_failure("c1.classification_link", {"coord_max": coord_max},
-                         map(witness, _all_rects(coord_max)))
+    return map(witness, _all_rects(coord_max))
 
 
-def c1_corner_lemma_report(max_side: int) -> ClaimReport:
+def c1_corner_lemma(max_side: int) -> Witnesses:
     """Odd-by-odd boards are green rectangles."""
     boards = ((0, a, 0, b) for a in range(1, max_side + 1, 2)
               for b in range(1, max_side + 1, 2))
-    return first_failure("c1.corner_lemma", {"max_side": max_side},
-                         (None if tiling.classify_rect(r) is tiling.RectClass.GREEN
-                          else (r,) for r in boards))
+    return (None if tiling.classify_rect(r) is tiling.RectClass.GREEN else (r,)
+            for r in boards)
 
 
-def c1_parity_lemma_report(coord_max: int) -> ClaimReport:
+def c1_parity_lemma(coord_max: int) -> Witnesses:
     """Exhaustive green-inside-green distance parity over small coordinates."""
     greens = [r for r in _all_rects(coord_max)
               if tiling.classify_rect(r) is tiling.RectClass.GREEN]
     pairs = ((ri, ro) for ro in greens for ri in greens if tiling.inside(ri, ro))
-    return first_failure("c1.parity_lemma_exhaustive", {"coord_max": coord_max},
-                         (None if tiling.parity_lemma_check(ri, ro) is None else (ri, ro)
-                          for ri, ro in pairs))
+    return (None if tiling.parity_lemma_check(ri, ro) is None else (ri, ro)
+            for ri, ro in pairs)
 
 
 def check_tiling_theorem(t: tiling.Tiling) -> str | None:
@@ -256,41 +245,37 @@ def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
             yield a, b
 
 
-def c1_exhaustive_theorem_report(area_cap: int) -> ClaimReport:
+def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
     """Witness + green tile on every tiling of every odd-by-odd board under the cap.
 
     Runs check_raw_tiling_theorem on the enumerator's tuples with one
     BoardTable per board, so no Tiling is built; the acceptance test checks
     the same tilings through check_tiling_theorem's own primitives.
     """
-    def witnesses() -> Iterator[tuple | None]:
-        for a, b in _odd_boards(area_cap):
-            table = tiling.board_table(a, b)
-            for tiles in backend.enum_tilings(a, b):
-                problem = check_raw_tiling_theorem(table, tiles)[0]
-                yield None if problem is None else (a, b, problem, sorted(tiles))
-
-    return first_failure("c1.theorem_exhaustive", {"area_cap": area_cap}, witnesses())
+    for a, b in _odd_boards(area_cap):
+        table = tiling.board_table(a, b)
+        for tiles in backend.enum_tilings(a, b):
+            problem = check_raw_tiling_theorem(table, tiles)[0]
+            yield None if problem is None else (a, b, problem, sorted(tiles))
 
 
-def c1_enumeration_count_report() -> ClaimReport:
+ENUMERATION_BOARDS = ((1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3))
+
+
+def c1_enumeration_count(boards: int) -> Witnesses:
     """Enumerator totals against the independent square-set recursive counter.
 
-    The instances are the enumerated tilings, so a failure counts the
-    tilings of the boards before the failing one.
+    Checks the first ``boards`` of ENUMERATION_BOARDS.  The instances are
+    the enumerated tilings, so a failure counts the tilings of the boards
+    before the failing one.
     """
-    boards = [(1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
-
-    def witnesses() -> Iterator[tuple | None]:
-        for a, b in boards:
-            enumerated = sum(1 for _ in tiling.enumerate_tilings(a, b))
-            reference = tiling.count_tilings_reference(a, b)
-            if enumerated != reference:
-                yield a, b, enumerated, reference
-            else:
-                yield from repeat(None, enumerated)
-
-    return first_failure("c1.enumeration_count", {"boards": len(boards)}, witnesses())
+    for a, b in ENUMERATION_BOARDS[:boards]:
+        enumerated = sum(1 for _ in tiling.enumerate_tilings(a, b))
+        reference = tiling.count_tilings_reference(a, b)
+        if enumerated != reference:
+            yield a, b, enumerated, reference
+        else:
+            yield from repeat(None, enumerated)
 
 
 def random_odd_board(rng: random.Random, max_a: int = 17, max_b: int = 11,
@@ -300,139 +285,123 @@ def random_odd_board(rng: random.Random, max_a: int = 17, max_b: int = 11,
     return a, b
 
 
-def c1_random_theorem_report(rng: random.Random, count: int, pinwheels: int) -> ClaimReport:
+def c1_random_theorem(rng: random.Random, count: int, pinwheels: int) -> Witnesses:
     """Seeded guillotine tilings plus pinwheel fixtures, all of odd-by-odd boards."""
-    def witnesses() -> Iterator[tuple | None]:
-        for i in range(count):
-            a, b = random_odd_board(rng)
-            problem = check_tiling_theorem(tiling.gen_guillotine(a, b, rng.getrandbits(63)))
-            yield None if problem is None else ("guillotine", i, a, b, problem)
-        for i in range(pinwheels):
-            a, b = random_odd_board(rng, min_side=3)
-            problem = check_tiling_theorem(tiling.random_pinwheel(a, b, rng))
-            yield None if problem is None else ("pinwheel", i, a, b, problem)
-
-    return first_failure("c1.theorem_random", {"count": count, "pinwheels": pinwheels},
-                         witnesses())
+    for i in range(count):
+        a, b = random_odd_board(rng)
+        problem = check_tiling_theorem(tiling.gen_guillotine(a, b, rng.getrandbits(63)))
+        yield None if problem is None else ("guillotine", i, a, b, problem)
+    for i in range(pinwheels):
+        a, b = random_odd_board(rng, min_side=3)
+        problem = check_tiling_theorem(tiling.random_pinwheel(a, b, rng))
+        yield None if problem is None else ("pinwheel", i, a, b, problem)
 
 
-def c1_roundtrip_report(rng: random.Random, samples: int) -> ClaimReport:
+def c1_roundtrip(rng: random.Random, samples: int) -> Witnesses:
     """parse/serialize round-trips on generated tilings; serialize is canonical."""
-    def witnesses() -> Iterator[tuple | None]:
-        for _ in range(samples):
-            a, b = random_odd_board(rng)
-            t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
-            text = tiling.serialize_tiling(t)
-            back = tiling.parse_tiling(text)
-            ok = back == t and tiling.serialize_tiling(back) == text
-            yield None if ok else (a, b)
-
-    return first_failure("c1.roundtrip", {"samples": samples}, witnesses())
+    for _ in range(samples):
+        a, b = random_odd_board(rng)
+        t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
+        text = tiling.serialize_tiling(t)
+        back = tiling.parse_tiling(text)
+        ok = back == t and tiling.serialize_tiling(back) == text
+        yield None if ok else (a, b)
 
 
 # -- N1 ---------------------------------------------------------------------------
 
-def n1_step_image_report(limit: int) -> ClaimReport:
+def n1_step_image(limit: int) -> Witnesses:
     """Totality: each step lands on isqrt(x) or x + 3 and stays above 1."""
     def witness(x: int) -> tuple | None:
         nxt = n1.n1_step(x)
         return None if nxt in (n1.isqrt(x), x + 3) and nxt > 1 else (x, nxt)
 
-    return first_failure("n1.step_image", {"limit": limit}, map(witness, range(2, limit + 1)))
+    return map(witness, range(2, limit + 1))
 
 
-def n1_residue_preservation_report(limit: int) -> ClaimReport:
+def n1_residue_preservation(limit: int) -> Witnesses:
     """x = 0 (mod 3) exactly when its successor is."""
     def witness(x: int) -> tuple | None:
         nxt = n1.n1_step(x)
         return None if (x % 3 == 0) == (nxt % 3 == 0) else (x, nxt)
 
-    return first_failure("n1.residue_preservation", {"limit": limit},
-                         map(witness, range(2, limit + 1)))
+    return map(witness, range(2, limit + 1))
 
 
-def n1_fixed_orbit_report() -> ClaimReport:
-    """The worked orbits: 7 descends through 16 to 2; 3 cycles through 3, 6, 9.
+def n1_fixed_orbits(a0: int) -> Witnesses:
+    """The worked orbits: a0 = 7 descends through 16 to 2; 3 cycles through 3, 6, 9.
 
-    The record keeps a0=7 on every outcome.  The instances are orbit steps:
-    5 for the orbit of 7, then 6 for the orbit of 3; the detect_cycle checks
-    on 3 and 6 can fail but add no steps.  A failure's witness leads with
-    its start.
+    The instances are orbit steps: 5 for the orbit of a0, then 6 for the
+    orbit of 3; the detect_cycle checks on 3 and 6 can fail but add no
+    steps.  A failure's witness leads with its start.
     """
-    def witnesses() -> Iterator[tuple | None]:
-        for a0, m, expected in ((7, 5, [7, 10, 13, 16, 4, 2]), (3, 6, [3, 6, 9, 3, 6, 9, 3])):
-            got = n1.orbit(a0, m)
-            if got != expected:
-                yield (a0, *got)
-            else:
-                yield from repeat(None, m)
-        for a0 in (3, 6):
-            cycle = n1.detect_cycle(a0, 10)
-            if cycle != (0, 3):
-                yield a0, "detect_cycle", cycle
-
-    return first_failure("n1.fixed_orbits", {"a0": 7}, witnesses())
+    for start, m, expected in ((a0, 5, [7, 10, 13, 16, 4, 2]), (3, 6, [3, 6, 9, 3, 6, 9, 3])):
+        got = n1.orbit(start, m)
+        if got != expected:
+            yield (start, *got)
+        else:
+            yield from repeat(None, m)
+    for start in (3, 6):
+        cycle = n1.detect_cycle(start, 10)
+        if cycle != (0, 3):
+            yield start, "detect_cycle", cycle
 
 
-def n1_classification_reports(max_a0: int, budget_for: Callable[[int], int]
-                              = n1.default_budget) -> list[ClaimReport]:
-    """One classify per start, two claims: the classification theorem and the cycle shape.
+def n1_classification(max_a0: int) -> Witnesses:
+    """For every 2 <= a0 <= max_a0, PeriodicMult3 exactly when 3 divides a0.
 
-    For every 2 <= a0 <= max_a0 the outcome must be PeriodicMult3 exactly
-    when a0 is a multiple of 3, with no BudgetExceeded; every cycle's value
-    set must be exactly {3, 6, 9}.  The classification's instances are the
-    starts, the cycle shape's the periodic starts.
+    No start may end in BudgetExceeded at n1.default_budget.
     """
-    params = {"max_a0": max_a0}
-    runs = []
-    for a0 in range(2, max_a0 + 1):
-        trace = n1.classify(a0, budget_for(a0))
+    def witness(a0: int) -> tuple | None:
+        cls = n1.classify(a0, n1.default_budget(a0)).classification
+        ok = (cls is not n1.OrbitClass.BUDGET_EXCEEDED
+              and (cls is n1.OrbitClass.PERIODIC_MULT3) == (a0 % 3 == 0))
+        return None if ok else (a0, cls.value)
+
+    return map(witness, range(2, max_a0 + 1))
+
+
+def n1_cycle_shape(max_a0: int) -> Witnesses:
+    """Every multiple of 3 up to max_a0 cycles through exactly {3, 6, 9}.
+
+    A start with no cycle certificate within n1.default_budget fails with
+    the cycle None.
+    """
+    def witness(a0: int) -> tuple | None:
+        trace = n1.classify(a0, n1.default_budget(a0))
         cycle = None if trace.cycle is None else tuple(sorted(trace.cycle_values()))
-        runs.append((a0, trace.classification, cycle))
-    return [
-        first_failure("n1.classification", params,
-                      (None if cls is not n1.OrbitClass.BUDGET_EXCEEDED
-                       and (cls is n1.OrbitClass.PERIODIC_MULT3) == (a0 % 3 == 0)
-                       else (a0, cls.value) for a0, cls, _ in runs)),
-        first_failure("n1.cycle_shape", params,
-                      (None if cycle == (3, 6, 9) else (a0, cycle)
-                       for a0, _, cycle in runs if cycle is not None)),
-    ]
+        return None if cycle == (3, 6, 9) else (a0, cycle)
+
+    return map(witness, range(3, max_a0 + 1, 3))
 
 
-def n1_claim1_report(max_a0: int, window: int) -> ClaimReport:
-    return _per_start("n1.claim1", {"max_a0": max_a0, "window": window},
-                      range(2, max_a0 + 1, 3), lambda a0: n1.check_claim1(a0, window))
+def n1_claim1(max_a0: int, window: int) -> Witnesses:
+    return _per_start(range(2, max_a0 + 1, 3), lambda a0: n1.check_claim1(a0, window))
 
 
-def n1_claim2_report(max_x: int) -> ClaimReport:
+def n1_claim2(max_x: int) -> Witnesses:
     """The descent certificate for every eligible x up to the limit."""
-    return _per_start("n1.claim2_certificate", {"max_x": max_x},
-                      (x for x in range(10, max_x + 1) if x % 3 != 2), n1.check_claim2)
+    return _per_start((x for x in range(10, max_x + 1) if x % 3 != 2), n1.check_claim2)
 
 
-def n1_claim3_report(max_a0: int, budget_for: Callable[[int], int]
-                     = n1.default_budget) -> ClaimReport:
-    return _per_start("n1.claim3", {"max_a0": max_a0}, range(3, max_a0 + 1, 3),
-                      lambda a0: n1.check_claim3(a0, budget_for(a0)))
+def n1_claim3(max_a0: int) -> Witnesses:
+    return _per_start(range(3, max_a0 + 1, 3),
+                      lambda a0: n1.check_claim3(a0, n1.default_budget(a0)))
 
 
-def n1_claim4_report(max_a0: int, budget_for: Callable[[int], int]
-                     = n1.default_budget) -> ClaimReport:
-    return _per_start("n1.claim4", {"max_a0": max_a0}, range(4, max_a0 + 1, 3),
-                      lambda a0: n1.check_claim4(a0, budget_for(a0)))
+def n1_claim4(max_a0: int) -> Witnesses:
+    return _per_start(range(4, max_a0 + 1, 3),
+                      lambda a0: n1.check_claim4(a0, n1.default_budget(a0)))
 
 
-def n1_small_claims_report() -> ClaimReport:
+def n1_small_claims() -> Witnesses:
     """The small-value sub-claims, within 10 steps: 3, 6 and 9 reach 3; 4 and 7 reach residue 2."""
     cases = [(n1.check_claim3, "claim3a", a0) for a0 in (3, 6, 9)]
     cases += [(n1.check_claim4, "claim4a", a0) for a0 in (4, 7)]
-    return first_failure("n1.small_claims", {},
-                         (None if check(a0, 10) is None else (name, a0)
-                          for check, name, a0 in cases))
+    return (None if check(a0, 10) is None else (name, a0) for check, name, a0 in cases)
 
 
-def n1_divergence_report(max_a0: int, window: int) -> ClaimReport:
+def n1_divergence(max_a0: int, window: int) -> Witnesses:
     """Residue-2 starts: the first window of orbit values increases, square-free.
 
     The full range goes through the +3-run confirmation kernel; small starts
@@ -445,80 +414,74 @@ def n1_divergence_report(max_a0: int, window: int) -> ClaimReport:
             return (a0, "direct scan")
         return None
 
-    return first_failure("n1.divergence", {"max_a0": max_a0, "window": window},
-                         map(witness, range(2, max_a0 + 1, 3)))
+    return map(witness, range(2, max_a0 + 1, 3))
 
 
-def n1_mult3_report(max_a0: int, budget: int) -> ClaimReport:
-    return _per_start("n1.mult3_propagates", {"max_a0": max_a0, "budget": budget},
-                      range(3, max_a0 + 1, 3), lambda a0: n1.lemma_mult3_propagates(a0, budget))
+def n1_mult3(max_a0: int, budget: int) -> Witnesses:
+    return _per_start(range(3, max_a0 + 1, 3), lambda a0: n1.lemma_mult3_propagates(a0, budget))
 
 
-def n1_nonmult3_report(max_a0: int, budget: int) -> ClaimReport:
-    return _per_start("n1.nonmult3_propagates", {"max_a0": max_a0, "budget": budget},
-                      (a0 for a0 in range(2, max_a0 + 1) if a0 % 3),
+def n1_nonmult3(max_a0: int, budget: int) -> Witnesses:
+    return _per_start((a0 for a0 in range(2, max_a0 + 1) if a0 % 3),
                       lambda a0: n1.lemma_nonmult3_propagates(a0, budget))
 
 
-def n1_gt1_report(max_a0: int, budget: int) -> ClaimReport:
-    return _per_start("n1.all_gt1", {"max_a0": max_a0, "budget": budget},
-                      range(2, max_a0 + 1), lambda a0: n1.lemma_all_gt1(a0, budget))
+def n1_gt1(max_a0: int, budget: int) -> Witnesses:
+    return _per_start(range(2, max_a0 + 1), lambda a0: n1.lemma_all_gt1(a0, budget))
 
 
 # -- the table and its runner -------------------------------------------------------
 
 @dataclass(frozen=True)
 class Claim:
-    """One row: the claim ids its report function returns, in order, and its params.
+    """One row: a claim id, its sweep, the sweep's params and whether it takes the rng.
 
-    A seeded row's function takes the suite's random.Random first.
+    A seeded row's sweep takes the suite's random.Random first.
     """
 
-    ids: tuple[str, ...]
-    report: Callable[..., ClaimReport | list[ClaimReport]]
+    id: str
+    sweep: Callable[..., Iterable[tuple | None]]
     params: dict[str, Any] = field(default_factory=dict)
     seeded: bool = False
 
-    def run(self, rng: random.Random) -> list[ClaimReport]:
-        got = self.report(rng, **self.params) if self.seeded else self.report(**self.params)
-        return got if isinstance(got, list) else [got]
+    def run(self, rng: random.Random) -> ClaimReport:
+        return first_failure(self.id, self.params,
+                             self.sweep(*([rng] if self.seeded else []), **self.params))
 
 
 # The rows run in this order, so the seeded ones draw from the rng in this order.
 CLAIMS: tuple[Claim, ...] = (
-    Claim(("a2.base_case",), a2_base_case_report),
-    Claim(("a2.verify",), a2.verify, {"n_max": 200}),
-    Claim(("a2.sum_lemmas",), a2_sum_lemma_report, {"instances": 500, "max_n": 12},
+    Claim("a2.base_case", a2_base_case),
+    Claim("a2.verify", a2.verify, {"n_max": 200}),
+    Claim("a2.sum_lemmas", a2_sum_lemmas, {"instances": 500, "max_n": 12}, seeded=True),
+    Claim("a2.subtraction_identity", a2_subtraction_identity, {"max_n": 50}),
+    Claim("a2.coefficient_positivity", a2_coefficient_positivity, {"max_n": 50}),
+    Claim("c1.counting", c1_counting, {"coord_max": 12}),
+    Claim("c1.classification_link", c1_classification_link, {"coord_max": 12}),
+    Claim("c1.corner_lemma", c1_corner_lemma, {"max_side": 15}),
+    Claim("c1.parity_lemma_exhaustive", c1_parity_lemma, {"coord_max": 9}),
+    Claim("c1.theorem_exhaustive", c1_exhaustive_theorem, {"area_cap": 16}),
+    Claim("c1.enumeration_count", c1_enumeration_count, {"boards": 6}),
+    Claim("c1.theorem_random", c1_random_theorem, {"count": 1000, "pinwheels": 50},
           seeded=True),
-    Claim(("a2.subtraction_identity",), a2_subtraction_identity_report, {"max_n": 50}),
-    Claim(("a2.coefficient_positivity",), a2_coefficient_positivity_report, {"max_n": 50}),
-    Claim(("c1.counting",), c1_counting_report, {"coord_max": 12}),
-    Claim(("c1.classification_link",), c1_classification_link_report, {"coord_max": 12}),
-    Claim(("c1.corner_lemma",), c1_corner_lemma_report, {"max_side": 15}),
-    Claim(("c1.parity_lemma_exhaustive",), c1_parity_lemma_report, {"coord_max": 9}),
-    Claim(("c1.theorem_exhaustive",), c1_exhaustive_theorem_report,
-          {"area_cap": 16}),
-    Claim(("c1.enumeration_count",), c1_enumeration_count_report),
-    Claim(("c1.theorem_random",), c1_random_theorem_report,
-          {"count": 1000, "pinwheels": 50}, seeded=True),
-    Claim(("c1.roundtrip",), c1_roundtrip_report, {"samples": 25}, seeded=True),
-    Claim(("n1.square_mod3_ne2",), n1.lemma_square_mod3_ne2, {"scan_limit": 10 ** 4}),
-    Claim(("n1.three_squares_mod3",), n1.lemma_three_squares_mod3, {"scan_limit": 10 ** 4}),
-    Claim(("n1.square_mod3_zero",), n1.lemma_square_mod3_zero, {"scan_limit": 10 ** 4}),
-    Claim(("n1.step_image",), n1_step_image_report, {"limit": 10 ** 5}),
-    Claim(("n1.residue_preservation",), n1_residue_preservation_report, {"limit": 10 ** 5}),
-    Claim(("n1.fixed_orbits",), n1_fixed_orbit_report),
-    Claim(("n1.classification", "n1.cycle_shape"), n1_classification_reports,
-          {"max_a0": 10 ** 4}),
-    Claim(("n1.claim1",), n1_claim1_report, {"max_a0": 1000, "window": 200}),
-    Claim(("n1.claim2_certificate",), n1_claim2_report, {"max_x": 10 ** 4}),
-    Claim(("n1.claim3",), n1_claim3_report, {"max_a0": 1000}),
-    Claim(("n1.claim4",), n1_claim4_report, {"max_a0": 1000}),
-    Claim(("n1.small_claims",), n1_small_claims_report),
-    Claim(("n1.divergence",), n1_divergence_report, {"max_a0": 10 ** 4, "window": 1000}),
-    Claim(("n1.mult3_propagates",), n1_mult3_report, {"max_a0": 1000, "budget": 300}),
-    Claim(("n1.nonmult3_propagates",), n1_nonmult3_report, {"max_a0": 1000, "budget": 300}),
-    Claim(("n1.all_gt1",), n1_gt1_report, {"max_a0": 1000, "budget": 300}),
+    Claim("c1.roundtrip", c1_roundtrip, {"samples": 25}, seeded=True),
+    Claim("n1.square_mod3_ne2", n1.lemma_square_mod3_ne2, {"scan_limit": 10 ** 4}),
+    Claim("n1.three_squares_mod3", n1.lemma_three_squares_mod3, {"scan_limit": 10 ** 4}),
+    Claim("n1.square_mod3_zero", n1.lemma_square_mod3_zero, {"scan_limit": 10 ** 4}),
+    Claim("n1.step_image", n1_step_image, {"limit": 10 ** 5}),
+    Claim("n1.residue_preservation", n1_residue_preservation, {"limit": 10 ** 5}),
+    Claim("n1.fixed_orbits", n1_fixed_orbits, {"a0": 7}),
+    Claim("n1.classification", n1_classification, {"max_a0": 10 ** 4}),
+    Claim("n1.cycle_shape", n1_cycle_shape, {"max_a0": 10 ** 4}),
+    Claim("n1.claim1", n1_claim1, {"max_a0": 1000, "window": 200}),
+    Claim("n1.claim2_certificate", n1_claim2, {"max_x": 10 ** 4}),
+    Claim("n1.claim3", n1_claim3, {"max_a0": 1000}),
+    Claim("n1.claim4", n1_claim4, {"max_a0": 1000}),
+    Claim("n1.small_claims", n1_small_claims),
+    Claim("n1.divergence", n1_divergence, {"max_a0": 10 ** 4, "window": 1000}),
+    Claim("n1.mult3_propagates", n1_mult3, {"max_a0": 1000, "budget": 300}),
+    Claim("n1.nonmult3_propagates", n1_nonmult3, {"max_a0": 1000, "budget": 300}),
+    Claim("n1.all_gt1", n1_gt1, {"max_a0": 1000, "budget": 300}),
 )
 
 
@@ -541,26 +504,23 @@ def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
     rng = random.Random(seed)
     diagnostics = err if records else out
     print(f"suite seed={seed}", file=diagnostics)
-    count = failures = 0
+    failures = 0
     raised = False
     for claim in claims:
-        name = ",".join(claim.ids)
         t0 = time.perf_counter()
         try:
-            reports = claim.run(rng)
+            rep = claim.run(rng)
         except Exception as exc:
             raised = True
             kind = type(exc).__name__
             message = " ".join(str(exc).split())
-            print(f"imocheck: claim {name} raised {kind}: {message}", file=err)
-            reports = [first_failure(claim_id, {}, [(kind,)]) for claim_id in claim.ids]
+            print(f"imocheck: claim {claim.id} raised {kind}: {message}", file=err)
+            rep = first_failure(claim.id, {}, [(kind,)])
         elapsed = time.perf_counter() - t0
-        for rep in reports:
-            print(rep.record_line() if records else _human_line(rep), file=out)
-            count += 1
-            failures += not rep.outcome
-        print(f"time {name} {elapsed:.3f}s", file=err)
-    print(f"{count - failures}/{count} claims passed", file=diagnostics)
+        print(rep.record_line() if records else _human_line(rep), file=out)
+        failures += not rep.outcome
+        print(f"time {claim.id} {elapsed:.3f}s", file=err)
+    print(f"{len(claims) - failures}/{len(claims)} claims passed", file=diagnostics)
     if raised:
         return 3
     return 0 if failures == 0 else 1

@@ -4,7 +4,7 @@ import pytest
 
 from imocheck import suite
 
-# Sizes a test can afford, by a row's first claim id; rows not named keep suite.CLAIMS's.
+# Sizes a test can afford, by row id; rows not named keep suite.CLAIMS's.
 SMALL_PARAMS = {
     "a2.verify": {"n_max": 10},
     "a2.sum_lemmas": {"instances": 20},
@@ -23,6 +23,7 @@ SMALL_PARAMS = {
     "n1.step_image": {"limit": 1000},
     "n1.residue_preservation": {"limit": 1000},
     "n1.classification": {"max_a0": 60},
+    "n1.cycle_shape": {"max_a0": 60},
     "n1.claim1": {"max_a0": 60, "window": 50},
     "n1.claim2_certificate": {"max_x": 300},
     "n1.claim3": {"max_a0": 60},
@@ -34,15 +35,8 @@ SMALL_PARAMS = {
 }
 
 
-def _small_claims(extra=None):
-    """suite.CLAIMS, same rows and order, at SMALL_PARAMS sizes plus ``extra`` params."""
-    extra = extra or {}
-    return tuple(
-        dataclasses.replace(c, params={**c.params, **SMALL_PARAMS.get(c.ids[0], {}),
-                                       **extra.get(c.ids[0], {})})
-        for c in suite.CLAIMS)
-
-
 @pytest.fixture
 def small_claims():
-    return _small_claims
+    """suite.CLAIMS, same rows and order, at SMALL_PARAMS sizes."""
+    return tuple(dataclasses.replace(c, params={**c.params, **SMALL_PARAMS.get(c.id, {})})
+                 for c in suite.CLAIMS)

@@ -3,6 +3,7 @@ import pytest
 from imocheck import a2
 from imocheck.errors import PreconditionFailedError
 from imocheck.rational import Rational, ZERO
+from imocheck.report import first_failure
 
 # hand-computed prefix: each term solves the defining relation in turn
 EXPECTED = [Rational(-1), Rational(1, 2), Rational(1, 12), Rational(1, 24),
@@ -67,16 +68,14 @@ def test_positivity():
 
 
 def test_verify_passes():
-    rep = a2.verify(50)
-    assert rep.outcome
-    assert rep.params == {"n_max": 50}
+    assert list(a2.verify(50)) == [None] * 50      # one result per index 1..50
 
 
 def test_verify_failure_counts_the_indices_before_it(monkeypatch):
     closed_form = a2.closed_form_next
     monkeypatch.setattr(a2, "closed_form_next",
                         lambda seq: Rational(7) if seq.last_index == 4 else closed_form(seq))
-    rep = a2.verify(10)                           # a_5 is the first term it breaks
+    rep = first_failure("a2.verify", {}, a2.verify(10))   # a_5 is the first term it breaks
     assert (rep.outcome, rep.witness[:3], rep.steps) == (False, (5, "closed_form", "7/1"), 4)
 
 

@@ -281,15 +281,11 @@ RECORD_RE = re.compile(r"^CLAIM \S+( \S+=\S+)* outcome=(pass|fail)$")
 
 @pytest.fixture
 def small_suite(monkeypatch, small_claims):
-    """`imocheck suite` runs the given table (the small one by default)."""
-    def use(table=None):
-        table = small_claims() if table is None else table
-        monkeypatch.setattr(cli, "run_suite", functools.partial(suite.run_suite, claims=table))
-    return use
+    """`imocheck suite` runs the small table."""
+    monkeypatch.setattr(cli, "run_suite", functools.partial(suite.run_suite, claims=small_claims))
 
 
 def test_suite_records_grammar(capsys, small_suite):
-    small_suite()
     code, out, err = run_cli(["suite", "--records"], capsys)
     assert code == 0
     lines = out.splitlines()
@@ -300,7 +296,6 @@ def test_suite_records_grammar(capsys, small_suite):
 
 
 def test_suite_human_mode(capsys, small_suite):
-    small_suite()
     code, out, err = run_cli(["suite"], capsys)
     assert code == 0
     assert "claims passed" in out
@@ -310,10 +305,8 @@ def test_suite_human_mode(capsys, small_suite):
     assert len(time_lines) == len(suite.CLAIMS)
 
 
-def test_suite_starved_budget_fails(capsys, small_suite, small_claims):
-    starved = {"budget_for": lambda a0: 1}
-    small_suite(small_claims({"n1.classification": starved, "n1.claim3": starved,
-                              "n1.claim4": starved}))
+def test_suite_starved_budget_fails(capsys, monkeypatch, small_suite):
+    monkeypatch.setattr(n1, "default_budget", lambda a0: 1)
     code, out, _ = run_cli(["suite", "--records"], capsys)
     assert code == 1
     assert any("BudgetExceeded" in line and "outcome=fail" in line
@@ -340,10 +333,13 @@ def test_suite_has_only_seed_and_records():
         [f"board {tiling.MAX_TILES + 1} 1\n"]
         + [f"tile {x} {x + 1} 0 1\n" for x in range(tiling.MAX_TILES + 1)]).encode()),
     (["c1-check", "{path}"], f"board 3 {tiling.MAX_SIDE + 1}\ntile 0 3 0 1\n".encode()),
+    (["c1-gen", "--a", "3", "--b", str(tiling.MAX_SIDE + 1), "--kind", "pinwheel"], None),
+    (["c1-gen", "--a", str(tiling.MAX_TILES + 1), "--b", "1"], None),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
         "n1-classify-budget-above-cap", "c1-check-tiles-above-cap",
-        "c1-check-board-side-above-cap"])
+        "c1-check-board-side-above-cap", "c1-gen-side-above-cap",
+        "c1-gen-guillotine-tiles-above-cap"])
 def test_bad_input_is_one_usage_line(tmp_path, argv, content):
     """Exit 2 with one stderr line and no traceback, before any work starts."""
     path = tmp_path / "in.tiling"

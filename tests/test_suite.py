@@ -6,12 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from imocheck import backend, report, suite, tiling
+from imocheck import backend, n1, report, suite, tiling
 from imocheck.errors import TheoremViolationError
 from imocheck.report import ClaimReport
 from test_cli import RECORD_RE
 
 DATA = Path(__file__).parent / "data"
+
+
+def _run(claim_id, rng=None, **params):
+    """The suite.CLAIMS row ``claim_id``, run with ``params`` over the row's own."""
+    row = next(c for c in suite.CLAIMS if c.id == claim_id)
+    return dataclasses.replace(row, params={**row.params, **params}).run(rng)
 
 
 def test_record_line_grammar():
@@ -24,71 +30,70 @@ def test_record_line_grammar():
 
 def test_a2_reports_pass():
     rng = random.Random(0)
-    assert suite.a2_base_case_report().outcome
-    assert suite.a2_sum_lemma_report(rng, instances=60, max_n=12).outcome
-    assert suite.a2_subtraction_identity_report(20).outcome
-    assert suite.a2_coefficient_positivity_report(20).outcome
+    assert _run("a2.base_case").outcome
+    assert _run("a2.sum_lemmas", rng, instances=60, max_n=12).outcome
+    assert _run("a2.subtraction_identity", max_n=20).outcome
+    assert _run("a2.coefficient_positivity", max_n=20).outcome
 
 
 def test_c1_reports_pass():
     rng = random.Random(1)
-    assert suite.c1_counting_report(8).outcome
-    assert suite.c1_classification_link_report(8).outcome
-    assert suite.c1_corner_lemma_report(9).outcome
-    assert suite.c1_parity_lemma_report(6).outcome
-    assert suite.c1_exhaustive_theorem_report(9).outcome
-    assert suite.c1_random_theorem_report(rng, 25, 5).outcome
-    assert suite.c1_roundtrip_report(rng, 5).outcome
+    assert _run("c1.counting", coord_max=8).outcome
+    assert _run("c1.classification_link", coord_max=8).outcome
+    assert _run("c1.corner_lemma", max_side=9).outcome
+    assert _run("c1.parity_lemma_exhaustive", coord_max=6).outcome
+    assert _run("c1.theorem_exhaustive", area_cap=9).outcome
+    assert _run("c1.theorem_random", rng, count=25, pinwheels=5).outcome
+    assert _run("c1.roundtrip", rng, samples=5).outcome
 
 
 def test_n1_reports_pass():
-    for rep in suite.n1_classification_reports(300):
-        assert rep.outcome
-    assert suite.n1_claim1_report(100, 50).outcome
-    assert suite.n1_claim2_report(300).outcome
-    assert suite.n1_claim3_report(100).outcome
-    assert suite.n1_claim4_report(100).outcome
-    assert suite.n1_small_claims_report().outcome
-    assert suite.n1_divergence_report(300, 200).outcome
-    assert suite.n1_mult3_report(100, 50).outcome
-    assert suite.n1_nonmult3_report(100, 50).outcome
-    assert suite.n1_gt1_report(100, 50).outcome
+    assert _run("n1.classification", max_a0=300).outcome
+    assert _run("n1.cycle_shape", max_a0=300).outcome
+    assert _run("n1.claim1", max_a0=100, window=50).outcome
+    assert _run("n1.claim2_certificate", max_x=300).outcome
+    assert _run("n1.claim3", max_a0=100).outcome
+    assert _run("n1.claim4", max_a0=100).outcome
+    assert _run("n1.small_claims").outcome
+    assert _run("n1.divergence", max_a0=300, window=200).outcome
+    assert _run("n1.mult3_propagates", max_a0=100, budget=50).outcome
+    assert _run("n1.nonmult3_propagates", max_a0=100, budget=50).outcome
+    assert _run("n1.all_gt1", max_a0=100, budget=50).outcome
 
 
 def test_base_case_failure_is_one_record_line(monkeypatch):
     from imocheck import a2
     from imocheck.rational import Rational
     monkeypatch.setattr(a2, "extend", lambda seq: a2.A2Sequence(seq.values + (Rational(1, 3),)))
-    line = suite.a2_base_case_report().record_line()
+    line = _run("a2.base_case").record_line()
     assert line == "CLAIM a2.base_case steps=0 witness=1;1/3 outcome=fail"
     assert RECORD_RE.match(line)
 
 
 def test_n1_steps_count_the_starts_checked():
-    classification, cycle_shape = suite.n1_classification_reports(100)
-    assert (classification.steps, cycle_shape.steps) == (99, 33)   # 2..100; 3, 6, ..., 99
-    assert suite.n1_claim1_report(100, 50).steps == 33             # 2, 5, ..., 98
-    assert suite.n1_claim4_report(100).steps == 33                 # 4, 7, ..., 100
-    assert suite.n1_divergence_report(100, 50).steps == 33
-    mult3, nonmult3 = suite.n1_mult3_report(100, 50), suite.n1_nonmult3_report(100, 50)
+    assert _run("n1.classification", max_a0=100).steps == 99       # 2..100
+    assert _run("n1.cycle_shape", max_a0=100).steps == 33          # 3, 6, ..., 99
+    assert _run("n1.claim1", max_a0=100, window=50).steps == 33    # 2, 5, ..., 98
+    assert _run("n1.claim4", max_a0=100).steps == 33               # 4, 7, ..., 100
+    assert _run("n1.divergence", max_a0=100, window=50).steps == 33
+    mult3 = _run("n1.mult3_propagates", max_a0=100, budget=50)
+    nonmult3 = _run("n1.nonmult3_propagates", max_a0=100, budget=50)
     assert (mult3.steps, nonmult3.steps) == (33, 66)
 
 
 def test_small_claims_failure_counts_the_cases_before_it(monkeypatch):
-    from imocheck import n1
     claim3 = n1.check_claim3
     monkeypatch.setattr(n1, "check_claim3",
                         lambda a0, budget: ("broken",) if a0 == 6 else claim3(a0, budget))
-    rep = suite.n1_small_claims_report()
+    rep = _run("n1.small_claims")
     assert (rep.outcome, rep.witness, rep.steps) == (False, ("claim3a", 6), 1)   # 3 held
 
 
 def test_fixed_orbits_failure_in_the_orbit_of_3_keeps_a0_7(monkeypatch):
-    from imocheck import n1
     orbit = n1.orbit
     monkeypatch.setattr(n1, "orbit",
                         lambda a0, m: [3, 6, 9, 3, 6, 9, 4] if a0 == 3 else orbit(a0, m))
-    rep = suite.n1_fixed_orbit_report()
+    rep = _run("n1.fixed_orbits")
     assert (rep.outcome, rep.params, rep.witness, rep.steps) == (
         False, {"a0": 7}, (3, 3, 6, 9, 3, 6, 9, 4), 5)          # the orbit of 7 held
     assert rep.record_line() == (
@@ -96,9 +101,8 @@ def test_fixed_orbits_failure_in_the_orbit_of_3_keeps_a0_7(monkeypatch):
 
 
 def test_fixed_orbits_failure_in_detect_cycle_counts_both_orbits(monkeypatch):
-    from imocheck import n1
     monkeypatch.setattr(n1, "detect_cycle", lambda a0, budget: None)
-    rep = suite.n1_fixed_orbit_report()
+    rep = _run("n1.fixed_orbits")
     assert (rep.outcome, rep.params, rep.witness, rep.steps) == (
         False, {"a0": 7}, (3, "detect_cycle", None), 11)
     assert rep.record_line() == (
@@ -109,9 +113,11 @@ def test_enumeration_count_failure_counts_the_tilings_before_it(monkeypatch):
     reference = tiling.count_tilings_reference
     monkeypatch.setattr(tiling, "count_tilings_reference",
                         lambda a, b: 9 if (a, b) == (2, 2) else reference(a, b))
-    rep = suite.c1_enumeration_count_report()
+    rep = _run("c1.enumeration_count")
     assert (rep.outcome, rep.witness) == (False, (2, 2, 8, 9))
     assert rep.steps == 1 + 2 + 4   # the tilings of 1x1, 2x1 and 1x3
+    rep = _run("c1.enumeration_count", boards=3)   # stops before the 2x2 board
+    assert (rep.outcome, rep.steps) == (True, 1 + 2 + 4)
 
 
 def test_check_tiling_theorem_flags_bad_input():
@@ -146,28 +152,31 @@ def test_first_failure_counts_the_instances_before_it():
     assert (rep.outcome, rep.witness, rep.steps) == (True, (), 5)
 
 
-def test_failing_sweeps_lead_with_the_start_and_count_the_starts_before_it():
-    starved = lambda a0: 1
-    rep = suite.n1_claim3_report(30, starved)       # 3 needs three steps to return to 3
+def test_failing_sweeps_lead_with_the_start_and_count_the_starts_before_it(monkeypatch):
+    monkeypatch.setattr(n1, "default_budget", lambda a0: 1)
+    rep = _run("n1.claim3", max_a0=30)          # 3 needs three steps to return to 3
     assert (rep.outcome, rep.witness[0], rep.steps) == (False, 3, 0)
-    rep = suite.n1_claim4_report(30, starved)       # 4 -> 2 holds, 7 -> 10 does not
+    rep = _run("n1.claim4", max_a0=30)          # 4 -> 2 holds, 7 -> 10 does not
     assert (rep.outcome, rep.witness[0], rep.steps) == (False, 7, 1)
-    cls, shape = suite.n1_classification_reports(100, starved)   # 2 holds, 3 does not
-    assert (cls.outcome, cls.witness, cls.steps) == (False, (3, "BudgetExceeded"), 1)
-    assert (shape.outcome, shape.steps) == (True, 0)             # no start cycles in one step
+    rep = _run("n1.classification", max_a0=100)   # 2 holds, 3 does not
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (3, "BudgetExceeded"), 1)
+    rep = _run("n1.cycle_shape", max_a0=100)      # no start cycles in one step
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (3, None), 0)
+    assert rep.record_line() == (
+        "CLAIM n1.cycle_shape max_a0=100 steps=0 witness=3;None outcome=fail")
 
 
 def test_run_suite_small_config(small_claims):
     out, err = io.StringIO(), io.StringIO()
-    assert suite.run_suite(7, True, out, err, small_claims()) == 0
+    assert suite.run_suite(7, True, out, err, small_claims) == 0
     lines = out.getvalue().splitlines()
     assert len(lines) == 30
     assert all(line.startswith("CLAIM ") for line in lines)
     errs = err.getvalue().splitlines()
     assert errs[0] == "suite seed=7" and errs[-1] == "30/30 claims passed"
-    assert len(errs) == 2 + len(suite.CLAIMS)
+    assert len(errs[1:-1]) == 30          # one time line per claim id
     for claim, line in zip(suite.CLAIMS, errs[1:-1]):
-        assert re.fullmatch(rf"time {re.escape(','.join(claim.ids))} \d+\.\d{{3}}s", line)
+        assert re.fullmatch(rf"time {re.escape(claim.id)} \d+\.\d{{3}}s", line)
 
 
 def test_default_table_matches_golden_records():
@@ -191,38 +200,47 @@ def _raises(*args, **params):
 
 
 def test_a_raising_row_does_not_end_the_battery(small_claims):
-    rows = small_claims()
+    rows = small_claims
     middle = len(rows) // 2
-    broken = dataclasses.replace(rows[middle], report=_raises)
+    broken = dataclasses.replace(rows[middle], sweep=_raises)
     table = rows[:middle] + (broken,) + rows[middle + 1:]
     out, err = io.StringIO(), io.StringIO()
     assert suite.run_suite(7, True, out, err, table) == 3
     lines = out.getvalue().splitlines()
     assert len(lines) == 30
     records = {line.split()[1]: line for line in lines}
-    for claim_id in broken.ids:
-        assert records[claim_id] == f"CLAIM {claim_id} steps=0 witness=TypeError outcome=fail"
+    assert records[broken.id] == f"CLAIM {broken.id} steps=0 witness=TypeError outcome=fail"
     for claim in rows[middle + 1:]:
-        for claim_id in claim.ids:
-            assert records[claim_id].endswith("outcome=pass")
+        assert records[claim.id].endswith("outcome=pass")
     raised = [line for line in err.getvalue().splitlines() if "raised" in line]
-    assert raised == [f"imocheck: claim {','.join(broken.ids)} raised TypeError: "
+    assert raised == [f"imocheck: claim {broken.id} raised TypeError: "
                       "a bug in a report function"]
     assert "29/30 claims passed" in err.getvalue()
 
 
 def test_a_failing_claim_exits_1_and_a_raise_takes_precedence():
-    failing = suite.Claim(("x.fail",), lambda: report.first_failure("x.fail", {}, [(1,)]))
-    raising = suite.Claim(("x.raise",), _raises)
+    failing = suite.Claim("x.fail", lambda: iter([(1,)]))
+    raising = suite.Claim("x.raise", _raises)
     sink = io.StringIO()
     assert suite.run_suite(1, True, sink, sink, (failing,)) == 1
     assert suite.run_suite(1, True, sink, sink, (raising, failing)) == 3
 
 
+def test_a_sweep_that_raises_midway_gives_one_record_with_no_steps():
+    def sweep():
+        yield None
+        yield None
+        raise ValueError("the third instance is broken")
+
+    out, err = io.StringIO(), io.StringIO()
+    assert suite.run_suite(1, True, out, err, (suite.Claim("x.lazy", sweep),)) == 3
+    assert out.getvalue().splitlines() == ["CLAIM x.lazy steps=0 witness=ValueError outcome=fail"]
+
+
 def test_keyboard_interrupt_ends_the_battery():
     def interrupted():
         raise KeyboardInterrupt
-    table = (suite.Claim(("x.stop",), interrupted),)
+    table = (suite.Claim("x.stop", interrupted),)
     with pytest.raises(KeyboardInterrupt):
         suite.run_suite(1, True, io.StringIO(), io.StringIO(), table)
 
