@@ -12,14 +12,23 @@ Two independent routes produce each term: solving the defining relation
 
 (``closed_form_next``).  Their exact agreement is itself one of the checks,
 so the two deliberately share no summation logic beyond ``finite_sum``.
-Every sum hands ``finite_sum`` its terms as integer pairs taken straight
-from the prefix's numerators and denominators, so no per-term Fraction is
-built.
+
+The prefix is held over one common scale: a positive integer S and integer
+numerators A_0..A_n with a_j = A_j / S.  Every sum term is then an A_j over
+a small integer (k + 1 in the relation, (n-k+1)(n-k+2) in the closed form),
+which ``finite_sum`` splits into a big integer part and a small remainder,
+instead of an a_j over its own denominator of thousands of bits.  ``extend``
+is the only place S changes: when the new term is not a whole multiple of
+1/S it widens S by the missing factor d and rescales every A_j.  Every
+prime of d divides the new term's reduced denominator to its full power in
+d * S, so S stays the lcm of the prefix's denominators: a wider S would keep
+the values right but make every later term longer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import PreconditionFailedError
@@ -28,30 +37,41 @@ from .rational import Rational, ZERO, finite_sum, render
 
 @dataclass(frozen=True)
 class A2Sequence:
-    """Immutable exact prefix a_0..a_n; index 0 always holds -1."""
+    """Immutable exact prefix a_0..a_n as numerators over one scale: a_j = A_j / S.
 
-    values: tuple[Rational, ...]
+    Index 0 always holds -1.  ``extend`` keeps S the lcm of the prefix's
+    denominators; a slice of a longer prefix keeps the longer one's S.
+    """
+
+    scale: int
+    numerators: tuple[int, ...]
 
     @classmethod
     def initial(cls) -> "A2Sequence":
-        return cls((Rational(-1),))
+        return cls(1, (-1,))
 
     @property
     def last_index(self) -> int:
-        return len(self.values) - 1
+        return len(self.numerators) - 1
+
+    @cached_property
+    def values(self) -> tuple[Rational, ...]:
+        """The canonical a_0..a_n, computed once."""
+        return tuple(Rational(a, self.scale) for a in self.numerators)
 
 
 def extend(seq: A2Sequence) -> A2Sequence:
     """Append a_{n+1}, the unique value making the defining relation hold.
 
     From sum_{k=0..n+1} a_{n+1-k}/(k+1) = 0:
-    a_{n+1} = -sum_{k=1..n+1} a_{n+1-k}/(k+1).
+    a_{n+1} = T / S with T = -sum_{k=1..n+1} A_{n+1-k}/(k+1).  S widens to
+    d * S and every A_j to d * A_j, with d the denominator of T (d = 1
+    leaves them as they are), so a_{n+1} = T's numerator / (d * S).
     """
-    n = seq.last_index
-    a = seq.values
-    tail = finite_sum(lambda k: (a[n + 1 - k].numerator, a[n + 1 - k].denominator * (k + 1)),
-                      1, n + 2)
-    return A2Sequence(a + (-tail,))
+    n, a = seq.last_index, seq.numerators
+    t = -finite_sum(lambda k: (a[n + 1 - k], k + 1), 1, n + 2)
+    d = t.denominator
+    return A2Sequence(seq.scale * d, tuple(x * d for x in a) + (t.numerator,))
 
 
 def closed_form_next(seq: A2Sequence) -> Rational:
@@ -59,16 +79,15 @@ def closed_form_next(seq: A2Sequence) -> Rational:
     n = seq.last_index
     if n < 1:
         raise PreconditionFailedError("closed form needs the prefix up to a_1 at least")
-    a = seq.values
-    s = finite_sum(lambda k: (k * a[k].numerator, (n - k + 1) * (n - k + 2) * a[k].denominator),
-                   1, n + 1)
-    return s / (n + 2)
+    a = seq.numerators
+    s = finite_sum(lambda k: (k * a[k], (n - k + 1) * (n - k + 2)), 1, n + 1)
+    return s / (seq.scale * (n + 2))
 
 
 def recurrence_residual(seq: A2Sequence, m: int) -> Rational:
     """sum_{k=0..m} a_{m-k}/(k+1); exactly zero whenever the relation holds at m."""
-    a = seq.values
-    return finite_sum(lambda k: (a[m - k].numerator, a[m - k].denominator * (k + 1)), 0, m + 1)
+    a = seq.numerators
+    return finite_sum(lambda k: (a[m - k], k + 1), 0, m + 1) / seq.scale
 
 
 def build(n: int) -> A2Sequence:
@@ -112,7 +131,7 @@ def verify(n_max: int, seq: A2Sequence | None = None) -> Iterator[tuple | None]:
         if residual != ZERO:
             return m, "residual", render(residual)
         if m >= 2:
-            cf = closed_form_next(A2Sequence(a[:m]))
+            cf = closed_form_next(A2Sequence(seq.scale, seq.numerators[:m]))
             if cf != value:
                 return m, "closed_form", render(cf), render(value)
         return None

@@ -24,9 +24,12 @@ EXIT_USAGE = 2
 EXIT_ANOMALY = 3
 
 # Input caps, checked before any work starts (exit 2 above them).
-# a2 --n: n^2 exact terms whose bit length grows with n, so the cost grows
-# faster than n^3 (a2 --n N --verify: 1.2 s at N = 400, 36 s at N = 1000
-# on a 2-core host).
+# a2 --n: n^2 sum terms whose numerators' bit length grows with n, so the
+# cost grows faster than n^3 (a2 --n N --verify on a 2-core host: 0.5 s at
+# N = 400, 5 s at N = 1000; in process, 14 s at N = 1400, so N = 2000 would
+# be well past 30 s).  A higher cap would also break the output: a_2000's
+# denominator has 5774 digits, past Python's default 4300-digit limit on
+# int -> str, so printing it would raise.
 A2_MAX_N = 1000
 # n1 --classify --a0: classify jumps square to square and keeps only the
 # orbit's +3 runs, a handful at any a0 (n1 --a0 999999999999 --classify,

@@ -93,15 +93,15 @@ def a2_sum_lemmas(rng: random.Random, instances: int, max_n: int) -> Witnesses:
 def a2_subtraction_identity(max_n: int) -> Witnesses:
     """(n+1) * sum_{k<n+1} a_k/(n+1-k) - n * sum_{k<n} a_k/(n-k) is exactly zero.
 
-    Both inner sums are computed independently by finite_sum over the exact
-    sequence values.
+    Both inner sums are computed independently by finite_sum over the
+    sequence's numerators A_k; the common positive scale S (a_k = A_k / S)
+    does not change whether the difference is zero.
     """
-    a = a2.build(max_n).values
+    a = a2.build(max_n).numerators
 
     def difference(n: int) -> Rational:
-        return ((n + 1) * finite_sum(lambda k: (a[k].numerator, a[k].denominator * (n + 1 - k)),
-                                     0, n + 1)
-                - n * finite_sum(lambda k: (a[k].numerator, a[k].denominator * (n - k)), 0, n))
+        return ((n + 1) * finite_sum(lambda k: (a[k], n + 1 - k), 0, n + 1)
+                - n * finite_sum(lambda k: (a[k], n - k), 0, n))
 
     return (None if difference(n) == ZERO else (n,) for n in range(2, max_n + 1))
 

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,13 @@ def small_claims():
     """suite.CLAIMS, same rows and order, at SMALL_PARAMS sizes."""
     return tuple(dataclasses.replace(c, params={**c.params, **SMALL_PARAMS.get(c.id, {})})
                  for c in suite.CLAIMS)
+
+
+@pytest.fixture(scope="session")
+def perfbench_oracles():
+    """The benchmark's output oracles, loaded by path; they share no code with imocheck."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

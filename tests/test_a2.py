@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from imocheck import a2
@@ -12,6 +14,7 @@ EXPECTED = [Rational(-1), Rational(1, 2), Rational(1, 12), Rational(1, 24),
 
 def test_initial():
     seq = a2.A2Sequence.initial()
+    assert (seq.scale, seq.numerators) == (1, (-1,))
     assert seq.values == (Rational(-1),)
     assert seq.last_index == 0
 
@@ -34,6 +37,19 @@ def test_build_matches_a_fraction_fold_recurrence():
     assert a2.build(120).values == tuple(values)
 
 
+def test_build_matches_the_gregory_reference(perfbench_oracles):
+    """Oracle: the benchmark's Gregory-coefficient terms, which share no code with imocheck."""
+    assert a2.build(400).values == tuple(perfbench_oracles.GregoryReference().terms(400))
+
+
+def test_scale_is_the_lcm_of_the_prefix_denominators():
+    """A scale wider than the lcm keeps every value right but bloats every later sum term."""
+    seq = a2.A2Sequence.initial()
+    for n in range(1, 121):
+        seq = a2.extend(seq)
+        assert seq.scale == math.lcm(*(v.denominator for v in seq.values)), f"a_{n}"
+
+
 def test_base_case_is_one_half():
     assert a2.build(1).values[1] == Rational(1, 2)
 
@@ -52,7 +68,7 @@ def test_closed_form_needs_two_terms():
 def test_closed_form_equals_recurrence():
     seq = a2.build(60)
     for n in range(1, 60):
-        prefix = a2.A2Sequence(seq.values[:n + 1])
+        prefix = a2.A2Sequence(seq.scale, seq.numerators[:n + 1])
         assert a2.closed_form_next(prefix) == seq.values[n + 1], f"n={n}"
 
 
@@ -77,6 +93,18 @@ def test_verify_failure_counts_the_indices_before_it(monkeypatch):
                         lambda seq: Rational(7) if seq.last_index == 4 else closed_form(seq))
     rep = first_failure("a2.verify", {}, a2.verify(10))   # a_5 is the first term it breaks
     assert (rep.outcome, rep.witness[:3], rep.steps) == (False, (5, "closed_form", "7/1"), 4)
+
+
+def test_verify_catches_a_widened_scale_without_rescaled_numerators(monkeypatch):
+    extend = a2.extend
+
+    def extend_without_rescale(seq):
+        grown = extend(seq)
+        return a2.A2Sequence(grown.scale, seq.numerators + grown.numerators[-1:])
+
+    monkeypatch.setattr(a2, "extend", extend_without_rescale)
+    rep = first_failure("a2.verify", {}, a2.verify(10))   # a_0 = -1/S no longer solves m = 1
+    assert (rep.outcome, rep.witness[:2], rep.steps) == (False, (1, "residual"), 0)
 
 
 def test_verify_rejects_zero():

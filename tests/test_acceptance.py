@@ -47,7 +47,7 @@ def test_a2_closed_form_oracle_equivalence():
     with criterion("a2 closed form equals recurrence for 2 <= n <= 100"):
         seq = a2.build(100)
         for n in range(2, 101):
-            prefix = a2.A2Sequence(seq.values[:n])
+            prefix = a2.A2Sequence(seq.scale, seq.numerators[:n])
             assert a2.closed_form_next(prefix) == seq.values[n], f"n={n}"
 
 

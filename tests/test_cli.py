@@ -1,12 +1,10 @@
 import functools
 import hashlib
-import importlib.util
 import math
 import random
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -242,16 +240,7 @@ def test_n1_classify_theorem_anomaly_exits_3(capsys, monkeypatch):
 
 
 
-def load_perfbench_oracles():
-    """The benchmark's output oracles, which share no code with imocheck."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_n1_classify_lines_equal_the_square_to_square_reference(capsys):
+def test_n1_classify_lines_equal_the_square_to_square_reference(capsys, perfbench_oracles):
     """2000 seeded log-uniform starts in [2, 10^12], against perfbench's n1_reference.
 
     Each start runs at its default budget capped at 4*10^6 steps.  That is
@@ -260,7 +249,7 @@ def test_n1_classify_lines_equal_the_square_to_square_reference(capsys):
     BudgetExceeded; only the divergent tails' confirmation scans are
     shorter.  The two starts at the a0 cap run at their full default budget.
     """
-    reference = load_perfbench_oracles().n1_reference
+    reference = perfbench_oracles.n1_reference
     rng = random.Random(20170901)
     lo, hi = math.log(2), math.log(10 ** 12)
     for _ in range(2000):

@@ -82,17 +82,21 @@ def test_finite_sum_empty_range_is_canonical_zero():
 
 @pytest.mark.parametrize("zero_at", [0, 1, 2])
 def test_finite_sum_zero_denominator_raises(zero_at):
-    with pytest.raises(ZeroDivisionError):
-        finite_sum(lambda k: (1, 0 if k == zero_at else k + 2), 0, 3)
+    for p in (1, 0, -2**4000):                                  # whatever the numerator
+        with pytest.raises(ZeroDivisionError):
+            finite_sum(lambda k: (p, 0 if k == zero_at else k + 2), 0, 3)
 
 
 big = st.integers(-10**40, 10**40)
 int_pairs = st.tuples(big, big.filter(bool))
+# The A2 regime: numerators of thousands of bits over small denominators.
+huge_over_small = st.tuples(st.integers(-2**4000, 2**4000),
+                            st.one_of(st.integers(-10**4, -1), st.integers(1, 10**4)))
 
 
-@given(st.lists(int_pairs, max_size=20), st.integers(-5, 5))
+@given(st.lists(st.one_of(int_pairs, huge_over_small), max_size=30), st.integers(-5, 5))
 def test_finite_sum_equals_a_fraction_fold(terms, lo):
-    """Oracle: summing over the lcm matches a left fold of canonical Fractions."""
+    """Oracle: the integer/remainder split matches a left fold of canonical Fractions."""
     expected = ZERO
     for p, q in terms:
         expected += Rational(p, q)

@@ -63,8 +63,8 @@ def test_n1_reports_pass():
 
 def test_base_case_failure_is_one_record_line(monkeypatch):
     from imocheck import a2
-    from imocheck.rational import Rational
-    monkeypatch.setattr(a2, "extend", lambda seq: a2.A2Sequence(seq.values + (Rational(1, 3),)))
+    monkeypatch.setattr(a2, "extend", lambda seq: a2.A2Sequence(3 * seq.scale, tuple(
+        3 * a for a in seq.numerators) + (seq.scale,)))              # appends a_1 = 1/3
     line = _run("a2.base_case").record_line()
     assert line == "CLAIM a2.base_case steps=0 witness=1;1/3 outcome=fail"
     assert RECORD_RE.match(line)
