@@ -8,8 +8,7 @@ The full battery lives in imocheck.suite; the CLI front door in imocheck.cli.
 """
 
 from .backend import BACKEND_NAME
-from .report import ClaimReport
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND_NAME", "ClaimReport", "__version__"]
+__all__ = ["BACKEND_NAME", "__version__"]

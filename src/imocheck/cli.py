@@ -4,24 +4,29 @@ Commands: a2, c1-check, c1-gen, n1, suite.  Exit codes are a stable
 contract: 0 pass, 1 check failed, 2 usage or parse error, 3 budget or
 theorem anomaly.  Records go to stdout, diagnostics to stderr; the two
 never mix on one stream.
+
+Each request is a fresh process, so each command imports the modules it
+runs when it runs: only n1 (half of all requests, and the source of the
+budget cap) loads with the parser.  Commands call through the module
+(a2.build, suite.run_suite), so a wrapper or patch set on the module holds.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
+import os
 import sys
 
-from . import a2, n1, tiling
-from .backend import BACKEND_NAME
+from . import n1
 from .errors import TheoremViolationError, TilingParseError
-from .report import first_failure
-from .suite import DEFAULT_SEED, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ANOMALY = 3
+
+# The suite's seed when --seed is not given; tests/data's golden files carry it.
+DEFAULT_SEED = 20170901
 
 # Input caps, checked before any work starts (exit 2 above them).
 # a2 --n: n^2 sum terms whose numerators' bit length grows with n, so the
@@ -33,12 +38,14 @@ EXIT_ANOMALY = 3
 A2_MAX_N = 1000
 # n1 --classify --a0: classify jumps square to square and keeps only the
 # orbit's +3 runs, a handful at any a0 (n1 --a0 999999999999 --classify,
-# 1.33M steps to its cycle: 0.11 s and 17 MB peak RSS on a 2-core host, the
-# same as a bare n1 --steps 0).  Divergent starts cost the budget scan below.
+# 1.33M steps to its cycle: 0.09 s and 14.5 MB peak RSS on a 2-core host,
+# against 0.08 s for n1 --steps 0 and 0.07 s and 14.4 MB for a bare
+# python -c pass).  Divergent starts cost the budget scan below.
 N1_CLASSIFY_MAX_A0 = 10 ** 12
 # n1 --classify --budget: confirming the +3 run costs about sqrt(3 * budget)
 # square tests (n1 --a0 1000000000000 --classify, whose default budget is
-# this cap: 0.8 s and 17 MB); the cap is the default budget at the a0 cap.
+# this cap: 0.7-0.8 s and 14.5 MB); the cap is the default budget at the
+# a0 cap.
 N1_CLASSIFY_MAX_BUDGET = n1.default_budget(N1_CLASSIFY_MAX_A0)
 # n1 --steps: orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).
@@ -58,21 +65,23 @@ def cmd_a2(args: argparse.Namespace) -> int:
         return _fail_usage("a2 needs --n >= 1")
     if args.n > A2_MAX_N:
         return _fail_usage(f"a2 needs --n <= {A2_MAX_N}")
+    from . import a2, report
     seq = a2.build(args.n)
     for line in a2.render_lines(seq):
         print(line)
     if args.verify:
-        rep = first_failure("a2.verify", {"n_max": args.n}, a2.verify(args.n, seq))
+        rep = report.first_failure("a2.verify", {"n_max": args.n}, a2.verify(args.n, seq))
         print(rep.record_line(), file=sys.stderr)
         return EXIT_PASS if rep.outcome else EXIT_FAIL
     return EXIT_PASS
 
 
-def _format_rect(r: tiling.Rect) -> str:
+def _format_rect(r: tuple[int, int, int, int]) -> str:
     return "({},{},{},{})".format(*r)
 
 
 def cmd_c1_check(args: argparse.Namespace) -> int:
+    from . import tiling
     try:
         with open(args.path, encoding="ascii") as fh:
             text = fh.read()
@@ -105,6 +114,9 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
 
 
 def cmd_c1_gen(args: argparse.Namespace) -> int:
+    import random
+
+    from . import tiling
     if args.a < 1 or args.b < 1:
         return _fail_usage("board sides must be at least 1")
     if max(args.a, args.b) > tiling.MAX_SIDE:
@@ -156,8 +168,9 @@ def cmd_n1(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    print(f"backend={BACKEND_NAME}", file=sys.stderr)
-    return run_suite(args.seed, args.records, sys.stdout, sys.stderr)
+    from . import backend, suite
+    print(f"backend={backend.BACKEND_NAME}", file=sys.stderr)
+    return suite.run_suite(args.seed, args.records, sys.stdout, sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c1-gen", help="generate a tiling file on stdout")
     p.add_argument("--a", type=int, required=True,
-                   help=f"board width (1..{tiling.MAX_SIDE}; a*b at most "
-                        f"{tiling.MAX_TILES} for guillotine)")
+                   help="board width, at least 1 and at most c1-check's side cap; "
+                        "a*b at most c1-check's tile cap for guillotine")
     p.add_argument("--b", type=int, required=True, help="board height, as --a")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=("guillotine", "pinwheel"), default="guillotine")
@@ -213,4 +226,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (imocheck a2 --n 300 | head -1).
+        # Point stdout at devnull so the flush at exit raises nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _fail_usage("stdout closed before all output was written")
+    sys.exit(code)

@@ -31,9 +31,8 @@ Everything is integer arithmetic; square roots are exact integer floors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError
@@ -111,8 +110,7 @@ class OrbitClass(Enum):
     BUDGET_EXCEEDED = "BudgetExceeded"
 
 
-@dataclass(frozen=True)
-class OrbitTrace:
+class OrbitTrace(NamedTuple):
     """Classification of one orbit with its certificate.
 
     ``cycle`` is (index of the first repeated value, period) for periodic

@@ -44,8 +44,6 @@ from .errors import TheoremViolationError
 from .rational import Rational, ZERO, finite_sum, render
 from .report import ClaimReport, first_failure
 
-DEFAULT_SEED = 20170901
-
 # A sweep's result: per instance, None when it holds or the witness that it fails.
 Witnesses = Iterator[tuple | None]
 

@@ -271,7 +271,7 @@ RECORD_RE = re.compile(r"^CLAIM \S+( \S+=\S+)* outcome=(pass|fail)$")
 @pytest.fixture
 def small_suite(monkeypatch, small_claims):
     """`imocheck suite` runs the small table."""
-    monkeypatch.setattr(cli, "run_suite", functools.partial(suite.run_suite, claims=small_claims))
+    monkeypatch.setattr(suite, "run_suite", functools.partial(suite.run_suite, claims=small_claims))
 
 
 def test_suite_records_grammar(capsys, small_suite):
@@ -305,7 +305,7 @@ def test_suite_starved_budget_fails(capsys, monkeypatch, small_suite):
 def test_suite_has_only_seed_and_records():
     args = cli.build_parser().parse_args(["suite"])
     assert set(vars(args)) == {"command", "func", "records", "seed"}
-    assert args.seed == suite.DEFAULT_SEED
+    assert args.seed == cli.DEFAULT_SEED
 
 
 # -- inputs that end in a usage error ---------------------------------------------
@@ -348,3 +348,76 @@ def test_entry_point_installed():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.splitlines()[-1] == "1\t1/2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["a2", "--n", "300"],
+    ["n1", "--a0", "7", "--steps", "100000"],
+], ids=["a2", "n1-steps"])
+def test_a_reader_that_closes_early_gets_one_usage_line(argv):
+    """`imocheck ... | head -c 10`: exit 2 with one stderr line and no traceback.
+
+    Both outputs (160 kB and 660 kB) outgrow a pipe buffer, so the write
+    after the close fails.
+    """
+    proc = subprocess.Popen([sys.executable, "-m", "imocheck", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_importing_main_runs_nothing():
+    done = subprocess.run([sys.executable, "-c", "import imocheck.__main__"],
+                          capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+# -- what each command imports ----------------------------------------------------
+
+MODULES_PROBE = """
+import contextlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    import imocheck.cli
+    code = imocheck.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sys.modules)
+"""
+
+NO_OTHER_BATTERY = {"imocheck.suite", "imocheck.tiling", "imocheck.a2", "imocheck.rational",
+                    "imocheck.report", "dataclasses", "fractions"}
+
+
+def _modules_loaded(argv):
+    """Exit code and the modules that a fresh `imocheck argv` loads beyond `python -c pass`."""
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, timeout=30, check=True)
+    done = subprocess.run([sys.executable, "-c", MODULES_PROBE, *argv],
+                          capture_output=True, text=True, timeout=30, check=True)
+    code, *loaded = done.stdout.split()
+    return int(code), set(loaded) - set(bare.stdout.split())
+
+
+@pytest.mark.parametrize("argv,absent", [
+    ([], NO_OTHER_BATTERY),
+    (["n1", "--a0", "7", "--classify"], NO_OTHER_BATTERY),
+    (["a2", "--n", "5", "--verify"], {"imocheck.suite", "imocheck.tiling"}),
+    (["c1-check", "{path}"], {"imocheck.suite", "imocheck.a2", "imocheck.rational"}),
+    (["c1-gen", "--a", "3", "--b", "3"], {"imocheck.suite", "imocheck.a2", "imocheck.rational"}),
+], ids=["import-cli", "n1-classify", "a2-verify", "c1-check", "c1-gen"])
+def test_each_command_imports_only_its_own_modules(tmp_path, argv, absent):
+    path = tmp_path / "unit.tiling"
+    path.write_text("board 1 1\ntile 0 1 0 1\n")
+    code, loaded = _modules_loaded([arg.format(path=path) for arg in argv])
+    assert code == 0
+    assert "imocheck.cli" in loaded
+    assert loaded & absent == set()
+
+
+def test_the_benchmark_setup_probe_still_reads_the_backend():
+    done = subprocess.run(
+        [sys.executable, "-c", "import imocheck, imocheck.cli; print(imocheck.BACKEND_NAME)"],
+        capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "pure\n")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from imocheck import backend, n1, report, suite, tiling
+from imocheck import backend, cli, n1, report, suite, tiling
 from imocheck.errors import TheoremViolationError
 from imocheck.report import ClaimReport
 from test_cli import RECORD_RE
@@ -182,16 +182,16 @@ def test_run_suite_small_config(small_claims):
 def test_default_table_matches_golden_records():
     """The default table at the default seed reproduces the committed record stream."""
     out, err = io.StringIO(), io.StringIO()
-    assert suite.run_suite(suite.DEFAULT_SEED, True, out, err) == 0
-    golden = (DATA / f"suite_records_{suite.DEFAULT_SEED}.txt").read_text()
+    assert suite.run_suite(cli.DEFAULT_SEED, True, out, err) == 0
+    golden = (DATA / f"suite_records_{cli.DEFAULT_SEED}.txt").read_text()
     assert out.getvalue() == golden
 
 
 def test_default_table_matches_golden_human_output():
     """Human mode at the default seed reproduces the committed PASS/FAIL lines."""
     out, err = io.StringIO(), io.StringIO()
-    assert suite.run_suite(suite.DEFAULT_SEED, False, out, err) == 0
-    golden = (DATA / f"suite_human_{suite.DEFAULT_SEED}.txt").read_text()
+    assert suite.run_suite(cli.DEFAULT_SEED, False, out, err) == 0
+    golden = (DATA / f"suite_human_{cli.DEFAULT_SEED}.txt").read_text()
     assert out.getvalue() == golden
 
 
