@@ -1,7 +1,8 @@
-"""The hot kernels: orbit stepping, +3-run confirmation and tiling enumeration.
+"""The hot kernels: orbit walking, +3-run confirmation and tiling enumeration.
 
-One pure-Python implementation of each.  Orbit values are Python integers,
-so they are exact at every size.  ``isqrt`` is the standard library's exact
+One pure-Python implementation of each.  walk is the only loop over the N1
+step rule; orbit_fill and n1's cycle and first-hit scans read it.  Orbit
+values are Python integers, exact at every size.  ``isqrt`` is the exact
 floor square root.  The kernels look it up through ``math`` rather than
 through this module's name, so wrapping ``backend.isqrt`` (for tracing, say)
 sees only the callers outside the kernels.
@@ -10,22 +11,27 @@ sees only the callers outside the kernels.
 from __future__ import annotations
 
 import math
+from itertools import islice
+from typing import Iterator
 
 BACKEND_NAME = "pure"
 
 isqrt = math.isqrt
 
 
-def orbit_fill(a0: int, k: int) -> list[int]:
-    """Values a_0..a_k of the sequence x -> isqrt(x) if square else x + 3."""
+def walk(a0: int) -> Iterator[int]:
+    """a_0, a_1, ... of x -> isqrt(x) if square else x + 3, without end; 0 is fixed."""
     sqrt = math.isqrt
     v = a0
-    out = [v]
-    for _ in range(k):
+    while True:
+        yield v
         s = sqrt(v)
         v = s if s * s == v else v + 3
-        out.append(v)
-    return out
+
+
+def orbit_fill(a0: int, k: int) -> list[int]:
+    """Values a_0..a_k of the walk from a0."""
+    return list(islice(walk(a0), k + 1))
 
 
 def confirm_plus3_run(start: int, nsteps: int) -> int:

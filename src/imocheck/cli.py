@@ -134,6 +134,8 @@ def cmd_c1_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_n1(args: argparse.Namespace) -> int:
+    if args.budget is not None and not args.classify:
+        return _fail_usage("--budget needs --classify")
     if args.a0 <= 1:
         return _fail_usage("n1 needs --a0 > 1")
     if args.steps is not None:
@@ -168,8 +170,7 @@ def cmd_n1(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    from . import backend, suite
-    print(f"backend={backend.BACKEND_NAME}", file=sys.stderr)
+    from . import suite
     return suite.run_suite(args.seed, args.records, sys.stdout, sys.stderr)
 
 

@@ -10,15 +10,17 @@ certifies divergence within the examined window.
 
 classify jumps along the orbit's +3 runs from square to square, so its cost
 is a handful of runs even at a_0 = 10^12, while the budget still counts
-steps; detect_cycle and orbit step, and the tests use them as its oracle.
+steps; detect_cycle and orbit read the stepped orbit from backend.walk, and
+the tests use them as its oracle.  n1_step is the one-step definition the
+walk is checked against.
 
 The claims of the proof are checked one start at a time, from a_0: the
 orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
 and the three orbit lemmas are "first m where the orbit does X" statements
-and share one scan, _first_hit, which steps only as far as that m; a lemma
-that every value keeps a property looks for the first value that breaks it.
-Claim 1 compares consecutive values and so walks an orbit() prefix.  Claim 2
-finds its first square with the +3-run kernel.
+and share one scan, _first_hit, which reads the walk only as far as that m;
+a lemma that every value keeps a property looks for the first value that
+breaks it.  Claim 1 compares consecutive values and so walks an orbit()
+prefix.  Claim 2 finds its first square with the +3-run kernel.
 
 An instance check (claims 1-4 and the three orbit lemmas, one start each)
 returns None when the instance holds and a witness tuple when it fails.
@@ -61,7 +63,7 @@ def sqrt_exact(x: int) -> int:
 
 
 def n1_step(x: int) -> int:
-    """One step: isqrt(x) if x is a perfect square, else x + 3."""
+    """One step: isqrt(x) if x is a perfect square, else x + 3 (no orbit loop calls it)."""
     if x < 1:
         raise PreconditionFailedError("step needs x >= 1")
     s = backend.isqrt(x)
@@ -88,10 +90,8 @@ def detect_cycle(a0: int, budget: int) -> tuple[int, int] | None:
         raise PreconditionFailedError("detect_cycle needs a0 > 1")
     if budget < 1:
         raise PreconditionFailedError("detect_cycle needs budget >= 1")
-    seen = {a0: 0}
-    v = a0
-    for j in range(1, budget + 1):
-        v = n1_step(v)
+    seen: dict[int, int] = {}
+    for j, v in enumerate(itertools.islice(backend.walk(a0), budget + 1)):
         if v in seen:
             return seen[v], j - seen[v]
         seen[v] = j
@@ -246,14 +246,12 @@ def check_claim2(x: int) -> tuple | None:
 def _first_hit(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple[int, int] | None:
     """The first (m, a_m) with 1 <= m <= budget and hit(a_m), or None.
 
-    Steps the orbit one value at a time, only as far as that hit.
+    Reads the walk one value at a time, only as far as that hit.
     """
-    v = a0
-    for m in range(1, budget + 1):
-        v = n1_step(v)
-        if hit(v):
-            return m, v
-    return None
+    if a0 < 1:
+        raise PreconditionFailedError("the orbit needs a0 >= 1")
+    later = itertools.islice(backend.walk(a0), 1, budget + 1)
+    return next(((m, v) for m, v in enumerate(later, 1) if hit(v)), None)
 
 
 def _reaches(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple | None:

@@ -115,14 +115,6 @@ def a2_coefficient_positivity(max_n: int) -> Witnesses:
 
 # -- C1 ---------------------------------------------------------------------------
 
-def _all_rects(coord_max: int) -> Iterator[tiling.Rect]:
-    for x1 in range(coord_max):
-        for x2 in range(x1 + 1, coord_max + 1):
-            for y1 in range(coord_max):
-                for y2 in range(y1 + 1, coord_max + 1):
-                    yield (x1, x2, y1, y2)
-
-
 def c1_counting(coord_max: int) -> Witnesses:
     """Closed-form green/yellow counts against brute-force square enumeration."""
     def holds(r: tiling.Rect) -> bool:
@@ -131,7 +123,7 @@ def c1_counting(coord_max: int) -> Witnesses:
         return (cg == brute_green and cy == tiling.area(r) - brute_green
                 and cg + cy == tiling.area(r))
 
-    return (None if holds(r) else r for r in _all_rects(coord_max))
+    return (None if holds(r) else r for r in tiling.rects_inside(coord_max, coord_max))
 
 
 def c1_classification_link(coord_max: int) -> Witnesses:
@@ -144,7 +136,7 @@ def c1_classification_link(coord_max: int) -> Witnesses:
               or (cls is tiling.RectClass.MIXED and cg == cy))
         return None if ok else (r, cls.value, cg, cy)
 
-    return map(witness, _all_rects(coord_max))
+    return map(witness, tiling.rects_inside(coord_max, coord_max))
 
 
 def c1_corner_lemma(max_side: int) -> Witnesses:
@@ -157,7 +149,7 @@ def c1_corner_lemma(max_side: int) -> Witnesses:
 
 def c1_parity_lemma(coord_max: int) -> Witnesses:
     """Exhaustive green-inside-green distance parity over small coordinates."""
-    greens = [r for r in _all_rects(coord_max)
+    greens = [r for r in tiling.rects_inside(coord_max, coord_max)
               if tiling.classify_rect(r) is tiling.RectClass.GREEN]
     pairs = ((ri, ro) for ro in greens for ri in greens if tiling.inside(ri, ro))
     return (None if tiling.parity_lemma_check(ri, ro) is None else (ri, ro)

@@ -39,6 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -338,16 +339,24 @@ def random_pinwheel(a: int, b: int, rng: random.Random) -> Tiling:
     return pinwheel(a, b, cx1, cx2, cy1, cy2)
 
 
+def rects_inside(a: int, b: int) -> Iterator[Rect]:
+    """Every valid rect inside the board (0, a, 0, b), in lexicographic order."""
+    return ((x1, x2, y1, y2) for x1, x2 in combinations(range(a + 1), 2)
+            for y1, y2 in combinations(range(b + 1), 2))
+
+
 ENUM_AREA_CAP = 16
 
 
-def enumerate_tilings(a: int, b: int) -> Iterator[Tiling]:
-    """Every tiling of the a x b board, each exactly once (canonical order).
-
-    Guarded: enumeration is exponential, so the board area is capped.
-    """
+def _require_enumerable(a: int, b: int) -> None:
+    """Enumeration is exponential, so the enumerator and the board table cap the area."""
     if a * b > ENUM_AREA_CAP:
         raise PreconditionFailedError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
+
+
+def enumerate_tilings(a: int, b: int) -> Iterator[Tiling]:
+    """Every tiling of the a x b board, each exactly once (canonical order)."""
+    _require_enumerable(a, b)
     board = (0, a, 0, b)
     for tile_list in backend.enum_tilings(a, b):
         yield Tiling(board, frozenset(tile_list))
@@ -376,22 +385,15 @@ class BoardTable:
 def board_table(a: int, b: int) -> BoardTable:
     """The BoardTable of the a x b board, computed by the primitives above.
 
-    Guarded by the enumeration area cap: the table is meant to be built
-    once per board and used for all of its enumerated tilings.
+    Built once per board and used for all of its enumerated tilings.
     """
-    if a * b > ENUM_AREA_CAP:
-        raise PreconditionFailedError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
+    _require_enumerable(a, b)
     board = (0, a, 0, b)
     facts: dict[Rect, TileFacts] = {}
-    for x1 in range(a):
-        for x2 in range(x1 + 1, a + 1):
-            for y1 in range(b):
-                for y2 in range(y1 + 1, b + 1):
-                    r = (x1, x2, y1, y2)
-                    mask = sum(1 << (x * b + y) for x, y in squares(r))
-                    facts[r] = (mask, distance_parity(side_distances(r, board)),
-                                classify_rect(r) is RectClass.GREEN,
-                                count_green(r), count_yellow(r))
+    for r in rects_inside(a, b):
+        mask = sum(1 << (x * b + y) for x, y in squares(r))
+        facts[r] = (mask, distance_parity(side_distances(r, board)),
+                    classify_rect(r) is RectClass.GREEN, count_green(r), count_yellow(r))
     return BoardTable((1 << (a * b)) - 1, facts,
                       count_green(board), count_yellow(board))
 

@@ -1,5 +1,7 @@
 """The kernels against naive oracles that share no code with them."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,3 +63,12 @@ def test_enum_tilings_matches_reference_count(a, b):
     board = (0, a, 0, b)
     assert all(tiling.cover(ts, board) and sum(len(tiling.squares(r)) for r in ts) == a * b
                for ts in found)
+
+
+def test_walk_is_lazy_and_fixes_0():
+    assert list(islice(backend.walk(7), 6)) == [7, 10, 13, 16, 4, 2]
+    assert list(islice(backend.walk(0), 3)) == [0, 0, 0]
+    steps = backend.walk(-1)
+    assert next(steps) == -1
+    with pytest.raises(ValueError):
+        next(steps)

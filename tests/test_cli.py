@@ -318,6 +318,7 @@ def test_suite_has_only_seed_and_records():
     (["a2", "--n", str(cli.A2_MAX_N + 1), "--verify"], None),
     (["n1", "--a0", "7", "--steps", str(cli.N1_MAX_STEPS + 1)], None),
     (["n1", "--a0", "5", "--classify", "--budget", str(cli.N1_CLASSIFY_MAX_BUDGET + 1)], None),
+    (["n1", "--a0", "7", "--steps", "3", "--budget", "5"], None),
     (["c1-check", "{path}"], "".join(
         [f"board {tiling.MAX_TILES + 1} 1\n"]
         + [f"tile {x} {x + 1} 0 1\n" for x in range(tiling.MAX_TILES + 1)]).encode()),
@@ -326,7 +327,7 @@ def test_suite_has_only_seed_and_records():
     (["c1-gen", "--a", str(tiling.MAX_TILES + 1), "--b", "1"], None),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
-        "n1-classify-budget-above-cap", "c1-check-tiles-above-cap",
+        "n1-classify-budget-above-cap", "n1-steps-with-budget", "c1-check-tiles-above-cap",
         "c1-check-board-side-above-cap", "c1-gen-side-above-cap",
         "c1-gen-guillotine-tiles-above-cap"])
 def test_bad_input_is_one_usage_line(tmp_path, argv, content):

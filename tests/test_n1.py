@@ -2,9 +2,9 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from imocheck import n1
+from imocheck import backend, n1
 from imocheck.errors import PreconditionFailedError
 from imocheck.n1 import OrbitClass
 
@@ -243,7 +243,6 @@ def test_claim2_first_square_offset():
 
 
 def test_claim2_failure_witnesses(monkeypatch):
-    from imocheck import backend
     monkeypatch.setattr(backend, "confirm_plus3_run", lambda start, nsteps: -1)
     bound = 2 * n1.isqrt(12) + 6
     assert n1.check_claim2(12) == ("no square within bound", 12 + 3 * (bound + 1))
@@ -271,8 +270,14 @@ def test_claim3_budget_exhausted_reports_tail():
 
 def test_claim3_stops_stepping_at_the_first_hit(monkeypatch):
     calls = []
-    step = n1.n1_step
-    monkeypatch.setattr(n1, "n1_step", lambda x: calls.append(x) or step(x))
+    walk = backend.walk
+
+    def counted_walk(a0):
+        for v in walk(a0):
+            calls.append(v)
+            yield v
+
+    monkeypatch.setattr(backend, "walk", counted_walk)
     assert n1.check_claim3(999, n1.default_budget(999)) is None
     assert len(calls) <= 40
     assert n1.check_claim3(999, 35) is None
@@ -327,10 +332,65 @@ def test_orbit_lemmas():
         n1.lemma_all_gt1(1, 10)
 
 
+def test_orbit_lemmas_need_a_start_of_at_least_1():
+    # on the walk 0 is a fixed point and a negative start raises ValueError
+    with pytest.raises(PreconditionFailedError):
+        n1.lemma_mult3_propagates(0, 10)
+    with pytest.raises(PreconditionFailedError):
+        n1.lemma_nonmult3_propagates(-1, 10)
+
+
+def stepped_orbit(a0, budget):
+    vals = [a0]
+    for _ in range(budget):
+        vals.append(n1.n1_step(vals[-1]))
+    return vals
+
+
+# Small starts and squares reach 3 or a residue-2 value within the budgets drawn,
+# large ones rarely do.  The examples put a first hit or repeat at m = 1 and at
+# m = budget.
+orbit_starts = st.one_of(st.integers(2, 3000), st.integers(2, 60).map(lambda s: s * s),
+                         st.integers(2, 10**12))
+
+
+@given(orbit_starts, st.one_of(st.integers(1, 40), st.integers(1, 400)))
+@example(3, 3)
+@example(9, 1)
+@example(4, 1)
+@example(999, 35)
+@example(999, 34)
+def test_orbit_scans_match_single_steps(a0, budget):
+    """detect_cycle, claims 3 and 4 and the orbit lemmas against an n1_step loop."""
+    vals = stepped_orbit(a0, budget)
+    repeat = next(((vals.index(v), j) for j, v in enumerate(vals) if v in vals[:j]), None)
+    assert n1.detect_cycle(a0, budget) == (None if repeat is None
+                                           else (repeat[0], repeat[1] - repeat[0]))
+
+    def first_hit(hit):
+        return next(((m, vals[m]) for m in range(1, budget + 1) if hit(vals[m])), None)
+
+    def reaches(hit):
+        return None if first_hit(hit) else tuple(vals[-6:])
+
+    assert n1.lemma_all_gt1(a0, budget) == first_hit(lambda v: v <= 1)
+    if a0 % 3 == 0:
+        assert n1.check_claim3(a0, budget) == reaches(lambda v: v == 3)
+        assert n1.lemma_mult3_propagates(a0, budget) == first_hit(lambda v: v % 3 != 0)
+    else:
+        assert n1.lemma_nonmult3_propagates(a0, budget) == first_hit(lambda v: v % 3 == 0)
+    if a0 % 3 == 1:
+        assert n1.check_claim4(a0, budget) == reaches(lambda v: v % 3 == 2)
+
+
 def test_orbit_lemma_failures_report_the_first_break(monkeypatch):
     # a broken step rule that drops 6 to 5 and 5 to 1
-    step = n1.n1_step
-    monkeypatch.setattr(n1, "n1_step", lambda x: {6: 5, 5: 1}.get(x, step(x)))
+    def broken_walk(v):
+        while True:
+            yield v
+            v = {6: 5, 5: 1}.get(v) or n1.n1_step(v)
+
+    monkeypatch.setattr(backend, "walk", broken_walk)
     assert n1.lemma_mult3_propagates(3, 100) == (2, 5)      # 3, 6, 5
     assert n1.lemma_all_gt1(3, 100) == (3, 1)               # 3, 6, 5, 1
     assert n1.lemma_all_gt1(3, 2) is None                   # the break lies past the budget

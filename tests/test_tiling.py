@@ -234,6 +234,15 @@ def test_enumeration_area_guard():
         next(tiling.enumerate_tilings(17, 11))
 
 
+@pytest.mark.parametrize("a,b", [(1, 1), (3, 2), (2, 5), (12, 12)])
+def test_rects_inside_lists_every_rect_of_the_board_once_in_lex_order(a, b):
+    rects = list(tiling.rects_inside(a, b))
+    board = (0, a, 0, b)
+    assert rects == sorted(set(rects))
+    assert len(rects) == (a * (a + 1) // 2) * (b * (b + 1) // 2)
+    assert all(tiling.valid_rect(r) and tiling.inside_literal(r, board) for r in rects)
+
+
 def test_board_table_examples():
     table = tiling.board_table(3, 2)              # square (x, y) is bit 2x + y
     assert table.full == 0b111111
