@@ -21,14 +21,10 @@ not always the obvious one: the enumeration count counts tilings, the fixed
 orbits orbit steps and the cycle shape multiples of 3.  All checks are
 exact; there are no epsilons anywhere.
 
-Per-tiling theorem checks have two entry points with the same problem
-strings.  check_tiling_theorem takes any Tiling (random, pinwheel, parsed
-files).  check_raw_tiling_theorem takes a raw tile sequence plus the
-board's tiling.board_table and runs the whole chain in one pass over the
-tiles, with validity as a union of square bit masks; the exhaustive theorem
-sweep runs it on the enumerator's tuples.  tests/test_suite.py checks the two
-against each other on every tiling of every board of area at most 12 and on
-mutated tile lists.
+The per-tiling theorem check lives in tiling.py beside its board table,
+in two routes: the random theorem sweep runs tiling.check_tiling_theorem on
+each Tiling, and the exhaustive sweep runs tiling.check_raw_tiling_theorem
+on the enumerator's raw tuples.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import a2, backend, n1, tiling
-from .errors import TheoremViolationError
 from .rational import Rational, ZERO, finite_sum, render
 from .report import ClaimReport, first_failure
 
@@ -156,79 +151,6 @@ def c1_parity_lemma(coord_max: int) -> Witnesses:
             for ri, ro in pairs)
 
 
-def check_tiling_theorem(t: tiling.Tiling) -> str | None:
-    """The full per-tiling chain; None when everything holds.
-
-    Validity, witness existence, green-tile existence, the green tile itself
-    satisfying the distance parity, and the disjoint-union square counts.
-    """
-    if not tiling.is_valid_tiling(t):
-        return "invalid tiling"
-    try:
-        tiling.witness(t)
-    except TheoremViolationError:
-        return "no parity witness"
-    try:
-        g = tiling.find_green_tile(t)
-    except TheoremViolationError:
-        return "no green tile"
-    if tiling.distance_parity(tiling.side_distances(g, t.board)) is None:
-        return "green tile fails distance parity"
-    if sum(tiling.count_green(r) for r in t.tiles) != tiling.count_green(t.board):
-        return "green square counts do not add up"
-    if sum(tiling.count_yellow(r) for r in t.tiles) != tiling.count_yellow(t.board):
-        return "yellow square counts do not add up"
-    return None
-
-
-def check_raw_tiling_theorem(table: tiling.BoardTable, tiles: Iterable[tiling.Rect]
-                             ) -> tuple[str | None, tiling.Rect | None, tiling.Rect | None]:
-    """check_tiling_theorem on a raw tile sequence, in one pass over a board table.
-
-    Returns (problem, first parity witness, first green tile); the problem
-    strings are check_tiling_theorem's, and the two tiles are the ones
-    tiling.witness and tiling.find_green_tile pick (None when the tiling is
-    invalid or has no such tile).  Validity is the literal square-set
-    definition evaluated on bit masks: a tile missing from the table is
-    invalid or outside the board, a tile sharing a bit with the union so far
-    overlaps it (a repeated tile included), and the union must end as the
-    full board.
-    """
-    facts = table.facts
-    occ = 0
-    greens = yellows = 0
-    first_witness = first_green = None
-    for r in sorted(tiles, key=tiling.lex_key):
-        f = facts.get(r)
-        if f is None:
-            return "invalid tiling", None, None
-        mask, parity, is_green, cg, cy = f
-        if occ & mask:
-            return "invalid tiling", None, None
-        occ |= mask
-        if first_witness is None and parity is not None:
-            first_witness = r
-        if first_green is None and is_green:
-            first_green = r
-        greens += cg
-        yellows += cy
-    if occ != table.full:
-        return "invalid tiling", None, None
-    if first_witness is None:
-        problem = "no parity witness"
-    elif first_green is None:
-        problem = "no green tile"
-    elif facts[first_green][1] is None:
-        problem = "green tile fails distance parity"
-    elif greens != table.count_green:
-        problem = "green square counts do not add up"
-    elif yellows != table.count_yellow:
-        problem = "yellow square counts do not add up"
-    else:
-        problem = None
-    return problem, first_witness, first_green
-
-
 def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
     for a in range(1, area_cap + 1, 2):
         for b in range(1, area_cap // a + 1, 2):
@@ -238,14 +160,14 @@ def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
 def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
     """Witness + green tile on every tiling of every odd-by-odd board under the cap.
 
-    Runs check_raw_tiling_theorem on the enumerator's tuples with one
-    BoardTable per board, so no Tiling is built; the acceptance test checks
-    the same tilings through check_tiling_theorem's own primitives.
+    Runs tiling.check_raw_tiling_theorem on the enumerator's tuples with one
+    board table per board, so no Tiling is built; the acceptance test checks
+    the same tilings through the Tiling route's own primitives.
     """
     for a, b in _odd_boards(area_cap):
-        table = tiling.board_table(a, b)
+        table, board = tiling.board_table(a, b), (0, a, 0, b)
         for tiles in backend.enum_tilings(a, b):
-            problem = check_raw_tiling_theorem(table, tiles)[0]
+            problem = tiling.check_raw_tiling_theorem(table, board, tiles)[0]
             yield None if problem is None else (a, b, problem, sorted(tiles))
 
 
@@ -268,22 +190,24 @@ def c1_enumeration_count(boards: int) -> Witnesses:
             yield from repeat(None, enumerated)
 
 
-def random_odd_board(rng: random.Random, max_a: int = 17, max_b: int = 11,
-                     min_side: int = 1) -> tuple[int, int]:
-    a = rng.randrange(min_side, max_a + 1, 2)
-    b = rng.randrange(min_side, max_b + 1, 2)
-    return a, b
+# The random C1 boards have odd sides up to 17 x 11.
+RANDOM_MAX_A, RANDOM_MAX_B = 17, 11
+
+
+def random_odd_board(rng: random.Random, min_side: int = 1) -> tuple[int, int]:
+    a = rng.randrange(min_side, RANDOM_MAX_A + 1, 2)
+    return a, rng.randrange(min_side, RANDOM_MAX_B + 1, 2)
 
 
 def c1_random_theorem(rng: random.Random, count: int, pinwheels: int) -> Witnesses:
     """Seeded guillotine tilings plus pinwheel fixtures, all of odd-by-odd boards."""
     for i in range(count):
         a, b = random_odd_board(rng)
-        problem = check_tiling_theorem(tiling.gen_guillotine(a, b, rng.getrandbits(63)))
+        problem = tiling.check_tiling_theorem(tiling.gen_guillotine(a, b, rng.getrandbits(63)))
         yield None if problem is None else ("guillotine", i, a, b, problem)
     for i in range(pinwheels):
         a, b = random_odd_board(rng, min_side=3)
-        problem = check_tiling_theorem(tiling.random_pinwheel(a, b, rng))
+        problem = tiling.check_tiling_theorem(tiling.random_pinwheel(a, b, rng))
         yield None if problem is None else ("pinwheel", i, a, b, problem)
 
 

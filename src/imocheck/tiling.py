@@ -23,13 +23,13 @@ cost depends on the tile count and not on the board area.  The property
 tests assert its agreement with the literal cover and overlap_literal
 definitions, keeping the set definitions authoritative.
 
-The exhaustive theorem check over enumerated tilings takes another route:
-board_table maps every rect inside a small board to its facts (square bit
-mask, distance parity, green corners, green and yellow counts), computed
-once per board by the primitives above, so the suite can check the
-enumerator's raw tile tuples as unions of square masks without building a
-Tiling.  Its tests compare that route with the Tiling route on every tiling
-of every board of area at most 12.
+Both routes of the per-tiling theorem chain live here and end in one
+verdict ladder.  check_tiling_theorem takes any Tiling and validates it
+with tiling_problems.  check_raw_tiling_theorem takes the enumerator's raw
+tile tuples and reads each tile's facts from the board's board_table,
+checking validity as a union of square masks without building a Tiling.
+The tests compare the two routes on every tiling of every board of area at
+most 12 and on mutated tile lists.
 """
 
 from __future__ import annotations
@@ -189,9 +189,10 @@ def _overlapping_pair(rs: list[Rect]) -> tuple[Rect, Rect] | None:
 def tiling_problems(t: Tiling) -> list[str]:
     """Invariant violations, human-readable; empty list means valid.
 
-    The only tiling validator.  The tiles cover the board exactly when none
-    overlap, each lies inside the board and their areas add up to the
-    board's, so it counts areas instead of materializing squares.
+    The validator of any Tiling, every c1-check file included (enumerated
+    tuples take check_raw_tiling_theorem's mask union).  The tiles cover the
+    board exactly when none overlap, each lies inside the board and their
+    areas add up to the board's, so it counts areas instead of squares.
     """
     problems = []
     b = t.board
@@ -362,42 +363,6 @@ def enumerate_tilings(a: int, b: int) -> Iterator[Tiling]:
         yield Tiling(board, frozenset(tile_list))
 
 
-# (square mask, distance parity, corners all green, green count, yellow count)
-TileFacts = tuple[int, WitnessParity | None, bool, int, int]
-
-
-@dataclass(frozen=True)
-class BoardTable:
-    """Every valid rect inside the board (0, a, 0, b), mapped to its TileFacts.
-
-    The square mask has bit x*b + y for square (x, y), as in the enumerator,
-    so the union of a tiling's masks is ``full`` exactly when its squares
-    cover the board, and two tiles overlap exactly when their masks share a
-    bit.  ``count_green`` and ``count_yellow`` are the board's own counts.
-    """
-
-    full: int
-    facts: dict[Rect, TileFacts]
-    count_green: int
-    count_yellow: int
-
-
-def board_table(a: int, b: int) -> BoardTable:
-    """The BoardTable of the a x b board, computed by the primitives above.
-
-    Built once per board and used for all of its enumerated tilings.
-    """
-    _require_enumerable(a, b)
-    board = (0, a, 0, b)
-    facts: dict[Rect, TileFacts] = {}
-    for r in rects_inside(a, b):
-        mask = sum(1 << (x * b + y) for x, y in squares(r))
-        facts[r] = (mask, distance_parity(side_distances(r, board)),
-                    classify_rect(r) is RectClass.GREEN, count_green(r), count_yellow(r))
-    return BoardTable((1 << (a * b)) - 1, facts,
-                      count_green(board), count_yellow(board))
-
-
 def count_tilings_reference(a: int, b: int) -> int:
     """Independent tiling counter used as the enumeration oracle.
 
@@ -420,6 +385,111 @@ def count_tilings_reference(a: int, b: int) -> int:
         return n
 
     return go(board_squares)
+
+
+# -- the per-tiling theorem chain --------------------------------------------------
+
+# (square mask, distance parity, corners all green, green count, yellow count)
+TileFacts = tuple[int, WitnessParity | None, bool, int, int]
+
+
+def board_table(a: int, b: int) -> dict[Rect, TileFacts]:
+    """Every valid rect inside the board (0, a, 0, b), mapped to its TileFacts.
+
+    The square mask has bit x*b + y for square (x, y), as in the enumerator,
+    so two tiles overlap exactly when their masks share a bit.  The board's
+    own entry holds the full mask, which a tiling's masks add up to exactly
+    when they cover the board, and the board's green and yellow counts.
+    """
+    _require_enumerable(a, b)
+    board = (0, a, 0, b)
+    table: dict[Rect, TileFacts] = {}
+    for r in rects_inside(a, b):
+        mask = sum(1 << (x * b + y) for x, y in squares(r))
+        table[r] = (mask, distance_parity(side_distances(r, board)),
+                    classify_rect(r) is RectClass.GREEN, count_green(r), count_yellow(r))
+    return table
+
+
+def _chain_problem(first_witness: Rect | None, first_green: Rect | None,
+                   green_parity: WitnessParity | None, green_gap: int, yellow_gap: int
+                   ) -> str | None:
+    """The first link after validity that fails, or None: both routes' verdict.
+
+    A gap is the tiles' summed green (or yellow) square count minus the board's.
+    """
+    if first_witness is None:
+        return "no parity witness"
+    if first_green is None:
+        return "no green tile"
+    if green_parity is None:
+        return "green tile fails distance parity"
+    if green_gap:
+        return "green square counts do not add up"
+    if yellow_gap:
+        return "yellow square counts do not add up"
+    return None
+
+
+def check_tiling_theorem(t: Tiling) -> str | None:
+    """The full per-tiling chain on any Tiling; None when everything holds.
+
+    Validity, witness existence, green-tile existence, the green tile itself
+    satisfying the distance parity, and the disjoint-union square counts.
+    """
+    if not is_valid_tiling(t):
+        return "invalid tiling"
+    try:
+        first_witness = witness(t)[0]
+    except TheoremViolationError:
+        first_witness = None
+    try:
+        first_green = find_green_tile(t)
+    except TheoremViolationError:
+        first_green = None
+    green_parity = (None if first_green is None
+                    else distance_parity(side_distances(first_green, t.board)))
+    return _chain_problem(first_witness, first_green, green_parity,
+                          sum(count_green(r) for r in t.tiles) - count_green(t.board),
+                          sum(count_yellow(r) for r in t.tiles) - count_yellow(t.board))
+
+
+def check_raw_tiling_theorem(table: dict[Rect, TileFacts], board: Rect, tiles: Iterable[Rect]
+                             ) -> tuple[str | None, Rect | None, Rect | None]:
+    """check_tiling_theorem on a raw tile sequence, in one pass over the board's table.
+
+    Returns (problem, first parity witness, first green tile); the two tiles
+    are the ones witness and find_green_tile pick (None when the tiling is
+    invalid or has no such tile).  Validity is the literal square-set
+    definition evaluated on bit masks: a tile missing from the table is
+    invalid or outside the board, a tile sharing a bit with the union so far
+    overlaps it (a repeated tile included), and the union must end as the
+    board's own mask.
+    """
+    occ = 0
+    greens = yellows = 0
+    first_witness = first_green = None
+    for r in sorted(tiles, key=lex_key):
+        f = table.get(r)
+        if f is None:
+            return "invalid tiling", None, None
+        mask, parity, is_green, cg, cy = f
+        if occ & mask:
+            return "invalid tiling", None, None
+        occ |= mask
+        if first_witness is None and parity is not None:
+            first_witness = r
+        if first_green is None and is_green:
+            first_green = r
+        greens += cg
+        yellows += cy
+    full, _, _, board_green, board_yellow = table[board]
+    if occ != full:
+        return "invalid tiling", None, None
+    green_parity = None if first_green is None else table[first_green][1]
+    problem = _chain_problem(first_witness, first_green, green_parity, greens - board_green,
+                             yellows - board_yellow)
+    return problem, first_witness, first_green
 
 
 # -- text format -----------------------------------------------------------------

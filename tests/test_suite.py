@@ -123,7 +123,7 @@ def test_enumeration_count_failure_counts_the_tilings_before_it(monkeypatch):
 def test_check_tiling_theorem_flags_bad_input():
     from imocheck.tiling import Tiling
     bad = Tiling((0, 2, 0, 1), frozenset([(0, 1, 0, 1)]))
-    assert suite.check_tiling_theorem(bad) == "invalid tiling"
+    assert tiling.check_tiling_theorem(bad) == "invalid tiling"
 
 
 def test_check_tiling_theorem_lets_programming_errors_through(monkeypatch):
@@ -134,7 +134,7 @@ def test_check_tiling_theorem_lets_programming_errors_through(monkeypatch):
 
     monkeypatch.setattr(tiling, "witness", broken_witness)
     with pytest.raises(TypeError):
-        suite.check_tiling_theorem(tiling.gen_guillotine(3, 3, 0))
+        tiling.check_tiling_theorem(tiling.gen_guillotine(3, 3, 0))
 
 
 def test_first_failure_counts_the_instances_before_it():
@@ -248,7 +248,7 @@ def test_keyboard_interrupt_ends_the_battery():
 def _theorem_oracle(board, tiles):
     """check_tiling_theorem on a Tiling, plus the witness and green tile it scans."""
     t = tiling.Tiling(board, frozenset(tiles))
-    problem = suite.check_tiling_theorem(t)
+    problem = tiling.check_tiling_theorem(t)
     if problem == "invalid tiling":
         return problem, None, None
     try:
@@ -285,11 +285,11 @@ def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
             table = tiling.board_table(a, b)
             for n, tiles in enumerate(backend.enum_tilings(a, b)):
                 tiles = tiles[::-1] if n % 2 else tiles   # the chain sorts its input
-                got = suite.check_raw_tiling_theorem(table, tiles)
+                got = tiling.check_raw_tiling_theorem(table, board, tiles)
                 assert got == _theorem_oracle(board, tiles), (a, b, tiles)
                 seen.add(got[0])
                 for kind, mutant in _mutants(a, b, tiles, n):
-                    got = suite.check_raw_tiling_theorem(table, mutant)
+                    got = tiling.check_raw_tiling_theorem(table, board, mutant)
                     assert got == _theorem_oracle(board, mutant), (a, b, kind, mutant)
                     assert got[0] == "invalid tiling", (a, b, kind, mutant)
     assert seen == {None, "no parity witness", "no green tile",
@@ -299,8 +299,9 @@ def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
 def test_raw_chain_rejects_a_repeated_tile():
     # A Tiling holds a frozenset, which would drop the repeat; the raw chain sees it.
     for a, b in [(1, 1), (2, 1), (3, 3), (1, 5)]:
-        table = tiling.board_table(a, b)
+        table, board = tiling.board_table(a, b), (0, a, 0, b)
         for tiles in backend.enum_tilings(a, b):
             for r in tiles:
-                assert suite.check_raw_tiling_theorem(table, tiles + (r,))[0] == "invalid tiling"
+                assert tiling.check_raw_tiling_theorem(table, board, tiles + (r,))[0] \
+                    == "invalid tiling"
 

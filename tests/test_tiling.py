@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imocheck import tiling
+from imocheck import backend, tiling
 from imocheck.errors import PreconditionFailedError, TilingParseError
 from imocheck.tiling import RectClass, Tiling, WitnessParity
 
@@ -245,14 +245,33 @@ def test_rects_inside_lists_every_rect_of_the_board_once_in_lex_order(a, b):
 
 def test_board_table_examples():
     table = tiling.board_table(3, 2)              # square (x, y) is bit 2x + y
-    assert table.full == 0b111111
-    assert len(table.facts) == 6 * 3              # x-intervals times y-intervals
-    assert table.facts[(1, 3, 0, 1)] == (0b010100, None, False, 1, 1)
-    assert table.facts[(0, 1, 0, 2)] == (0b000011, WitnessParity.ALL_EVEN, False, 1, 1)
-    assert table.facts[(0, 3, 0, 1)] == (0b010101, None, True, 2, 1)
-    assert (table.count_green, table.count_yellow) == (3, 3)
+    assert len(table) == 6 * 3                    # x-intervals times y-intervals
+    assert table[(1, 3, 0, 1)] == (0b010100, None, False, 1, 1)
+    assert table[(0, 1, 0, 2)] == (0b000011, WitnessParity.ALL_EVEN, False, 1, 1)
+    assert table[(0, 3, 0, 1)] == (0b010101, None, True, 2, 1)
+    assert table[(0, 3, 0, 2)] == (0b111111, WitnessParity.ALL_EVEN, False, 3, 3)
     with pytest.raises(PreconditionFailedError, match="17x1 exceeds the area cap 16"):
         tiling.board_table(17, 1)
+
+
+def test_board_table_entry_of_the_board_holds_its_mask_and_counts():
+    """Every board of area <= 16; the raw chain reads the board's counts from that entry."""
+    for a in range(1, tiling.ENUM_AREA_CAP + 1):
+        for b in range(1, tiling.ENUM_AREA_CAP // a + 1):
+            board = (0, a, 0, b)
+            table = tiling.board_table(a, b)
+            entry = table[board]
+            assert entry == ((1 << a * b) - 1, WitnessParity.ALL_EVEN,
+                             tiling.classify_rect(board) is RectClass.GREEN,
+                             tiling.count_green(board), tiling.count_yellow(board))
+            if a % 2 and b % 2 and a * b > 1:
+                tiles = backend.enum_tilings(a, b)[0]   # unit squares, so not the board
+                assert tiling.check_raw_tiling_theorem(table, board, tiles)[0] is None
+                for i, problem in ((3, "green square counts do not add up"),
+                                   (4, "yellow square counts do not add up")):
+                    bumped = dict(table)
+                    bumped[board] = entry[:i] + (entry[i] + 1,) + entry[i + 1:]
+                    assert tiling.check_raw_tiling_theorem(bumped, board, tiles)[0] == problem
 
 
 # -- text format -------------------------------------------------------------------------
@@ -319,7 +338,7 @@ def test_parse_stops_at_the_tile_past_the_cap():
     with pytest.raises(TilingParseError) as exc:
         tiling.parse_tiling("\n".join(lines))
     assert exc.value.line_no == tiling.MAX_TILES + 2
-    assert "more than" in exc.value.message
+    assert "more than" in str(exc.value)
 
 
 @given(st.integers(0, 2**32))
