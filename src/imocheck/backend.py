@@ -1,7 +1,9 @@
 """The hot kernels: orbit walking, +3-run confirmation and tiling enumeration.
 
 One pure-Python implementation of each.  walk is the only loop over the N1
-step rule; orbit_fill and n1's cycle and first-hit scans read it.  Orbit
+step rule; orbit_fill and n1's cycle and first-hit scans read it.
+fold_tilings is the only tiling search: enum_tilings lists its tilings, and
+C1's exhaustive theorem check runs inside it without listing them.  Orbit
 values are Python integers, exact at every size.  ``isqrt`` is the exact
 floor square root.  The kernels look it up through ``math`` rather than
 through this module's name, so wrapping ``backend.isqrt`` (for tracing, say)
@@ -12,9 +14,12 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 BACKEND_NAME = "pure"
+
+Tile = tuple[int, int, int, int]
+State = TypeVar("State")
 
 isqrt = math.isqrt
 
@@ -56,46 +61,47 @@ def confirm_plus3_run(start: int, nsteps: int) -> int:
     return -1
 
 
-def enum_tilings(a: int, b: int) -> list[tuple[tuple[int, int, int, int], ...]]:
-    """All tilings of the a x b board by valid integer rectangles.
+def fold_tilings(a: int, b: int, place: Callable[[State, Tile], State],
+                 leaf: Callable[[State], object], state: State) -> None:
+    """Fold over every tiling of the a x b board by valid integer rectangles.
 
     Canonical construction: repeatedly cover the lexicographically smallest
     uncovered square with every rectangle having that square as its
-    lower-left corner.  Each tiling is produced exactly once; tiles appear
-    in order of their lower-left corners.  Occupancy is a bitmask with bit
-    index x*b + y, so the lowest free bit is the lex-min uncovered square.
+    lower-left corner.  Each tiling is reached exactly once, and its tiles
+    are placed in order of their lower-left corners.  Along each path of the
+    search, ``place(state, tile)`` gives the state after a tile is placed;
+    ``leaf(state)`` sees the state of each complete tiling.  Occupancy is a
+    bitmask with bit index x*b + y, so the lowest free bit is the lex-min
+    uncovered square.
     """
-    total = a * b
-    full = (1 << total) - 1
-    results: list[tuple] = []
-    tiles: list[tuple[int, int, int, int]] = []
+    full = (1 << a * b) - 1
 
-    def colstrip(cx: int, ylo: int, yhi: int) -> int:
-        return ((1 << yhi) - (1 << ylo)) << (cx * b)
-
-    def rec(occ: int) -> None:
+    def rec(occ: int, state: State) -> None:
         if occ == full:
-            results.append(tuple(tiles))
+            leaf(state)
             return
-        free = full & ~occ
-        idx = (free & -free).bit_length() - 1
-        x, y = divmod(idx, b)
+        x, y = divmod((~occ & (occ + 1)).bit_length() - 1, b)
         for y2 in range(y + 1, b + 1):
-            if occ & (1 << (x * b + y2 - 1)):
+            if occ >> (x * b + y2 - 1) & 1:
                 break
-            mask = colstrip(x, y, y2)
+            strip = ((1 << y2) - (1 << y)) << (x * b)
+            mask = strip
             x2 = x + 1
             while True:
-                tiles.append((x, x2, y, y2))
-                rec(occ | mask)
-                tiles.pop()
+                rec(occ | mask, place(state, (x, x2, y, y2)))
                 if x2 == a:
                     break
-                strip = colstrip(x2, y, y2)
+                strip <<= b
                 if occ & strip:
                     break
                 mask |= strip
                 x2 += 1
 
-    rec(0)
+    rec(0, state)
+
+
+def enum_tilings(a: int, b: int) -> list[tuple[Tile, ...]]:
+    """All tilings of the a x b board, in fold_tilings' order; tiles by lower-left corner."""
+    results: list[tuple[Tile, ...]] = []
+    fold_tilings(a, b, lambda tiles, r: tiles + (r,), results.append, ())
     return results

@@ -21,10 +21,10 @@ not always the obvious one: the enumeration count counts tilings, the fixed
 orbits orbit steps and the cycle shape multiples of 3.  All checks are
 exact; there are no epsilons anywhere.
 
-The per-tiling theorem check lives in tiling.py beside its board table,
-in two routes: the random theorem sweep runs tiling.check_tiling_theorem on
-each Tiling, and the exhaustive sweep runs tiling.check_raw_tiling_theorem
-on the enumerator's raw tuples.
+The per-tiling theorem check lives in tiling.py beside its board table:
+the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
+and the exhaustive sweep runs tiling.fold_tiling_theorem inside the
+enumerator.  check_raw_tiling_theorem is the fold route's oracle in tests.
 """
 
 from __future__ import annotations
@@ -160,15 +160,30 @@ def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
 def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
     """Witness + green tile on every tiling of every odd-by-odd board under the cap.
 
-    Runs tiling.check_raw_tiling_theorem on the enumerator's tuples with one
-    board table per board, so no Tiling is built; the acceptance test checks
-    the same tilings through the Tiling route's own primitives.
+    Runs tiling.fold_tiling_theorem with one board table per board, so the
+    chain is checked as the enumerator places each tile and no tile list or
+    Tiling is built; a failure's tiles are unfolded from the chain.  Tests
+    check it against check_raw_tiling_theorem and the Tiling route on small
+    boards, and the acceptance test re-checks these tilings as Tilings.
     """
     for a, b in _odd_boards(area_cap):
-        table, board = tiling.board_table(a, b), (0, a, 0, b)
-        for tiles in backend.enum_tilings(a, b):
-            problem = tiling.check_raw_tiling_theorem(table, board, tiles)[0]
-            yield None if problem is None else (a, b, problem, sorted(tiles))
+        held = 0
+        failure = None
+
+        def verdict(problem: str | None, state: tiling.ChainState) -> None:
+            nonlocal held, failure
+            if failure is not None:
+                return
+            if problem is None:
+                held += 1
+            else:
+                failure = (a, b, problem, sorted(tiling.unfold(state[4])))
+
+        tiling.fold_tiling_theorem(tiling.board_table(a, b), a, b, verdict)
+        yield from repeat(None, held)
+        if failure is not None:
+            yield failure
+            return
 
 
 ENUMERATION_BOARDS = ((1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3))

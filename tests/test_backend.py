@@ -72,3 +72,13 @@ def test_walk_is_lazy_and_fixes_0():
     assert next(steps) == -1
     with pytest.raises(ValueError):
         next(steps)
+
+
+def test_enum_tilings_places_tiles_by_distinct_lower_left_corners_in_lex_key_order():
+    """Every board of area <= 12; the fold route's first witness and green tile rest on it."""
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            for tiles in backend.enum_tilings(a, b):
+                corners = [(r[0], r[2]) for r in tiles]
+                assert corners == sorted(set(corners)), (a, b, tiles)
+                assert list(tiles) == sorted(tiles, key=tiling.lex_key), (a, b, tiles)

@@ -277,16 +277,26 @@ def _mutants(a, b, tiles, n):
 
 
 def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
-    """Every tiling of every board of area <= 12, odd, even and mixed, and mutants of each."""
+    """Every tiling of every board of area <= 12, odd, even and mixed, and mutants of each.
+
+    The fold route's verdicts, in enumeration order, are checked against the
+    raw route and the Tiling route on the tilings of the same enumeration.
+    """
     seen = set()
     for a in range(1, 13):
         for b in range(1, 12 // a + 1):
             board = (0, a, 0, b)
             table = tiling.board_table(a, b)
-            for n, tiles in enumerate(backend.enum_tilings(a, b)):
+            folded = []
+            tiling.fold_tiling_theorem(table, a, b, lambda problem, state: folded.append(
+                (problem, state[0], state[1], tuple(tiling.unfold(state[4])))))
+            tilings = backend.enum_tilings(a, b)
+            assert len(folded) == len(tilings), (a, b)
+            for n, (tiles, (*fold_got, fold_tiles)) in enumerate(zip(tilings, folded)):
+                assert fold_tiles == tiles, (a, b, n)
                 tiles = tiles[::-1] if n % 2 else tiles   # the chain sorts its input
                 got = tiling.check_raw_tiling_theorem(table, board, tiles)
-                assert got == _theorem_oracle(board, tiles), (a, b, tiles)
+                assert got == _theorem_oracle(board, tiles) == tuple(fold_got), (a, b, tiles)
                 seen.add(got[0])
                 for kind, mutant in _mutants(a, b, tiles, n):
                     got = tiling.check_raw_tiling_theorem(table, board, mutant)
@@ -294,6 +304,36 @@ def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
                     assert got[0] == "invalid tiling", (a, b, kind, mutant)
     assert seen == {None, "no parity witness", "no green tile",
                     "green tile fails distance parity"}
+
+
+def _exhaustive_row(claims):
+    return next(c for c in claims if c.id == "c1.theorem_exhaustive")
+
+
+def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatch, small_claims):
+    fold = backend.fold_tilings
+
+    def dropping(a, b, place, leaf, state):
+        def place_dropping(s, r):
+            first_witness, first_green, _, yellows, chain = place(s, r)
+            return first_witness, first_green, 0, yellows, chain
+        fold(a, b, place_dropping, leaf, state)
+
+    monkeypatch.setattr(backend, "fold_tilings", dropping)
+    rep = _exhaustive_row(small_claims).run(None)
+    assert not rep.outcome and rep.steps == 0
+    assert rep.witness == (1, 1, "green square counts do not add up", [(0, 1, 0, 1)])
+    assert rep.record_line().endswith(" steps=0 witness=1;1;greensquarecountsdonotaddup;"
+                                      "[(0,1,0,1)] outcome=fail")
+
+
+def test_exhaustive_row_catches_a_board_table_without_parities(monkeypatch, small_claims):
+    board_table = tiling.board_table
+    monkeypatch.setattr(tiling, "board_table", lambda a, b: {
+        r: (f[0], None) + f[2:] for r, f in board_table(a, b).items()})
+    rep = _exhaustive_row(small_claims).run(None)
+    assert not rep.outcome and rep.steps == 0
+    assert rep.witness == (1, 1, "no parity witness", [(0, 1, 0, 1)])
 
 
 def test_raw_chain_rejects_a_repeated_tile():
