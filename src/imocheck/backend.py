@@ -2,8 +2,12 @@
 
 One pure-Python implementation of each.  walk is the only loop over the N1
 step rule; orbit_fill and n1's cycle and first-hit scans read it.
-fold_tilings is the only tiling search: enum_tilings lists its tilings, and
-C1's exhaustive theorem check runs inside it without listing them.  Orbit
+There is one tiling search, _placements' rule, run two ways: fold_tilings
+visits every tiling (enum_tilings lists them), and count_tilings counts
+the tilings that end in each verdict without visiting them one by one, by
+memoizing on the covered squares and a small state.  C1's exhaustive
+theorem check counts; the fold is its oracle and finds the first failing
+tiling when a count holds a failure.  Orbit
 values are Python integers, exact at every size.  ``isqrt`` is the exact
 floor square root.  The kernels look it up through ``math`` rather than
 through this module's name, so wrapping ``backend.isqrt`` (for tracing, say)
@@ -20,6 +24,7 @@ BACKEND_NAME = "pure"
 
 Tile = tuple[int, int, int, int]
 State = TypeVar("State")
+Verdict = TypeVar("Verdict")
 
 isqrt = math.isqrt
 
@@ -61,18 +66,41 @@ def confirm_plus3_run(start: int, nsteps: int) -> int:
     return -1
 
 
+def _placements(occ: int, a: int, b: int) -> Iterator[tuple[Tile, int]]:
+    """Each rectangle that can cover the lex-min uncovered square next, with its mask.
+
+    The rectangles have that square as their lower-left corner and cover no
+    square of ``occ``.  Occupancy is a bitmask with bit index x*b + y, so the
+    lowest free bit is the lex-min uncovered square.
+    """
+    x, y = divmod((~occ & (occ + 1)).bit_length() - 1, b)
+    for y2 in range(y + 1, b + 1):
+        if occ >> (x * b + y2 - 1) & 1:
+            break
+        strip = ((1 << y2) - (1 << y)) << (x * b)
+        mask = strip
+        x2 = x + 1
+        while True:
+            yield (x, x2, y, y2), mask
+            if x2 == a:
+                break
+            strip <<= b
+            if occ & strip:
+                break
+            mask |= strip
+            x2 += 1
+
+
 def fold_tilings(a: int, b: int, place: Callable[[State, Tile], State],
                  leaf: Callable[[State], object], state: State) -> None:
     """Fold over every tiling of the a x b board by valid integer rectangles.
 
     Canonical construction: repeatedly cover the lexicographically smallest
     uncovered square with every rectangle having that square as its
-    lower-left corner.  Each tiling is reached exactly once, and its tiles
-    are placed in order of their lower-left corners.  Along each path of the
-    search, ``place(state, tile)`` gives the state after a tile is placed;
-    ``leaf(state)`` sees the state of each complete tiling.  Occupancy is a
-    bitmask with bit index x*b + y, so the lowest free bit is the lex-min
-    uncovered square.
+    lower-left corner (_placements).  Each tiling is reached exactly once,
+    and its tiles are placed in order of their lower-left corners.  Along
+    each path of the search, ``place(state, tile)`` gives the state after a
+    tile is placed; ``leaf(state)`` sees the state of each complete tiling.
     """
     full = (1 << a * b) - 1
 
@@ -80,24 +108,41 @@ def fold_tilings(a: int, b: int, place: Callable[[State, Tile], State],
         if occ == full:
             leaf(state)
             return
-        x, y = divmod((~occ & (occ + 1)).bit_length() - 1, b)
-        for y2 in range(y + 1, b + 1):
-            if occ >> (x * b + y2 - 1) & 1:
-                break
-            strip = ((1 << y2) - (1 << y)) << (x * b)
-            mask = strip
-            x2 = x + 1
-            while True:
-                rec(occ | mask, place(state, (x, x2, y, y2)))
-                if x2 == a:
-                    break
-                strip <<= b
-                if occ & strip:
-                    break
-                mask |= strip
-                x2 += 1
+        for tile, mask in _placements(occ, a, b):
+            rec(occ | mask, place(state, tile))
 
     rec(0, state)
+
+
+def count_tilings(a: int, b: int, place: Callable[[State, Tile], State],
+                  leaf: Callable[[State], Verdict], state: State) -> dict[Verdict, int]:
+    """How many tilings of fold_tilings' search end in each ``leaf(state)`` value.
+
+    The same search as fold_tilings, memoized on (occupancy, state): the
+    tilings that complete a partial one depend only on the squares it
+    covers, so a sub-search reached again with an equal state is counted
+    once.  ``state`` must be hashable, and ``place`` and ``leaf`` pure.  It
+    pays when the state forgets which tiles were placed; a state that
+    remembers them makes every key distinct.  The memo lives for one call.
+    """
+    full = (1 << a * b) - 1
+    memo: dict[tuple[int, State], dict[Verdict, int]] = {}
+
+    def rec(occ: int, state: State) -> dict[Verdict, int]:
+        key = (occ, state)
+        counts = memo.get(key)
+        if counts is None:
+            if occ == full:
+                counts = {leaf(state): 1}
+            else:
+                counts = {}
+                for tile, mask in _placements(occ, a, b):
+                    for verdict, n in rec(occ | mask, place(state, tile)).items():
+                        counts[verdict] = counts.get(verdict, 0) + n
+            memo[key] = counts
+        return counts
+
+    return rec(0, state)
 
 
 def enum_tilings(a: int, b: int) -> list[tuple[Tile, ...]]:

@@ -23,8 +23,10 @@ exact; there are no epsilons anywhere.
 
 The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
-and the exhaustive sweep runs tiling.fold_tiling_theorem inside the
-enumerator.  check_raw_tiling_theorem is the fold route's oracle in tests.
+and the exhaustive sweep counts each board's verdicts with
+tiling.count_tiling_theorem, running tiling.fold_tiling_theorem inside the
+enumerator only to find a failing tiling.  check_raw_tiling_theorem is the
+fold route's oracle in tests, and the fold the count's.
 """
 
 from __future__ import annotations
@@ -160,13 +162,22 @@ def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
 def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
     """Witness + green tile on every tiling of every odd-by-odd board under the cap.
 
-    Runs tiling.fold_tiling_theorem with one board table per board, so the
-    chain is checked as the enumerator places each tile and no tile list or
-    Tiling is built; a failure's tiles are unfolded from the chain.  Tests
-    check it against check_raw_tiling_theorem and the Tiling route on small
-    boards, and the acceptance test re-checks these tilings as Tilings.
+    Counts each board's verdicts with tiling.count_tiling_theorem, which
+    checks the chain without visiting the tilings one by one.  A board
+    whose count holds a failure runs tiling.fold_tiling_theorem, the
+    count's oracle, to find its first failing tiling in enumeration order,
+    so steps and the witness name that tiling (its tiles unfolded from the
+    chain).  When the fold finds no failure there, the two routes disagree,
+    and the row fails with the count as witness.  Tests check both routes
+    against check_raw_tiling_theorem and the Tiling route on small boards,
+    and the acceptance test re-checks these tilings as Tilings.
     """
     for a, b in _odd_boards(area_cap):
+        table = tiling.board_table(a, b)
+        counts = tiling.count_tiling_theorem(table, a, b)
+        if list(counts) == [None]:
+            yield from repeat(None, counts[None])
+            continue
         held = 0
         failure = None
 
@@ -179,11 +190,11 @@ def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
             else:
                 failure = (a, b, problem, sorted(tiling.unfold(state[4])))
 
-        tiling.fold_tiling_theorem(tiling.board_table(a, b), a, b, verdict)
+        tiling.fold_tiling_theorem(table, a, b, verdict)
         yield from repeat(None, held)
-        if failure is not None:
-            yield failure
-            return
+        yield failure or (a, b, "the count and the fold disagree",
+                          sorted(counts.items(), key=str))
+        return
 
 
 ENUMERATION_BOARDS = ((1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3))

@@ -23,15 +23,19 @@ cost depends on the tile count and not on the board area.  The property
 tests assert its agreement with the literal cover and overlap_literal
 definitions, keeping the set definitions authoritative.
 
-Three routes of the per-tiling theorem chain live here and end in one
+Four routes of the per-tiling theorem chain live here and end in one
 verdict ladder.  check_tiling_theorem takes any Tiling and validates it
 with tiling_problems.  check_raw_tiling_theorem takes raw tile tuples and
 reads each tile's facts from the board's board_table, checking validity as
 a union of square masks without building a Tiling.  fold_tiling_theorem
 runs the chain inside the enumerator, on the same table, as each tile is
 placed, so no tile list is built; its tilings are valid by construction.
-The tests compare the three routes on every tiling of every board of area
-at most 12, and the first two on mutated tile lists.
+count_tiling_theorem counts the fold's verdicts without visiting each
+tiling: its state keeps only what the ladder reads (whether a witness was
+placed, the first green tile's parity and the two sums), so the search
+memoizes on it.  The tests compare the first three routes on every tiling
+of every board of area at most 12, and the first two on mutated tile
+lists; the fold is the count's oracle on the same boards.
 """
 
 from __future__ import annotations
@@ -414,16 +418,18 @@ def board_table(a: int, b: int) -> dict[Rect, TileFacts]:
     return table
 
 
-def _chain_problem(first_witness: Rect | None, first_green: Rect | None,
+def _chain_problem(has_witness: bool, has_green: bool,
                    green_parity: WitnessParity | None, green_gap: int, yellow_gap: int
                    ) -> str | None:
-    """The first link after validity that fails, or None: both routes' verdict.
+    """The first link after validity that fails, or None: every route's verdict.
 
-    A gap is the tiles' summed green (or yellow) square count minus the board's.
+    green_parity is the first green tile's distance parity, read only when
+    there is one.  A gap is the tiles' summed green (or yellow) square
+    count minus the board's.
     """
-    if first_witness is None:
+    if not has_witness:
         return "no parity witness"
-    if first_green is None:
+    if not has_green:
         return "no green tile"
     if green_parity is None:
         return "green tile fails distance parity"
@@ -452,7 +458,7 @@ def check_tiling_theorem(t: Tiling) -> str | None:
         first_green = None
     green_parity = (None if first_green is None
                     else distance_parity(side_distances(first_green, t.board)))
-    return _chain_problem(first_witness, first_green, green_parity,
+    return _chain_problem(first_witness is not None, first_green is not None, green_parity,
                           sum(count_green(r) for r in t.tiles) - count_green(t.board),
                           sum(count_yellow(r) for r in t.tiles) - count_yellow(t.board))
 
@@ -490,8 +496,8 @@ def check_raw_tiling_theorem(table: dict[Rect, TileFacts], board: Rect, tiles: I
     if occ != full:
         return "invalid tiling", None, None
     green_parity = None if first_green is None else table[first_green][1]
-    problem = _chain_problem(first_witness, first_green, green_parity, greens - board_green,
-                             yellows - board_yellow)
+    problem = _chain_problem(first_witness is not None, first_green is not None, green_parity,
+                             greens - board_green, yellows - board_yellow)
     return problem, first_witness, first_green
 
 
@@ -534,10 +540,44 @@ def fold_tiling_theorem(table: dict[Rect, TileFacts], a: int, b: int,
     def leaf(state: ChainState) -> None:
         first_witness, first_green, greens, yellows, _ = state
         green_parity = None if first_green is None else table[first_green][1]
-        verdict(_chain_problem(first_witness, first_green, green_parity,
-                               greens - board_green, yellows - board_yellow), state)
+        verdict(_chain_problem(first_witness is not None, first_green is not None,
+                               green_parity, greens - board_green, yellows - board_yellow),
+                state)
 
     backend.fold_tilings(a, b, place, leaf, (None, None, 0, 0, None))
+
+
+# The green parity of a CountState before any green tile is placed.
+_NO_GREEN_YET = "no green tile yet"
+# (a parity witness placed, the first green tile's parity or _NO_GREEN_YET,
+#  green sum, yellow sum): the sums sit where ChainState has them.
+CountState = tuple[bool, "WitnessParity | None | str", int, int]
+
+
+def count_tiling_theorem(table: dict[Rect, TileFacts], a: int, b: int) -> dict[str | None, int]:
+    """How many tilings of the board end in each of fold_tiling_theorem's verdicts.
+
+    The problem of a tiling (None when the chain holds) maps to its number
+    of tilings; a verdict no tiling gets is absent.  The ladder reads only
+    whether a witness was placed, the first green tile's parity and the
+    sums, and the sums are fixed by the squares covered, so
+    backend.count_tilings meets each covered set in a few states.
+    """
+    board_green, board_yellow = table[(0, a, 0, b)][3:]
+
+    def place(state: CountState, r: Rect) -> CountState:
+        has_witness, green_parity, greens, yellows = state
+        _, parity, is_green, cg, cy = table[r]
+        if green_parity is _NO_GREEN_YET and is_green:
+            green_parity = parity
+        return has_witness or parity is not None, green_parity, greens + cg, yellows + cy
+
+    def leaf(state: CountState) -> str | None:
+        has_witness, green_parity, greens, yellows = state
+        return _chain_problem(has_witness, green_parity is not _NO_GREEN_YET, green_parity,
+                              greens - board_green, yellows - board_yellow)
+
+    return backend.count_tilings(a, b, place, leaf, (False, _NO_GREEN_YET, 0, 0))
 
 
 # -- text format -----------------------------------------------------------------

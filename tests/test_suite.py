@@ -2,6 +2,8 @@ import dataclasses
 import io
 import random
 import re
+from collections import Counter
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -280,7 +282,8 @@ def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
     """Every tiling of every board of area <= 12, odd, even and mixed, and mutants of each.
 
     The fold route's verdicts, in enumeration order, are checked against the
-    raw route and the Tiling route on the tilings of the same enumeration.
+    raw route and the Tiling route on the tilings of the same enumeration,
+    and the count route's totals against the fold's.
     """
     seen = set()
     for a in range(1, 13):
@@ -290,6 +293,8 @@ def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
             folded = []
             tiling.fold_tiling_theorem(table, a, b, lambda problem, state: folded.append(
                 (problem, state[0], state[1], tuple(tiling.unfold(state[4])))))
+            assert tiling.count_tiling_theorem(table, a, b) == Counter(
+                problem for problem, *_ in folded), (a, b)
             tilings = backend.enum_tilings(a, b)
             assert len(folded) == len(tilings), (a, b)
             for n, (tiles, (*fold_got, fold_tiles)) in enumerate(zip(tilings, folded)):
@@ -306,25 +311,108 @@ def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
                     "green tile fails distance parity"}
 
 
+def test_count_route_pins_the_verdicts_of_the_4x4_board():
+    """No tiling of the even 4x4 board passes; 70,878 tilings and 60,576 without a witness."""
+    assert tiling.count_tiling_theorem(tiling.board_table(4, 4), 4, 4) == {
+        "no parity witness": 60576, "green tile fails distance parity": 9998,
+        "no green tile": 304}
+
+
+def test_count_route_places_at_most_a_twentieth_of_the_fold_routes_tiles_on_3x5(monkeypatch):
+    """The memo keeps the count from placing the tiles of 31,484 tilings one by one."""
+    placed = Counter()
+
+    def counting(name):
+        kernel = getattr(backend, name)
+
+        def run(a, b, place, leaf, state):
+            def counted(s, r):
+                placed[name] += 1
+                return place(s, r)
+            return kernel(a, b, counted, leaf, state)
+        monkeypatch.setattr(backend, name, run)
+
+    counting("count_tilings")
+    counting("fold_tilings")
+    table = tiling.board_table(3, 5)
+    tiling.count_tiling_theorem(table, 3, 5)
+    tiling.fold_tiling_theorem(table, 3, 5, lambda problem, state: None)
+    assert 20 * placed["count_tilings"] <= placed["fold_tilings"], placed
+
+
 def _exhaustive_row(claims):
     return next(c for c in claims if c.id == "c1.theorem_exhaustive")
 
 
-def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatch, small_claims):
-    fold = backend.fold_tilings
-
-    def dropping(a, b, place, leaf, state):
+def _dropping_green_sum(kernel):
+    """``kernel`` with a ``place`` that zeroes the green sum, index 2 of both route states."""
+    def run(a, b, place, leaf, state):
         def place_dropping(s, r):
-            first_witness, first_green, _, yellows, chain = place(s, r)
-            return first_witness, first_green, 0, yellows, chain
-        fold(a, b, place_dropping, leaf, state)
+            placed = place(s, r)
+            return placed[:2] + (0,) + placed[3:]
+        return kernel(a, b, place_dropping, leaf, state)
+    return run
 
-    monkeypatch.setattr(backend, "fold_tilings", dropping)
+
+def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatch, small_claims):
+    monkeypatch.setattr(backend, "fold_tilings", _dropping_green_sum(backend.fold_tilings))
+    monkeypatch.setattr(backend, "count_tilings", _dropping_green_sum(backend.count_tilings))
     rep = _exhaustive_row(small_claims).run(None)
     assert not rep.outcome and rep.steps == 0
     assert rep.witness == (1, 1, "green square counts do not add up", [(0, 1, 0, 1)])
     assert rep.record_line().endswith(" steps=0 witness=1;1;greensquarecountsdonotaddup;"
                                       "[(0,1,0,1)] outcome=fail")
+
+
+def test_exhaustive_row_fails_when_only_the_count_sees_a_failure(monkeypatch, small_claims):
+    monkeypatch.setattr(backend, "count_tilings", _dropping_green_sum(backend.count_tilings))
+    rep = _exhaustive_row(small_claims).run(None)
+    assert not rep.outcome and rep.steps == 1   # the fold held the one tiling of 1x1
+    assert rep.witness == (1, 1, "the count and the fold disagree",
+                           [("green square counts do not add up", 1)])
+
+
+def _fold_only_exhaustive_theorem(area_cap):
+    """The exhaustive sweep as it ran before the count: the fold on every board."""
+    for a, b in suite._odd_boards(area_cap):
+        held = 0
+        failure = None
+
+        def verdict(problem, state):
+            nonlocal held, failure
+            if failure is not None:
+                return
+            if problem is None:
+                held += 1
+            else:
+                failure = (a, b, problem, sorted(tiling.unfold(state[4])))
+
+        tiling.fold_tiling_theorem(tiling.board_table(a, b), a, b, verdict)
+        yield from repeat(None, held)
+        if failure is not None:
+            yield failure
+            return
+
+
+def test_exhaustive_row_names_a_later_failure_as_the_fold_only_sweep_did(
+        monkeypatch, small_claims):
+    board_table = tiling.board_table
+    centre = (1, 2, 1, 2)   # a green unit square; only 3x3 has it among the small boards
+
+    def without_centre_parity(a, b):
+        table = board_table(a, b)
+        if centre in table:
+            table[centre] = (table[centre][0], None) + table[centre][2:]
+        return table
+
+    monkeypatch.setattr(tiling, "board_table", without_centre_parity)
+    row = _exhaustive_row(small_claims)
+    rep = row.run(None)
+    assert not rep.outcome and rep.witness[:3] == (3, 3, "green tile fails distance parity")
+    before = sum(tiling.count_tilings_reference(a, b) for a, b in suite._odd_boards(9)
+                 if (a, b) < (3, 3))
+    assert rep.steps > before   # past the first board and the first tiling of its board
+    assert rep == dataclasses.replace(row, sweep=_fold_only_exhaustive_theorem).run(None)
 
 
 def test_exhaustive_row_catches_a_board_table_without_parities(monkeypatch, small_claims):

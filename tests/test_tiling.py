@@ -255,7 +255,7 @@ def test_board_table_examples():
 
 
 def test_board_table_entry_of_the_board_holds_its_mask_and_counts():
-    """Every board of area <= 16; the raw and fold chains read the board's counts from it."""
+    """Every board of area <= 16; the raw, fold and count chains read the board's counts."""
     for a in range(1, tiling.ENUM_AREA_CAP + 1):
         for b in range(1, tiling.ENUM_AREA_CAP // a + 1):
             board = (0, a, 0, b)
@@ -277,6 +277,9 @@ def test_board_table_entry_of_the_board_holds_its_mask_and_counts():
                         tiling.fold_tiling_theorem(bumped, a, b, lambda p, state: folded.add(
                             (p, state[4][1] is None)))
                         assert folded == {(problem, False), (None, True)}, (a, b)
+                        total = tiling.count_tilings_reference(a, b)
+                        assert tiling.count_tiling_theorem(bumped, a, b) == {
+                            problem: total - 1, None: 1}, (a, b)
 
 
 # -- text format -------------------------------------------------------------------------
