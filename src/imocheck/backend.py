@@ -2,13 +2,12 @@
 
 One pure-Python implementation of each.  walk is the only loop over the N1
 step rule; orbit_fill and n1's cycle and first-hit scans read it.
-There is one tiling search, _placements' rule, run two ways: fold_tilings
-visits every tiling (enum_tilings lists them), and count_tilings counts
-the tilings that end in each verdict without visiting them one by one, by
-memoizing on the covered squares and a small state.  C1's exhaustive
-theorem check counts; the fold is its oracle and finds the first failing
-tiling when a count holds a failure.  Orbit
-values are Python integers, exact at every size.  ``isqrt`` is the exact
+There is one tiling search, _placements' rule, run two ways: enum_tilings
+lists every tiling, and count_tilings counts the tilings that end in each
+verdict without visiting them one by one, by memoizing on the covered
+squares and a small state.  C1's exhaustive theorem check counts; it lists
+a board's tilings only when the count holds a failure, to name the first
+failing one.  Orbit values are Python integers, exact at every size.  ``isqrt`` is the exact
 floor square root.  The kernels look it up through ``math`` rather than
 through this module's name, so wrapping ``backend.isqrt`` (for tracing, say)
 sees only the callers outside the kernels.
@@ -91,34 +90,35 @@ def _placements(occ: int, a: int, b: int) -> Iterator[tuple[Tile, int]]:
             x2 += 1
 
 
-def fold_tilings(a: int, b: int, place: Callable[[State, Tile], State],
-                 leaf: Callable[[State], object], state: State) -> None:
-    """Fold over every tiling of the a x b board by valid integer rectangles.
+def enum_tilings(a: int, b: int) -> list[tuple[Tile, ...]]:
+    """Every tiling of the a x b board by valid integer rectangles, each exactly once.
 
     Canonical construction: repeatedly cover the lexicographically smallest
     uncovered square with every rectangle having that square as its
     lower-left corner (_placements).  Each tiling is reached exactly once,
-    and its tiles are placed in order of their lower-left corners.  Along
-    each path of the search, ``place(state, tile)`` gives the state after a
-    tile is placed; ``leaf(state)`` sees the state of each complete tiling.
+    and its tiles are listed in order of their lower-left corners.
     """
     full = (1 << a * b) - 1
+    results: list[tuple[Tile, ...]] = []
 
-    def rec(occ: int, state: State) -> None:
+    def rec(occ: int, tiles: tuple[Tile, ...]) -> None:
         if occ == full:
-            leaf(state)
+            results.append(tiles)
             return
         for tile, mask in _placements(occ, a, b):
-            rec(occ | mask, place(state, tile))
+            rec(occ | mask, tiles + (tile,))
 
-    rec(0, state)
+    rec(0, ())
+    return results
 
 
 def count_tilings(a: int, b: int, place: Callable[[State, Tile], State],
                   leaf: Callable[[State], Verdict], state: State) -> dict[Verdict, int]:
-    """How many tilings of fold_tilings' search end in each ``leaf(state)`` value.
+    """How many tilings of enum_tilings' search end in each ``leaf(state)`` value.
 
-    The same search as fold_tilings, memoized on (occupancy, state): the
+    Along each path of the search, ``place(state, tile)`` gives the state
+    after a tile is placed; ``leaf(state)`` is a complete tiling's verdict.
+    The search is enum_tilings', memoized on (occupancy, state): the
     tilings that complete a partial one depend only on the squares it
     covers, so a sub-search reached again with an equal state is counted
     once.  ``state`` must be hashable, and ``place`` and ``leaf`` pure.  It
@@ -143,10 +143,3 @@ def count_tilings(a: int, b: int, place: Callable[[State, Tile], State],
         return counts
 
     return rec(0, state)
-
-
-def enum_tilings(a: int, b: int) -> list[tuple[Tile, ...]]:
-    """All tilings of the a x b board, in fold_tilings' order; tiles by lower-left corner."""
-    results: list[tuple[Tile, ...]] = []
-    fold_tilings(a, b, lambda tiles, r: tiles + (r,), results.append, ())
-    return results

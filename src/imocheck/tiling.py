@@ -23,19 +23,18 @@ cost depends on the tile count and not on the board area.  The property
 tests assert its agreement with the literal cover and overlap_literal
 definitions, keeping the set definitions authoritative.
 
-Four routes of the per-tiling theorem chain live here and end in one
+Three routes of the per-tiling theorem chain live here and end in one
 verdict ladder.  check_tiling_theorem takes any Tiling and validates it
 with tiling_problems.  check_raw_tiling_theorem takes raw tile tuples and
 reads each tile's facts from the board's board_table, checking validity as
-a union of square masks without building a Tiling.  fold_tiling_theorem
-runs the chain inside the enumerator, on the same table, as each tile is
-placed, so no tile list is built; its tilings are valid by construction.
-count_tiling_theorem counts the fold's verdicts without visiting each
-tiling: its state keeps only what the ladder reads (whether a witness was
-placed, the first green tile's parity and the two sums), so the search
-memoizes on it.  The tests compare the first three routes on every tiling
-of every board of area at most 12, and the first two on mutated tile
-lists; the fold is the count's oracle on the same boards.
+a union of square masks without building a Tiling.  count_tiling_theorem
+counts the verdicts of every tiling of a board without visiting each
+tiling: it runs the chain inside backend.count_tilings on the same table,
+as each tile is placed, and its state keeps only what the ladder reads
+(whether a witness was placed, the first green tile's parity and the two
+sums), so the search memoizes on it.  The tests compare the raw and Tiling
+routes on every tiling of every board of area at most 12 and on mutated
+tile lists, and the count with the raw route's verdicts on the same boards.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError, TilingParseError
@@ -501,61 +500,15 @@ def check_raw_tiling_theorem(table: dict[Rect, TileFacts], board: Rect, tiles: I
     return problem, first_witness, first_green
 
 
-# The tiles placed so far, last first: None or (tile, rest).
-Chain = tuple[Rect, "Chain"] | None
-# (first parity witness, first green tile, green sum, yellow sum, tiles)
-ChainState = tuple[Rect | None, Rect | None, int, int, Chain]
-
-
-def unfold(chain: Chain) -> list[Rect]:
-    """The chain's tiles in the order they were placed."""
-    tiles = []
-    while chain is not None:
-        r, chain = chain
-        tiles.append(r)
-    return tiles[::-1]
-
-
-def fold_tiling_theorem(table: dict[Rect, TileFacts], a: int, b: int,
-                        verdict: Callable[[str | None, ChainState], object]) -> None:
-    """check_raw_tiling_theorem on every tiling of the board, inside the enumerator.
-
-    Calls ``verdict(problem, state)`` once per tiling, in enum_tilings'
-    order.  The enumerator places tiles by lower-left corner, which is
-    lex_key order, so the state's first witness and first green tile are
-    the ones witness and find_green_tile pick.  Every enumerated tiling is
-    valid, so no masks are kept; unfold(state[4]) lists the tiles.
-    """
-    board_green, board_yellow = table[(0, a, 0, b)][3:]
-
-    def place(state: ChainState, r: Rect) -> ChainState:
-        first_witness, first_green, greens, yellows, chain = state
-        _, parity, is_green, cg, cy = table[r]
-        if first_witness is None and parity is not None:
-            first_witness = r
-        if first_green is None and is_green:
-            first_green = r
-        return first_witness, first_green, greens + cg, yellows + cy, (r, chain)
-
-    def leaf(state: ChainState) -> None:
-        first_witness, first_green, greens, yellows, _ = state
-        green_parity = None if first_green is None else table[first_green][1]
-        verdict(_chain_problem(first_witness is not None, first_green is not None,
-                               green_parity, greens - board_green, yellows - board_yellow),
-                state)
-
-    backend.fold_tilings(a, b, place, leaf, (None, None, 0, 0, None))
-
-
 # The green parity of a CountState before any green tile is placed.
 _NO_GREEN_YET = "no green tile yet"
 # (a parity witness placed, the first green tile's parity or _NO_GREEN_YET,
-#  green sum, yellow sum): the sums sit where ChainState has them.
+#  green sum, yellow sum)
 CountState = tuple[bool, "WitnessParity | None | str", int, int]
 
 
 def count_tiling_theorem(table: dict[Rect, TileFacts], a: int, b: int) -> dict[str | None, int]:
-    """How many tilings of the board end in each of fold_tiling_theorem's verdicts.
+    """How many tilings of the board end in each of check_raw_tiling_theorem's verdicts.
 
     The problem of a tiling (None when the chain holds) maps to its number
     of tilings; a verdict no tiling gets is absent.  The ladder reads only

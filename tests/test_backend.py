@@ -75,10 +75,33 @@ def test_walk_is_lazy_and_fixes_0():
 
 
 def test_enum_tilings_places_tiles_by_distinct_lower_left_corners_in_lex_key_order():
-    """Every board of area <= 12; the fold route's first witness and green tile rest on it."""
+    """Every board of area <= 12; each tile covers the lex-min square left uncovered."""
     for a in range(1, 13):
         for b in range(1, 12 // a + 1):
             for tiles in backend.enum_tilings(a, b):
                 corners = [(r[0], r[2]) for r in tiles]
                 assert corners == sorted(set(corners)), (a, b, tiles)
                 assert list(tiles) == sorted(tiles, key=tiling.lex_key), (a, b, tiles)
+
+
+def _callback_enum_tilings(a, b):
+    """enum_tilings as a generic search with place and leaf callbacks, a tuple as state."""
+    full = (1 << a * b) - 1
+    results = []
+
+    def search(occ, state, place, leaf):
+        if occ == full:
+            leaf(state)
+            return
+        for tile, mask in backend._placements(occ, a, b):
+            search(occ | mask, place(state, tile), place, leaf)
+
+    search(0, (), lambda tiles, r: tiles + (r,), results.append)
+    return results
+
+
+def test_enum_tilings_lists_what_the_callback_search_lists_in_its_order():
+    """Every board of area <= 12: the same tilings, each the same tuple, in the same order."""
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            assert backend.enum_tilings(a, b) == _callback_enum_tilings(a, b), (a, b)

@@ -3,7 +3,6 @@ import io
 import random
 import re
 from collections import Counter
-from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -281,32 +280,26 @@ def _mutants(a, b, tiles, n):
 def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
     """Every tiling of every board of area <= 12, odd, even and mixed, and mutants of each.
 
-    The fold route's verdicts, in enumeration order, are checked against the
-    raw route and the Tiling route on the tilings of the same enumeration,
-    and the count route's totals against the fold's.
+    The raw route is checked against the Tiling route on each enumerated
+    tiling, and the count route's totals against the raw route's verdicts.
     """
     seen = set()
     for a in range(1, 13):
         for b in range(1, 12 // a + 1):
             board = (0, a, 0, b)
             table = tiling.board_table(a, b)
-            folded = []
-            tiling.fold_tiling_theorem(table, a, b, lambda problem, state: folded.append(
-                (problem, state[0], state[1], tuple(tiling.unfold(state[4])))))
-            assert tiling.count_tiling_theorem(table, a, b) == Counter(
-                problem for problem, *_ in folded), (a, b)
-            tilings = backend.enum_tilings(a, b)
-            assert len(folded) == len(tilings), (a, b)
-            for n, (tiles, (*fold_got, fold_tiles)) in enumerate(zip(tilings, folded)):
-                assert fold_tiles == tiles, (a, b, n)
+            problems = Counter()
+            for n, tiles in enumerate(backend.enum_tilings(a, b)):
                 tiles = tiles[::-1] if n % 2 else tiles   # the chain sorts its input
                 got = tiling.check_raw_tiling_theorem(table, board, tiles)
-                assert got == _theorem_oracle(board, tiles) == tuple(fold_got), (a, b, tiles)
+                assert got == _theorem_oracle(board, tiles), (a, b, tiles)
+                problems[got[0]] += 1
                 seen.add(got[0])
                 for kind, mutant in _mutants(a, b, tiles, n):
                     got = tiling.check_raw_tiling_theorem(table, board, mutant)
                     assert got == _theorem_oracle(board, mutant), (a, b, kind, mutant)
                     assert got[0] == "invalid tiling", (a, b, kind, mutant)
+            assert tiling.count_tiling_theorem(table, a, b) == problems, (a, b)
     assert seen == {None, "no parity witness", "no green tile",
                     "green tile fails distance parity"}
 
@@ -319,25 +312,24 @@ def test_count_route_pins_the_verdicts_of_the_4x4_board():
 
 
 def test_count_route_places_at_most_a_twentieth_of_the_fold_routes_tiles_on_3x5(monkeypatch):
-    """The memo keeps the count from placing the tiles of 31,484 tilings one by one."""
-    placed = Counter()
+    """The memo keeps the count from placing the tiles of 31,484 tilings one by one.
 
-    def counting(name):
-        kernel = getattr(backend, name)
+    Both searches draw every tile they place from backend._placements.
+    """
+    placements = backend._placements
+    drawn = 0
 
-        def run(a, b, place, leaf, state):
-            def counted(s, r):
-                placed[name] += 1
-                return place(s, r)
-            return kernel(a, b, counted, leaf, state)
-        monkeypatch.setattr(backend, name, run)
+    def counting(occ, a, b):
+        nonlocal drawn
+        for placement in placements(occ, a, b):
+            drawn += 1
+            yield placement
 
-    counting("count_tilings")
-    counting("fold_tilings")
-    table = tiling.board_table(3, 5)
-    tiling.count_tiling_theorem(table, 3, 5)
-    tiling.fold_tiling_theorem(table, 3, 5, lambda problem, state: None)
-    assert 20 * placed["count_tilings"] <= placed["fold_tilings"], placed
+    monkeypatch.setattr(backend, "_placements", counting)
+    tiling.count_tiling_theorem(tiling.board_table(3, 5), 3, 5)
+    counted, drawn = drawn, 0
+    backend.enum_tilings(3, 5)
+    assert 20 * counted <= drawn, (counted, drawn)
 
 
 def _exhaustive_row(claims):
@@ -345,7 +337,7 @@ def _exhaustive_row(claims):
 
 
 def _dropping_green_sum(kernel):
-    """``kernel`` with a ``place`` that zeroes the green sum, index 2 of both route states."""
+    """``kernel`` with a ``place`` that zeroes the green sum, index 2 of the count's state."""
     def run(a, b, place, leaf, state):
         def place_dropping(s, r):
             placed = place(s, r)
@@ -355,43 +347,43 @@ def _dropping_green_sum(kernel):
 
 
 def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatch, small_claims):
-    monkeypatch.setattr(backend, "fold_tilings", _dropping_green_sum(backend.fold_tilings))
-    monkeypatch.setattr(backend, "count_tilings", _dropping_green_sum(backend.count_tilings))
+    """Unit-square tiles count no green square: the count and the raw route both see it.
+
+    1x1 holds, since its one tile is the board, whose entry keeps its count.
+    """
+    board_table = tiling.board_table
+
+    def without_unit_greens(a, b):
+        table = board_table(a, b)
+        for r, f in table.items():
+            if tiling.area(r) == 1 and r != (0, a, 0, b):
+                table[r] = f[:3] + (0,) + f[4:]
+        return table
+
+    monkeypatch.setattr(tiling, "board_table", without_unit_greens)
     rep = _exhaustive_row(small_claims).run(None)
-    assert not rep.outcome and rep.steps == 0
-    assert rep.witness == (1, 1, "green square counts do not add up", [(0, 1, 0, 1)])
-    assert rep.record_line().endswith(" steps=0 witness=1;1;greensquarecountsdonotaddup;"
-                                      "[(0,1,0,1)] outcome=fail")
+    assert not rep.outcome and rep.steps == 1
+    assert rep.witness == (1, 3, "green square counts do not add up",
+                           [(0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3)])
+    assert rep.record_line().endswith(" steps=1 witness=1;3;greensquarecountsdonotaddup;"
+                                      "[(0,1,0,1),(0,1,1,2),(0,1,2,3)] outcome=fail")
 
 
 def test_exhaustive_row_fails_when_only_the_count_sees_a_failure(monkeypatch, small_claims):
     monkeypatch.setattr(backend, "count_tilings", _dropping_green_sum(backend.count_tilings))
     rep = _exhaustive_row(small_claims).run(None)
-    assert not rep.outcome and rep.steps == 1   # the fold held the one tiling of 1x1
-    assert rep.witness == (1, 1, "the count and the fold disagree",
+    assert not rep.outcome and rep.steps == 1   # the raw route held the one tiling of 1x1
+    assert rep.witness == (1, 1, "the count and the raw route disagree",
                            [("green square counts do not add up", 1)])
 
 
-def _fold_only_exhaustive_theorem(area_cap):
-    """The exhaustive sweep as it ran before the count: the fold on every board."""
+def _raw_only_exhaustive_theorem(area_cap):
+    """The exhaustive sweep without the count: the raw route on every tiling of every board."""
     for a, b in suite._odd_boards(area_cap):
-        held = 0
-        failure = None
-
-        def verdict(problem, state):
-            nonlocal held, failure
-            if failure is not None:
-                return
-            if problem is None:
-                held += 1
-            else:
-                failure = (a, b, problem, sorted(tiling.unfold(state[4])))
-
-        tiling.fold_tiling_theorem(tiling.board_table(a, b), a, b, verdict)
-        yield from repeat(None, held)
-        if failure is not None:
-            yield failure
-            return
+        board, table = (0, a, 0, b), tiling.board_table(a, b)
+        for tiles in backend.enum_tilings(a, b):
+            problem = tiling.check_raw_tiling_theorem(table, board, tiles)[0]
+            yield None if problem is None else (a, b, problem, sorted(tiles))
 
 
 def test_exhaustive_row_names_a_later_failure_as_the_fold_only_sweep_did(
@@ -412,7 +404,19 @@ def test_exhaustive_row_names_a_later_failure_as_the_fold_only_sweep_did(
     before = sum(tiling.count_tilings_reference(a, b) for a, b in suite._odd_boards(9)
                  if (a, b) < (3, 3))
     assert rep.steps > before   # past the first board and the first tiling of its board
-    assert rep == dataclasses.replace(row, sweep=_fold_only_exhaustive_theorem).run(None)
+    assert rep == dataclasses.replace(row, sweep=_raw_only_exhaustive_theorem).run(None)
+
+
+def test_exhaustive_row_lists_no_tiling_when_every_count_holds(monkeypatch, small_claims):
+    row = _exhaustive_row(small_claims)
+    steps = row.run(None).steps
+
+    def refuse(a, b):
+        raise AssertionError(f"listed the tilings of {a}x{b}")
+
+    monkeypatch.setattr(backend, "enum_tilings", refuse)
+    rep = row.run(None)
+    assert rep.outcome and rep.steps == steps
 
 
 def test_exhaustive_row_catches_a_board_table_without_parities(monkeypatch, small_claims):
