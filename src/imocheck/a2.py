@@ -27,7 +27,6 @@ the values right but make every later term longer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -35,16 +34,17 @@ from .errors import PreconditionFailedError
 from .rational import Rational, ZERO, finite_sum, render
 
 
-@dataclass(frozen=True)
 class A2Sequence:
-    """Immutable exact prefix a_0..a_n as numerators over one scale: a_j = A_j / S.
+    """Exact prefix a_0..a_n as numerators over one scale: a_j = A_j / S.
 
     Index 0 always holds -1.  ``extend`` keeps S the lcm of the prefix's
     denominators; a slice of a longer prefix keeps the longer one's S.
+    Nothing changes a prefix once built: ``extend`` returns a new one.
     """
 
-    scale: int
-    numerators: tuple[int, ...]
+    def __init__(self, scale: int, numerators: tuple[int, ...]) -> None:
+        self.scale = scale
+        self.numerators = numerators
 
     @classmethod
     def initial(cls) -> "A2Sequence":

@@ -13,12 +13,10 @@ Tokens are space-separated, so no key or value may contain whitespace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     """Outcome of one checked claim.
 
     On failure the witness carries a counterexample that can be re-checked

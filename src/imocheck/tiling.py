@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError, TilingParseError
@@ -157,8 +156,7 @@ def count_yellow(r: Rect) -> int:
 
 # -- tilings -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
     """A board rect (0, a, 0, b) plus the finite set of tiles claimed to tile it."""
 
     board: Rect
@@ -554,6 +552,7 @@ def serialize_tiling(t: Tiling) -> str:
 # validator's sweep costs O(k log k) in the tile count k.
 MAX_SIDE = 10 ** 6
 MAX_TILES = 10 ** 5
+_MAX_SIDE_DIGITS = len(str(MAX_SIDE))
 
 
 def parse_tiling(text: str) -> Tiling:
@@ -570,13 +569,13 @@ def parse_tiling(text: str) -> Tiling:
             continue
         tokens = line.split()
         keyword, args = tokens[0], tokens[1:]
-        if not all(tok.isascii() and tok.isdecimal() for tok in args):
+        digits = "".join(args)   # every token is decimal iff their concatenation is
+        if args and not (digits.isascii() and digits.isdecimal()):
             raise TilingParseError(line_no, f"expected decimal naturals, got {args}")
         # the length test comes first: int() refuses numbers of thousands of digits
-        if any(len(tok.lstrip("0")) > len(str(MAX_SIDE)) or int(tok) > MAX_SIDE
-               for tok in args):
+        values = [int(tok) for tok in args if len(tok.lstrip("0")) <= _MAX_SIDE_DIGITS]
+        if len(values) < len(args) or max(values, default=0) > MAX_SIDE:
             raise TilingParseError(line_no, f"a number above the cap {MAX_SIDE}")
-        values = [int(tok) for tok in args]
         if keyword == "board":
             if board is not None:
                 raise TilingParseError(line_no, "duplicate board line")

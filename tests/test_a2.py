@@ -19,6 +19,11 @@ def test_initial():
     assert seq.last_index == 0
 
 
+def test_values_are_built_once_per_prefix():
+    seq = a2.build(5)
+    assert seq.values is seq.values
+
+
 def test_extend_matches_hand_values():
     seq = a2.A2Sequence.initial()
     for n, expected in enumerate(EXPECTED[1:], start=1):

@@ -389,6 +389,8 @@ print(code, *sys.modules)
 
 NO_OTHER_BATTERY = {"imocheck.suite", "imocheck.tiling", "imocheck.a2", "imocheck.rational",
                     "imocheck.report", "dataclasses", "fractions"}
+NOT_C1 = {"imocheck.suite", "imocheck.a2", "imocheck.rational", "imocheck.report",
+          "imocheck.n1", "dataclasses"}
 
 
 def _modules_loaded(argv):
@@ -402,11 +404,12 @@ def _modules_loaded(argv):
 
 
 @pytest.mark.parametrize("argv,absent", [
-    ([], NO_OTHER_BATTERY),
+    ([], NO_OTHER_BATTERY | {"imocheck.n1"}),
     (["n1", "--a0", "7", "--classify"], NO_OTHER_BATTERY),
-    (["a2", "--n", "5", "--verify"], {"imocheck.suite", "imocheck.tiling"}),
-    (["c1-check", "{path}"], {"imocheck.suite", "imocheck.a2", "imocheck.rational"}),
-    (["c1-gen", "--a", "3", "--b", "3"], {"imocheck.suite", "imocheck.a2", "imocheck.rational"}),
+    (["a2", "--n", "5", "--verify"],
+     {"imocheck.suite", "imocheck.tiling", "imocheck.n1", "dataclasses"}),
+    (["c1-check", "{path}"], NOT_C1),
+    (["c1-gen", "--a", "3", "--b", "3"], NOT_C1),
 ], ids=["import-cli", "n1-classify", "a2-verify", "c1-check", "c1-gen"])
 def test_each_command_imports_only_its_own_modules(tmp_path, argv, absent):
     path = tmp_path / "unit.tiling"
@@ -415,6 +418,10 @@ def test_each_command_imports_only_its_own_modules(tmp_path, argv, absent):
     assert code == 0
     assert "imocheck.cli" in loaded
     assert loaded & absent == set()
+
+
+def test_the_budget_cap_is_the_default_budget_at_the_a0_cap():
+    assert cli.N1_CLASSIFY_MAX_BUDGET == n1.default_budget(cli.N1_CLASSIFY_MAX_A0)
 
 
 def test_the_benchmark_setup_probe_still_reads_the_backend():

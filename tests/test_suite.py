@@ -29,6 +29,14 @@ def test_record_line_grammar():
     assert line.endswith("outcome=pass")
 
 
+def test_claim_report_is_immutable_and_equal_by_its_fields():
+    rep = ClaimReport("x.y", {"n": 3}, False, (2, "positivity"), 1)
+    assert rep == ClaimReport("x.y", {"n": 3}, False, (2, "positivity"), 1)
+    assert rep != ClaimReport("x.y", {"n": 3}, False, (2, "positivity"), 2)
+    with pytest.raises(AttributeError):
+        rep.outcome = True
+
+
 def test_a2_reports_pass():
     rng = random.Random(0)
     assert _run("a2.base_case").outcome

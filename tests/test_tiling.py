@@ -295,6 +295,17 @@ def test_serialize_golden():
     assert tiling.serialize_tiling(THREE_COLUMNS) == GOLDEN
 
 
+def test_tiling_is_an_immutable_value():
+    t = Tiling((0, 2, 0, 1), frozenset([(0, 1, 0, 1), (1, 2, 0, 1)]))
+    same = Tiling(board=(0, 2, 0, 1), tiles=frozenset([(1, 2, 0, 1), (0, 1, 0, 1)]))
+    assert t == same and hash(t) == hash(same) and len({t, same}) == 1
+    assert t != Tiling((0, 2, 0, 1), frozenset([(0, 2, 0, 1)]))
+    assert repr(Tiling((0, 1, 0, 1), frozenset([(0, 1, 0, 1)]))) == (
+        "Tiling(board=(0, 1, 0, 1), tiles=frozenset({(0, 1, 0, 1)}))")
+    with pytest.raises(AttributeError):
+        t.board = (0, 3, 0, 1)
+
+
 def test_parse_round_trip():
     t = tiling.parse_tiling(GOLDEN)
     assert t == THREE_COLUMNS
@@ -325,6 +336,18 @@ def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(TilingParseError) as exc:
         tiling.parse_tiling(text)
     assert exc.value.line_no == line
+
+
+@pytest.mark.parametrize("token", ["9" * 5000, str(tiling.MAX_SIDE + 1), "0" * 7 + "9" * 7])
+def test_parse_refuses_a_number_above_the_cap_at_its_line(token):
+    with pytest.raises(TilingParseError, match="a number above the cap") as exc:
+        tiling.parse_tiling(f"board 3 3\n\ntile 0 3 0 {token}\n")
+    assert exc.value.line_no == 3
+
+
+def test_parse_reads_leading_zeros():
+    t = tiling.parse_tiling("board 3 3\ntile 0000000 0000003 0 3\n")
+    assert t == Tiling((0, 3, 0, 3), frozenset([(0, 3, 0, 3)]))
 
 
 def unit_row(tiles):
