@@ -55,13 +55,13 @@ def confirm_plus3_run(start: int, nsteps: int) -> int:
     if nsteps <= 0:
         return -1
     last = start + 3 * (nsteps - 1)
-    s = math.isqrt(start)
-    if s * s < start:
-        s += 1
-    while s * s <= last:
-        if (s * s - start) % 3 == 0:
+    s0 = math.isqrt(start)
+    if s0 * s0 < start:
+        s0 += 1
+    r = start % 3
+    for s in range(s0, math.isqrt(last) + 1):
+        if s * s % 3 == r:
             return (s * s - start) // 3
-        s += 1
     return -1
 
 

@@ -6,9 +6,11 @@ theorem anomaly.  Records go to stdout, diagnostics to stderr; the two
 never mix on one stream.
 
 Each request is a fresh process, so each command imports the modules it
-runs when it runs, and no command's module loads with the parser.  Commands
-call through the module (a2.build, n1.classify, suite.run_suite), so a
-wrapper or patch set on the module holds.
+runs when it runs, and no command's module loads with the parser.  c1-check
+loads only tilefile, the file layer, not tiling's enumeration and theorem
+routes.  Commands call through the module (a2.build, n1.classify,
+tilefile.witness, suite.run_suite), so a wrapper or patch set on the module
+holds.
 """
 
 from __future__ import annotations
@@ -43,15 +45,15 @@ A2_MAX_N = 1000
 N1_CLASSIFY_MAX_A0 = 10 ** 12
 # n1 --classify --budget: confirming the +3 run costs about sqrt(3 * budget)
 # square tests (n1 --a0 1000000000000 --classify, whose default budget is
-# this cap: 0.7-0.8 s and 14.5 MB); the cap is n1.default_budget at the a0
+# this cap: 0.36-0.47 s and 14.6 MB); the cap is n1.default_budget at the a0
 # cap, written out so that the parser does not load n1 (a test pins the two).
 N1_CLASSIFY_MAX_BUDGET = 4 * N1_CLASSIFY_MAX_A0 + 1000
 # n1 --steps: orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).
 N1_MAX_STEPS = 10 ** 6
-# c1-gen takes c1-check's caps, tiling.MAX_SIDE and MAX_TILES, so every file
-# it writes passes them: a guillotine tiling of an a x b board has at most
-# a*b tiles, a pinwheel always 5.
+# c1-gen takes c1-check's caps, tilefile.MAX_SIDE and MAX_TILES (tiling
+# binds the same names), so every file it writes passes them: a guillotine
+# tiling of an a x b board has at most a*b tiles, a pinwheel always 5.
 
 
 def _fail_usage(message: str) -> int:
@@ -80,7 +82,7 @@ def _format_rect(r: tuple[int, int, int, int]) -> str:
 
 
 def cmd_c1_check(args: argparse.Namespace) -> int:
-    from . import tiling
+    from . import tilefile
     try:
         with open(args.path, encoding="ascii") as fh:
             text = fh.read()
@@ -89,16 +91,16 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         return _fail_usage(f"{args.path}: not an ASCII file: {exc}")
     try:
-        t = tiling.parse_tiling(text)
+        t = tilefile.parse_tiling(text)
     except TilingParseError as exc:
         return _fail_usage(f"{args.path}: {exc}")
-    problems = tiling.tiling_problems(t)
+    problems = tilefile.tiling_problems(t)
     if problems:
         for p in problems:
             print(f"invalid tiling: {p}", file=sys.stderr)
         return EXIT_FAIL
     try:
-        rect, parity = tiling.witness(t)
+        rect, parity = tilefile.witness(t)
     except TheoremViolationError as exc:
         a, b = t.board[1], t.board[3]
         if a % 2 == 0 or b % 2 == 0:
@@ -107,7 +109,7 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
             return EXIT_FAIL
         print(f"theorem anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
-    ds = tiling.side_distances(rect, t.board)
+    ds = tilefile.side_distances(rect, t.board)
     print(f"witness {_format_rect(rect)} ds={_format_rect(ds)} {parity.value}")
     return EXIT_PASS
 

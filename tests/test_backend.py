@@ -32,6 +32,14 @@ def test_confirm_plus3_run_matches_scan_and_stepping(start, nsteps):
     assert found == first_non_plus3_step(start, nsteps)
 
 
+@given(st.one_of(
+    st.integers(2, 10**12),
+    st.builds(lambda s, d: max(2, s * s - d), st.integers(2, 10**6), st.integers(0, 3 * 10**4))),
+    st.integers(0, 10**4))
+def test_confirm_plus3_run_matches_scan_on_long_windows(start, nsteps):
+    assert backend.confirm_plus3_run(start, nsteps) == first_square_by_scan(start, nsteps)
+
+
 @pytest.mark.parametrize("start,nsteps,expected", [
     (13, 10, 1),        # 13, 16: a square one step in
     (16, 10, 0),        # the start itself is a square

@@ -102,12 +102,12 @@ def test_c1_check_overlap_exits_1(tmp_path, capsys):
 
 def test_c1_check_odd_board_without_witness_is_an_anomaly(tmp_path, capsys, monkeypatch):
     """On an odd-by-odd board a missing witness breaks the theorem: exit 3."""
-    from imocheck import tiling
+    from imocheck import tilefile
 
     def no_witness(t):
         raise TheoremViolationError(f"no parity witness in a tiling of {t.board}")
 
-    monkeypatch.setattr(tiling, "witness", no_witness)
+    monkeypatch.setattr(tilefile, "witness", no_witness)
     path = tmp_path / "nine.tiling"
     path.write_text(NINE_UNITS)
     code, out, err = run_cli(["c1-check", str(path)], capsys)
@@ -391,6 +391,8 @@ NO_OTHER_BATTERY = {"imocheck.suite", "imocheck.tiling", "imocheck.a2", "imochec
                     "imocheck.report", "dataclasses", "fractions"}
 NOT_C1 = {"imocheck.suite", "imocheck.a2", "imocheck.rational", "imocheck.report",
           "imocheck.n1", "dataclasses"}
+# c1-check runs only the file layer: no enumeration, theorem routes or kernels
+NOT_C1_CHECK = NOT_C1 | {"imocheck.tiling", "imocheck.backend"}
 
 
 def _modules_loaded(argv):
@@ -404,11 +406,11 @@ def _modules_loaded(argv):
 
 
 @pytest.mark.parametrize("argv,absent", [
-    ([], NO_OTHER_BATTERY | {"imocheck.n1"}),
+    ([], NO_OTHER_BATTERY | {"imocheck.n1", "imocheck.backend"}),
     (["n1", "--a0", "7", "--classify"], NO_OTHER_BATTERY),
     (["a2", "--n", "5", "--verify"],
-     {"imocheck.suite", "imocheck.tiling", "imocheck.n1", "dataclasses"}),
-    (["c1-check", "{path}"], NOT_C1),
+     {"imocheck.suite", "imocheck.tiling", "imocheck.n1", "imocheck.backend", "dataclasses"}),
+    (["c1-check", "{path}"], NOT_C1_CHECK),
     (["c1-gen", "--a", "3", "--b", "3"], NOT_C1),
 ], ids=["import-cli", "n1-classify", "a2-verify", "c1-check", "c1-gen"])
 def test_each_command_imports_only_its_own_modules(tmp_path, argv, absent):

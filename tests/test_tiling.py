@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imocheck import backend, tiling
+from imocheck import backend, tilefile, tiling
 from imocheck.errors import PreconditionFailedError, TilingParseError
 from imocheck.tiling import RectClass, Tiling, WitnessParity
 
@@ -282,6 +282,21 @@ def test_board_table_entry_of_the_board_holds_its_mask_and_counts():
 
 
 # -- text format -------------------------------------------------------------------------
+
+FILE_LAYER = ["Rect", "valid_rect", "area", "inside", "Tiling", "tiling_problems", "lex_key",
+              "_lex_tiles", "side_distances", "WitnessParity", "distance_parity", "witness",
+              "MAX_SIDE", "MAX_TILES", "parse_tiling", "serialize_tiling"]
+
+
+def test_tiling_binds_tilefiles_objects():
+    """One validator and one witness: tiling reads the file layer from tilefile.
+
+    So a wrapper set on tiling.witness by a tracer (which rebinds every
+    module's reference to the object) also reaches c1-check's tilefile.witness.
+    """
+    for name in FILE_LAYER:
+        assert getattr(tiling, name) is getattr(tilefile, name), name
+
 
 GOLDEN = """\
 board 3 3
