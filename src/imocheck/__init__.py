@@ -10,12 +10,7 @@ The full battery lives in imocheck.suite; the CLI front door in imocheck.cli.
 
 __version__ = "0.1.0"
 
+# the kernels' implementation, which the benchmark records; there is only one
+BACKEND_NAME = "pure"
+
 __all__ = ["BACKEND_NAME", "__version__"]
-
-
-def __getattr__(name: str) -> str:
-    """BACKEND_NAME, read from backend on first access: the package loads no kernel."""
-    if name == "BACKEND_NAME":
-        from .backend import BACKEND_NAME
-        return BACKEND_NAME
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -48,7 +48,7 @@ N1_CLASSIFY_MAX_A0 = 10 ** 12
 # this cap: 0.36-0.47 s and 14.6 MB); the cap is n1.default_budget at the a0
 # cap, written out so that the parser does not load n1 (a test pins the two).
 N1_CLASSIFY_MAX_BUDGET = 4 * N1_CLASSIFY_MAX_A0 + 1000
-# n1 --steps: orbit_fill keeps every value, so memory grows linearly
+# n1 --steps: n1.orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).
 N1_MAX_STEPS = 10 ** 6
 # c1-gen takes c1-check's caps, tilefile.MAX_SIDE and MAX_TILES (tiling

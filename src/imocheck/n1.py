@@ -10,9 +10,9 @@ certifies divergence within the examined window.
 
 classify jumps along the orbit's +3 runs from square to square, so its cost
 is a handful of runs even at a_0 = 10^12, while the budget still counts
-steps; detect_cycle and orbit read the stepped orbit from backend.walk, and
-the tests use them as its oracle.  n1_step is the one-step definition the
-walk is checked against.
+steps; detect_cycle and orbit read the stepped orbit from walk, the only
+loop over the step rule, and the tests use them as its oracle.  n1_step is
+the one-step definition the walk is checked against.
 
 The claims of the proof are checked one start at a time, from a_0: the
 orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
@@ -27,16 +27,17 @@ returns None when the instance holds and a witness tuple when it fails.
 The three mod-3 lemma scans return the stream of such results over their
 instances, and the suite builds each claim's record from it.
 
-Everything is integer arithmetic; square roots are exact integer floors.
+Everything is integer arithmetic, so orbit values are exact at every size.
+Square roots are exact integer floors, looked up as math.isqrt where used.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError
 
 
@@ -44,13 +45,13 @@ def isqrt(x: int) -> int:
     """Floor integer square root; bracketing isqrt(x)^2 <= x < (isqrt(x)+1)^2."""
     if x < 0:
         raise PreconditionFailedError("isqrt needs a natural number")
-    return backend.isqrt(x)
+    return math.isqrt(x)
 
 
 def is_perfect_square(x: int) -> bool:
     if x < 0:
         return False
-    s = backend.isqrt(x)
+    s = math.isqrt(x)
     return s * s == x
 
 
@@ -66,8 +67,45 @@ def n1_step(x: int) -> int:
     """One step: isqrt(x) if x is a perfect square, else x + 3 (no orbit loop calls it)."""
     if x < 1:
         raise PreconditionFailedError("step needs x >= 1")
-    s = backend.isqrt(x)
+    s = math.isqrt(x)
     return s if s * s == x else x + 3
+
+
+def walk(a0: int) -> Iterator[int]:
+    """a_0, a_1, ... of x -> isqrt(x) if square else x + 3, without end; 0 is fixed."""
+    sqrt = math.isqrt
+    v = a0
+    while True:
+        yield v
+        s = sqrt(v)
+        v = s if s * s == v else v + 3
+
+
+def orbit_fill(a0: int, k: int) -> list[int]:
+    """Values a_0..a_k of the walk from a0."""
+    return list(itertools.islice(walk(a0), k + 1))
+
+
+def confirm_plus3_run(start: int, nsteps: int) -> int:
+    """Confirm that nsteps orbit steps from ``start`` are all +3 steps.
+
+    Equivalent to checking that none of start, start+3, ..., start+3*(nsteps-1)
+    is a perfect square.  Returns -1 when confirmed, else the offset of the
+    first perfect square in the run.  Instead of stepping, this scans the
+    perfect squares falling inside the window, which is exact and costs
+    about sqrt(3 * nsteps) square tests rather than nsteps.
+    """
+    if nsteps <= 0:
+        return -1
+    last = start + 3 * (nsteps - 1)
+    s0 = math.isqrt(start)
+    if s0 * s0 < start:
+        s0 += 1
+    r = start % 3
+    for s in range(s0, math.isqrt(last) + 1):
+        if s * s % 3 == r:
+            return (s * s - start) // 3
+    return -1
 
 
 def orbit(a0: int, k: int) -> list[int]:
@@ -76,7 +114,7 @@ def orbit(a0: int, k: int) -> list[int]:
         raise PreconditionFailedError("orbit needs a0 > 1")
     if k < 0:
         raise PreconditionFailedError("orbit needs k >= 0")
-    return backend.orbit_fill(a0, k)
+    return orbit_fill(a0, k)
 
 
 def detect_cycle(a0: int, budget: int) -> tuple[int, int] | None:
@@ -91,7 +129,7 @@ def detect_cycle(a0: int, budget: int) -> tuple[int, int] | None:
     if budget < 1:
         raise PreconditionFailedError("detect_cycle needs budget >= 1")
     seen: dict[int, int] = {}
-    for j, v in enumerate(itertools.islice(backend.walk(a0), budget + 1)):
+    for j, v in enumerate(itertools.islice(walk(a0), budget + 1)):
         if v in seen:
             return seen[v], j - seen[v]
         seen[v] = j
@@ -171,7 +209,7 @@ def classify(a0: int, budget: int) -> OrbitTrace:
     runs: list[tuple[int, int, int]] = []       # (start value, start index, last value)
     v, i = a0, 0
     while i <= budget and v % 3 != 2:
-        s = backend.isqrt(v - 1) + 1            # the least s with s * s >= v
+        s = math.isqrt(v - 1) + 1            # the least s with s * s >= v
         while (s * s - v) % 3:
             s += 1
         last = s * s
@@ -187,7 +225,7 @@ def classify(a0: int, budget: int) -> OrbitTrace:
         v, i = s, i + (last - v) // 3 + 1
     if i > budget or v % 3 != 2:
         return OrbitTrace(OrbitClass.BUDGET_EXCEEDED)
-    square_at = backend.confirm_plus3_run(v, budget - i)
+    square_at = confirm_plus3_run(v, budget - i)
     if square_at >= 0:
         raise TheoremViolationError(
             f"square {v + 3 * square_at} found in a residue-2 run from {v}")
@@ -228,7 +266,7 @@ def check_claim2(x: int) -> tuple | None:
     bound = 2 * isqrt(x) + 6
     if t < 3:
         return "t<3", t
-    steps = backend.confirm_plus3_run(x, bound + 1)
+    steps = confirm_plus3_run(x, bound + 1)
     if steps < 0:
         return "no square within bound", x + 3 * (bound + 1)
     v = x + 3 * steps
@@ -250,7 +288,7 @@ def _first_hit(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple[int, i
     """
     if a0 < 1:
         raise PreconditionFailedError("the orbit needs a0 >= 1")
-    later = itertools.islice(backend.walk(a0), 1, budget + 1)
+    later = itertools.islice(walk(a0), 1, budget + 1)
     return next(((m, v) for m, v in enumerate(later, 1) if hit(v)), None)
 
 

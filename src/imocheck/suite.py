@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
-from . import a2, backend, n1, tiling
+from . import a2, n1, tiling
 from .rational import Rational, ZERO, finite_sum, render
 from .report import ClaimReport, first_failure
 
@@ -180,7 +180,7 @@ def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
         if list(counts) == [None]:
             yield from repeat(None, counts[None])
             continue
-        for tiles in backend.enum_tilings(a, b):
+        for tiles in tiling.enum_tilings(a, b):
             problem = tiling.check_raw_tiling_theorem(table, board, tiles)[0]
             yield None if problem is None else (a, b, problem, sorted(tiles))
         yield a, b, "the count and the raw route disagree", sorted(counts.items(), key=str)
@@ -337,7 +337,7 @@ def n1_divergence(max_a0: int, window: int) -> Witnesses:
     are double-checked by claim 1's direct orbit scan over the same window.
     """
     def witness(a0: int) -> tuple | None:
-        if backend.confirm_plus3_run(a0, window) != -1:
+        if n1.confirm_plus3_run(a0, window) != -1:
             return (a0,)
         if a0 <= 500 and n1.check_claim1(a0, window - 1) is not None:
             return (a0, "direct scan")

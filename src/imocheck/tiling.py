@@ -28,12 +28,18 @@ with tiling_problems.  check_raw_tiling_theorem takes raw tile tuples and
 reads each tile's facts from the board's board_table, checking validity as
 a union of square masks without building a Tiling.  count_tiling_theorem
 counts the verdicts of every tiling of a board without visiting each
-tiling: it runs the chain inside backend.count_tilings on the same table,
+tiling: it runs the chain inside count_tilings on the same table,
 as each tile is placed, and its state keeps only what the ladder reads
 (whether a witness was placed, the first green tile's parity and the two
 sums), so the search memoizes on it.  The tests compare the raw and Tiling
 routes on every tiling of every board of area at most 12 and on mutated
 tile lists, and the count with the raw route's verdicts on the same boards.
+
+There is one tiling search, _placements' rule, run two ways: enum_tilings
+lists every tiling, and count_tilings counts the tilings that end in each
+verdict, memoized on the covered squares and a small state.  C1's
+exhaustive theorem check counts; it lists a board's tilings only when the
+count holds a failure, to name the first failing one.
 """
 
 from __future__ import annotations
@@ -42,9 +48,8 @@ import random
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from . import backend
 from .errors import PreconditionFailedError, TheoremViolationError
 # c1-gen, the suite and the tests read the file layer through this module too
 from .tilefile import (MAX_SIDE, MAX_TILES, Rect, Tiling, WitnessParity, _lex_tiles, area,
@@ -52,6 +57,8 @@ from .tilefile import (MAX_SIDE, MAX_TILES, Rect, Tiling, WitnessParity, _lex_ti
                        side_distances, tiling_problems, valid_rect, witness)
 
 Square = tuple[int, int]
+State = TypeVar("State")
+Verdict = TypeVar("Verdict")
 
 
 def _require_valid(r: Rect) -> None:
@@ -235,11 +242,91 @@ def _require_enumerable(a: int, b: int) -> None:
         raise PreconditionFailedError(f"{a}x{b} exceeds the area cap {ENUM_AREA_CAP}")
 
 
+def _placements(occ: int, a: int, b: int) -> Iterator[tuple[Rect, int]]:
+    """Each rectangle that can cover the lex-min uncovered square next, with its mask.
+
+    The rectangles have that square as their lower-left corner and cover no
+    square of ``occ``.  Occupancy is a bitmask with bit index x*b + y, so the
+    lowest free bit is the lex-min uncovered square.
+    """
+    x, y = divmod((~occ & (occ + 1)).bit_length() - 1, b)
+    for y2 in range(y + 1, b + 1):
+        if occ >> (x * b + y2 - 1) & 1:
+            break
+        strip = ((1 << y2) - (1 << y)) << (x * b)
+        mask = strip
+        x2 = x + 1
+        while True:
+            yield (x, x2, y, y2), mask
+            if x2 == a:
+                break
+            strip <<= b
+            if occ & strip:
+                break
+            mask |= strip
+            x2 += 1
+
+
+def enum_tilings(a: int, b: int) -> list[tuple[Rect, ...]]:
+    """Every tiling of the a x b board by valid integer rectangles, each exactly once.
+
+    Canonical construction: repeatedly cover the lexicographically smallest
+    uncovered square with every rectangle having that square as its
+    lower-left corner (_placements).  Each tiling is reached exactly once,
+    and its tiles are listed in order of their lower-left corners.
+    """
+    full = (1 << a * b) - 1
+    results: list[tuple[Rect, ...]] = []
+
+    def rec(occ: int, tiles: tuple[Rect, ...]) -> None:
+        if occ == full:
+            results.append(tiles)
+            return
+        for tile, mask in _placements(occ, a, b):
+            rec(occ | mask, tiles + (tile,))
+
+    rec(0, ())
+    return results
+
+
+def count_tilings(a: int, b: int, place: Callable[[State, Rect], State],
+                  leaf: Callable[[State], Verdict], state: State) -> dict[Verdict, int]:
+    """How many tilings of enum_tilings' search end in each ``leaf(state)`` value.
+
+    Along each path of the search, ``place(state, tile)`` gives the state
+    after a tile is placed; ``leaf(state)`` is a complete tiling's verdict.
+    The search is enum_tilings', memoized on (occupancy, state): the
+    tilings that complete a partial one depend only on the squares it
+    covers, so a sub-search reached again with an equal state is counted
+    once.  ``state`` must be hashable, and ``place`` and ``leaf`` pure.  It
+    pays when the state forgets which tiles were placed; a state that
+    remembers them makes every key distinct.  The memo lives for one call.
+    """
+    full = (1 << a * b) - 1
+    memo: dict[tuple[int, State], dict[Verdict, int]] = {}
+
+    def rec(occ: int, state: State) -> dict[Verdict, int]:
+        key = (occ, state)
+        counts = memo.get(key)
+        if counts is None:
+            if occ == full:
+                counts = {leaf(state): 1}
+            else:
+                counts = {}
+                for tile, mask in _placements(occ, a, b):
+                    for verdict, n in rec(occ | mask, place(state, tile)).items():
+                        counts[verdict] = counts.get(verdict, 0) + n
+            memo[key] = counts
+        return counts
+
+    return rec(0, state)
+
+
 def enumerate_tilings(a: int, b: int) -> Iterator[Tiling]:
     """Every tiling of the a x b board, each exactly once (canonical order)."""
     _require_enumerable(a, b)
     board = (0, a, 0, b)
-    for tile_list in backend.enum_tilings(a, b):
+    for tile_list in enum_tilings(a, b):
         yield Tiling(board, frozenset(tile_list))
 
 
@@ -388,7 +475,7 @@ def count_tiling_theorem(table: dict[Rect, TileFacts], a: int, b: int) -> dict[s
     of tilings; a verdict no tiling gets is absent.  The ladder reads only
     whether a witness was placed, the first green tile's parity and the
     sums, and the sums are fixed by the squares covered, so
-    backend.count_tilings meets each covered set in a few states.
+    count_tilings meets each covered set in a few states.
     """
     board_green, board_yellow = table[(0, a, 0, b)][3:]
 
@@ -404,4 +491,4 @@ def count_tiling_theorem(table: dict[Rect, TileFacts], a: int, b: int) -> dict[s
         return _chain_problem(has_witness, green_parity is not _NO_GREEN_YET, green_parity,
                               greens - board_green, yellows - board_yellow)
 
-    return backend.count_tilings(a, b, place, leaf, (False, _NO_GREEN_YET, 0, 0))
+    return count_tilings(a, b, place, leaf, (False, _NO_GREEN_YET, 0, 0))

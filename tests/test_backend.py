@@ -1,11 +1,18 @@
-"""The kernels against naive oracles that share no code with them."""
+"""The kernels of n1 and tiling against naive oracles that share no code with them.
 
+The last test pins imocheck.backend, the module that names the kernels for
+the benchmark's tracer.
+"""
+
+import importlib.util
+import math
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from imocheck import backend, n1, tiling
+from imocheck import n1, tiling
 
 
 def first_square_by_scan(start, nsteps):
@@ -15,7 +22,7 @@ def first_square_by_scan(start, nsteps):
 
 def first_non_plus3_step(start, nsteps):
     """Index of the first of nsteps orbit steps that is not a +3 step, or -1."""
-    vals = backend.orbit_fill(start, nsteps)
+    vals = n1.orbit_fill(start, nsteps)
     return next((i for i in range(nsteps) if vals[i + 1] != vals[i] + 3), -1)
 
 
@@ -27,7 +34,7 @@ run_starts = st.one_of(
 
 @given(run_starts, st.integers(0, 300))
 def test_confirm_plus3_run_matches_scan_and_stepping(start, nsteps):
-    found = backend.confirm_plus3_run(start, nsteps)
+    found = n1.confirm_plus3_run(start, nsteps)
     assert found == first_square_by_scan(start, nsteps)
     assert found == first_non_plus3_step(start, nsteps)
 
@@ -37,7 +44,7 @@ def test_confirm_plus3_run_matches_scan_and_stepping(start, nsteps):
     st.builds(lambda s, d: max(2, s * s - d), st.integers(2, 10**6), st.integers(0, 3 * 10**4))),
     st.integers(0, 10**4))
 def test_confirm_plus3_run_matches_scan_on_long_windows(start, nsteps):
-    assert backend.confirm_plus3_run(start, nsteps) == first_square_by_scan(start, nsteps)
+    assert n1.confirm_plus3_run(start, nsteps) == first_square_by_scan(start, nsteps)
 
 
 @pytest.mark.parametrize("start,nsteps,expected", [
@@ -49,7 +56,7 @@ def test_confirm_plus3_run_matches_scan_on_long_windows(start, nsteps):
     (5, 0, -1),         # an empty run is confirmed
 ])
 def test_confirm_plus3_run_boundaries(start, nsteps, expected):
-    assert backend.confirm_plus3_run(start, nsteps) == expected
+    assert n1.confirm_plus3_run(start, nsteps) == expected
     assert first_square_by_scan(start, nsteps) == expected
     assert first_non_plus3_step(start, nsteps) == expected
 
@@ -60,12 +67,12 @@ def test_orbit_fill_matches_single_steps(a0, k):
     vals = [a0]
     for _ in range(k):
         vals.append(n1.n1_step(vals[-1]))
-    assert backend.orbit_fill(a0, k) == vals
+    assert n1.orbit_fill(a0, k) == vals
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 5), (2, 2), (2, 3), (3, 3), (4, 2)])
 def test_enum_tilings_matches_reference_count(a, b):
-    found = backend.enum_tilings(a, b)
+    found = tiling.enum_tilings(a, b)
     assert len(set(found)) == len(found) == tiling.count_tilings_reference(a, b)
     # the squares cover the board and add up to its area, so no square is covered twice
     board = (0, a, 0, b)
@@ -74,9 +81,9 @@ def test_enum_tilings_matches_reference_count(a, b):
 
 
 def test_walk_is_lazy_and_fixes_0():
-    assert list(islice(backend.walk(7), 6)) == [7, 10, 13, 16, 4, 2]
-    assert list(islice(backend.walk(0), 3)) == [0, 0, 0]
-    steps = backend.walk(-1)
+    assert list(islice(n1.walk(7), 6)) == [7, 10, 13, 16, 4, 2]
+    assert list(islice(n1.walk(0), 3)) == [0, 0, 0]
+    steps = n1.walk(-1)
     assert next(steps) == -1
     with pytest.raises(ValueError):
         next(steps)
@@ -86,7 +93,7 @@ def test_enum_tilings_places_tiles_by_distinct_lower_left_corners_in_lex_key_ord
     """Every board of area <= 12; each tile covers the lex-min square left uncovered."""
     for a in range(1, 13):
         for b in range(1, 12 // a + 1):
-            for tiles in backend.enum_tilings(a, b):
+            for tiles in tiling.enum_tilings(a, b):
                 corners = [(r[0], r[2]) for r in tiles]
                 assert corners == sorted(set(corners)), (a, b, tiles)
                 assert list(tiles) == sorted(tiles, key=tiling.lex_key), (a, b, tiles)
@@ -101,7 +108,7 @@ def _callback_enum_tilings(a, b):
         if occ == full:
             leaf(state)
             return
-        for tile, mask in backend._placements(occ, a, b):
+        for tile, mask in tiling._placements(occ, a, b):
             search(occ | mask, place(state, tile), place, leaf)
 
     search(0, (), lambda tiles, r: tiles + (r,), results.append)
@@ -112,4 +119,19 @@ def test_enum_tilings_lists_what_the_callback_search_lists_in_its_order():
     """Every board of area <= 12: the same tilings, each the same tuple, in the same order."""
     for a in range(1, 13):
         for b in range(1, 12 // a + 1):
-            assert backend.enum_tilings(a, b) == _callback_enum_tilings(a, b), (a, b)
+            assert tiling.enum_tilings(a, b) == _callback_enum_tilings(a, b), (a, b)
+
+
+def test_backend_names_exactly_the_tracer_targets_and_each_is_the_library_object():
+    """perfbench/tracer.py wraps backend.<name> and rebinds each module global that is it."""
+    from imocheck import backend
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = {attr for module, attr, _ in tracer.TARGETS.values() if module == "backend"}
+    assert {name for name in vars(backend) if not name.startswith("_")} == wanted
+    assert backend.isqrt is math.isqrt
+    assert backend.confirm_plus3_run is n1.confirm_plus3_run
+    assert backend.orbit_fill is n1.orbit_fill
+    assert backend.enum_tilings is tiling.enum_tilings

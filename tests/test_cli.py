@@ -231,8 +231,7 @@ def test_n1_budget_exceeded_exits_3(capsys):
 
 def test_n1_classify_theorem_anomaly_exits_3(capsys, monkeypatch):
     """A square inside a residue-2 run is a theorem anomaly, not a traceback."""
-    from imocheck import backend
-    monkeypatch.setattr(backend, "confirm_plus3_run", lambda start, nsteps: 2)
+    monkeypatch.setattr(n1, "confirm_plus3_run", lambda start, nsteps: 2)
     code, out, err = run_cli(["n1", "--a0", "5", "--classify"], capsys)
     assert code == 3
     assert out == ""
@@ -407,11 +406,11 @@ def _modules_loaded(argv):
 
 @pytest.mark.parametrize("argv,absent", [
     ([], NO_OTHER_BATTERY | {"imocheck.n1", "imocheck.backend"}),
-    (["n1", "--a0", "7", "--classify"], NO_OTHER_BATTERY),
+    (["n1", "--a0", "7", "--classify"], NO_OTHER_BATTERY | {"imocheck.backend"}),
     (["a2", "--n", "5", "--verify"],
      {"imocheck.suite", "imocheck.tiling", "imocheck.n1", "imocheck.backend", "dataclasses"}),
     (["c1-check", "{path}"], NOT_C1_CHECK),
-    (["c1-gen", "--a", "3", "--b", "3"], NOT_C1),
+    (["c1-gen", "--a", "3", "--b", "3"], NOT_C1 | {"imocheck.backend"}),
 ], ids=["import-cli", "n1-classify", "a2-verify", "c1-check", "c1-gen"])
 def test_each_command_imports_only_its_own_modules(tmp_path, argv, absent):
     path = tmp_path / "unit.tiling"

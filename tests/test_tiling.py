@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imocheck import backend, tilefile, tiling
+from imocheck import tilefile, tiling
 from imocheck.errors import PreconditionFailedError, TilingParseError
 from imocheck.tiling import RectClass, Tiling, WitnessParity
 
@@ -265,7 +265,7 @@ def test_board_table_entry_of_the_board_holds_its_mask_and_counts():
                              tiling.classify_rect(board) is RectClass.GREEN,
                              tiling.count_green(board), tiling.count_yellow(board))
             if a % 2 and b % 2 and a * b > 1:
-                tiles = backend.enum_tilings(a, b)[0]   # unit squares, so not the board
+                tiles = tiling.enum_tilings(a, b)[0]   # unit squares, so not the board
                 assert tiling.check_raw_tiling_theorem(table, board, tiles)[0] is None
                 for i, problem in ((3, "green square counts do not add up"),
                                    (4, "yellow square counts do not add up")):
@@ -274,7 +274,7 @@ def test_board_table_entry_of_the_board_holds_its_mask_and_counts():
                     assert tiling.check_raw_tiling_theorem(bumped, board, tiles)[0] == problem
                     if a * b <= 9:   # (problem, one tile): the board's own bump cancels
                         raw = {(tiling.check_raw_tiling_theorem(bumped, board, ts)[0],
-                                len(ts) == 1) for ts in backend.enum_tilings(a, b)}
+                                len(ts) == 1) for ts in tiling.enum_tilings(a, b)}
                         assert raw == {(problem, False), (None, True)}, (a, b)
                         total = tiling.count_tilings_reference(a, b)
                         assert tiling.count_tiling_theorem(bumped, a, b) == {
