@@ -20,7 +20,10 @@ and the three orbit lemmas are "first m where the orbit does X" statements
 and share one scan, _first_hit, which reads the walk only as far as that m;
 a lemma that every value keeps a property looks for the first value that
 breaks it.  Claim 1 compares consecutive values and so walks an orbit()
-prefix.  Claim 2 finds its first square with the +3-run kernel.
+prefix.  Claim 2 finds its first square with the +3-run kernel.  The
+suite's claim-1 and orbit-lemma sweeps call these checks in full only where
+a start's a_1 is not a start they have decided; elsewhere a_1's verdict,
+one index later, is a_0's (suite._successor_verdicts).
 
 An instance check (claims 1-4 and the three orbit lemmas, one start each)
 returns None when the instance holds and a witness tuple when it fails.
@@ -86,6 +89,11 @@ def orbit_fill(a0: int, k: int) -> list[int]:
     return list(itertools.islice(walk(a0), k + 1))
 
 
+# Per residue r mod 3, the longest stretch lo, lo + 3, ..., hi a scan found
+# square-free.  Each entry was scanned, so an update lost to a race costs only time.
+_square_free: dict[int, tuple[int, int]] = {}
+
+
 def confirm_plus3_run(start: int, nsteps: int) -> int:
     """Confirm that nsteps orbit steps from ``start`` are all +3 steps.
 
@@ -93,18 +101,25 @@ def confirm_plus3_run(start: int, nsteps: int) -> int:
     is a perfect square.  Returns -1 when confirmed, else the offset of the
     first perfect square in the run.  Instead of stepping, this scans the
     perfect squares falling inside the window, which is exact and costs
-    about sqrt(3 * nsteps) square tests rather than nsteps.
+    about sqrt(3 * nsteps) square tests rather than nsteps.  A window that
+    starts inside its residue's known square-free stretch, or 3 above its
+    end hi, tests only the squares above hi; a scan that finds no square
+    records its window, or extends the stretch, when that makes it longer.
     """
     if nsteps <= 0:
         return -1
     last = start + 3 * (nsteps - 1)
-    s0 = math.isqrt(start)
-    if s0 * s0 < start:
-        s0 += 1
     r = start % 3
+    known = _square_free.get(r, (start, start - 3))
+    lo, hi = known if known[0] <= start <= known[1] + 3 else (start, start - 3)
+    s0 = math.isqrt(hi + 3)
+    if s0 * s0 < hi + 3:
+        s0 += 1
     for s in range(s0, math.isqrt(last) + 1):
         if s * s % 3 == r:
             return (s * s - start) // 3
+    if max(hi, last) - lo > known[1] - known[0]:
+        _square_free[r] = lo, max(hi, last)
     return -1
 
 

@@ -21,6 +21,14 @@ not always the obvious one: the enumeration count counts tilings, the fixed
 orbits orbit steps and the cycle shape multiples of 3.  All checks are
 exact; there are no epsilons anywhere.
 
+Five N1 checks read most starts' verdicts off a successor's: the rows
+n1.claim1, n1.mult3_propagates, n1.nonmult3_propagates and n1.all_gt1, and
+n1.divergence's claim-1 double check.  They check the same statement as the
+per-start checks, because the orbit from a_1 is the orbit of the value a_1:
+when a_1 is a start of the same sweep, a_0 breaks at index 0 or 1 or where
+a_1 breaks, one index later (_successor_verdicts).  The verdicts come out
+in increasing order of start, so steps and the witness are unchanged.
+
 The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
 and the exhaustive sweep counts each board's verdicts with
@@ -34,7 +42,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import a2, n1, tiling
@@ -48,6 +56,40 @@ Witnesses = Iterator[tuple | None]
 def _per_start(starts: Iterable[int], check: Callable[[int], tuple | None]) -> Witnesses:
     """A per-start check over the starts; a failing witness leads with the start."""
     return (None if (w := check(a0)) is None else (a0,) + w for a0 in starts)
+
+
+def _successor_verdicts(starts: Sequence[int], budget: int, first: int,
+                        check: Callable[[int, int], tuple | None]
+                        ) -> dict[int, tuple | None]:
+    """check(a0, budget) for each of the increasing starts, most read off a successor.
+
+    ``check(a0, budget)`` returns None or a witness (m, ...) that names the
+    first offending index m <= budget of a0's orbit, and ``check(a0,
+    first)`` reads only a_0 and a_1.  The orbit from a_1 is the orbit of the
+    value a_1, so when a_1 (from n1.walk) is a start already decided, a0
+    fails at its first index if check(a0, first) says so, and else exactly
+    where a_1 fails, one index later, if that index is still within budget.
+    Deciding from the largest start down decides every +3 successor first;
+    the other starts (squares, whose successor is their root, and those
+    whose a_0 + 3 lies above the starts) run check in full.
+    """
+    verdicts: dict[int, tuple | None] = {}
+    for a0 in reversed(starts):
+        a1 = next(islice(n1.walk(a0), 1, None))
+        if a1 not in verdicts:
+            verdicts[a0] = check(a0, budget)
+            continue
+        w = check(a0, first)
+        if w is None and verdicts[a1] is not None:
+            w = (verdicts[a1][0] + 1,) + verdicts[a1][1:]
+        verdicts[a0] = None if w is None or w[0] > budget else w
+    return verdicts
+
+
+def _reusing_successors(starts: Sequence[int], budget: int, first: int,
+                        check: Callable[[int, int], tuple | None]) -> Witnesses:
+    """_per_start over the starts, its verdicts from _successor_verdicts."""
+    return _per_start(starts, _successor_verdicts(starts, budget, first, check).__getitem__)
 
 
 # -- A2 ---------------------------------------------------------------------------
@@ -305,7 +347,8 @@ def n1_cycle_shape(max_a0: int) -> Witnesses:
 
 
 def n1_claim1(max_a0: int, window: int) -> Witnesses:
-    return _per_start(range(2, max_a0 + 1, 3), lambda a0: n1.check_claim1(a0, window))
+    """n1.check_claim1 on every residue-2 start, most read off the start 3 above it."""
+    return _reusing_successors(range(2, max_a0 + 1, 3), window, 0, n1.check_claim1)
 
 
 def n1_claim2(max_x: int) -> Witnesses:
@@ -333,30 +376,36 @@ def n1_small_claims() -> Witnesses:
 def n1_divergence(max_a0: int, window: int) -> Witnesses:
     """Residue-2 starts: the first window of orbit values increases, square-free.
 
-    The full range goes through the +3-run confirmation kernel; small starts
-    are double-checked by claim 1's direct orbit scan over the same window.
+    The full range goes through the +3-run confirmation kernel; starts up
+    to 500 are double-checked by claim 1's direct orbit scan over the same
+    window, most read off the start 3 above it.
     """
+    direct = _successor_verdicts(range(2, min(max_a0, 500) + 1, 3), window - 1, 0,
+                                 n1.check_claim1)
+
     def witness(a0: int) -> tuple | None:
         if n1.confirm_plus3_run(a0, window) != -1:
             return (a0,)
-        if a0 <= 500 and n1.check_claim1(a0, window - 1) is not None:
+        if direct.get(a0) is not None:
             return (a0, "direct scan")
         return None
 
     return map(witness, range(2, max_a0 + 1, 3))
 
 
+# The orbit lemmas' first index is m = 1, so check(a0, 1) reads only a_1.
+
 def n1_mult3(max_a0: int, budget: int) -> Witnesses:
-    return _per_start(range(3, max_a0 + 1, 3), lambda a0: n1.lemma_mult3_propagates(a0, budget))
+    return _reusing_successors(range(3, max_a0 + 1, 3), budget, 1, n1.lemma_mult3_propagates)
 
 
 def n1_nonmult3(max_a0: int, budget: int) -> Witnesses:
-    return _per_start((a0 for a0 in range(2, max_a0 + 1) if a0 % 3),
-                      lambda a0: n1.lemma_nonmult3_propagates(a0, budget))
+    return _reusing_successors([a0 for a0 in range(2, max_a0 + 1) if a0 % 3], budget, 1,
+                               n1.lemma_nonmult3_propagates)
 
 
 def n1_gt1(max_a0: int, budget: int) -> Witnesses:
-    return _per_start(range(2, max_a0 + 1), lambda a0: n1.lemma_all_gt1(a0, budget))
+    return _reusing_successors(range(2, max_a0 + 1), budget, 1, n1.lemma_all_gt1)
 
 
 # -- the table and its runner -------------------------------------------------------

@@ -383,13 +383,14 @@ def test_orbit_scans_match_single_steps(a0, budget):
         assert n1.check_claim4(a0, budget) == reaches(lambda v: v % 3 == 2)
 
 
-def test_orbit_lemma_failures_report_the_first_break(monkeypatch):
-    # a broken step rule that drops 6 to 5 and 5 to 1
-    def broken_walk(v):
-        while True:
-            yield v
-            v = {6: 5, 5: 1}.get(v) or n1.n1_step(v)
+def broken_walk(v):
+    """The walk of a broken step rule that drops 6 to 5 and 5 to 1."""
+    while True:
+        yield v
+        v = {6: 5, 5: 1}.get(v) or n1.n1_step(v)
 
+
+def test_orbit_lemma_failures_report_the_first_break(monkeypatch):
     monkeypatch.setattr(n1, "walk", broken_walk)
     assert n1.lemma_mult3_propagates(3, 100) == (2, 5)      # 3, 6, 5
     assert n1.lemma_all_gt1(3, 100) == (3, 1)               # 3, 6, 5, 1

@@ -10,7 +10,9 @@ import pytest
 from imocheck import cli, n1, report, suite, tiling
 from imocheck.errors import TheoremViolationError
 from imocheck.report import ClaimReport
+from conftest import SMALL_PARAMS
 from test_cli import RECORD_RE
+from test_n1 import broken_walk
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,6 +177,120 @@ def test_failing_sweeps_lead_with_the_start_and_count_the_starts_before_it(monke
         "CLAIM n1.cycle_shape max_a0=100 steps=0 witness=3;None outcome=fail")
 
 
+# -- the N1 sweeps that read a start's verdict off its successor -------------------------
+
+# Each successor-reuse row: its starts for a max_a0, its per-start check, its budget param.
+SUCCESSOR_ROWS = {
+    "n1.mult3_propagates": (lambda m: range(3, m + 1, 3), n1.lemma_mult3_propagates, "budget"),
+    "n1.nonmult3_propagates": (lambda m: [a0 for a0 in range(2, m + 1) if a0 % 3],
+                               n1.lemma_nonmult3_propagates, "budget"),
+    "n1.all_gt1": (lambda m: range(2, m + 1), n1.lemma_all_gt1, "budget"),
+    "n1.claim1": (lambda m: range(2, m + 1, 3), n1.check_claim1, "window"),
+}
+
+
+def _row_and_per_start(claim_id, **params):
+    """The row's sweep at ``params`` over its own, and its per-start check at the same sizes."""
+    row = next(c for c in suite.CLAIMS if c.id == claim_id)
+    params = {**row.params, **params}
+    starts, check, budget = SUCCESSOR_ROWS[claim_id]
+    per_start = suite._per_start(starts(params["max_a0"]),
+                                 lambda a0: check(a0, params[budget]))
+    return list(row.sweep(**params)), list(per_start)
+
+
+@pytest.mark.parametrize("claim_id", SUCCESSOR_ROWS)
+@pytest.mark.parametrize("sizes", ["suite", "small"])
+def test_successor_sweeps_equal_their_per_start_checks(claim_id, sizes):
+    swept, per_start = _row_and_per_start(
+        claim_id, **(SMALL_PARAMS[claim_id] if sizes == "small" else {}))
+    assert swept == per_start
+
+
+@pytest.mark.parametrize("max_a0,window", [(10 ** 4, 1000), (300, 200)])
+def test_divergence_double_check_equals_claim1_per_start(max_a0, window):
+    """The claim-1 direct scan of n1.divergence, at the suite's and SMALL_PARAMS' sizes."""
+    starts = range(2, min(max_a0, 500) + 1, 3)
+    assert suite._successor_verdicts(starts, window - 1, 0, n1.check_claim1) == {
+        a0: n1.check_claim1(a0, window - 1) for a0 in starts}
+
+
+@pytest.mark.parametrize("claim_id,budgets", [
+    ("n1.mult3_propagates", (1, 2, 3, 50)),           # 3, 6, 5 breaks at m = 2
+    ("n1.nonmult3_propagates", (1, 2, 50)),
+    ("n1.all_gt1", (1, 2, 3, 4, 50)),                 # 3, 6, 5, 1 breaks at m = 3
+    ("n1.claim1", (0, 1, 2, 50)),                     # 2, 5, 1 breaks at m = 1
+])
+def test_successor_sweeps_equal_their_per_start_checks_under_a_broken_walk(
+        monkeypatch, claim_id, budgets):
+    """Start for start, and so the same first failing start, steps and witness.
+
+    The budgets put a break exactly at the budget and one past it.
+    """
+    monkeypatch.setattr(n1, "walk", broken_walk)
+    budget_param = SUCCESSOR_ROWS[claim_id][2]
+    for budget in budgets:
+        swept, per_start = _row_and_per_start(claim_id, max_a0=60, **{budget_param: budget})
+        assert swept == per_start, budget
+        assert (report.first_failure(claim_id, {}, swept)
+                == report.first_failure(claim_id, {}, per_start)), budget
+
+
+def test_successor_sweeps_shift_a_break_and_cap_it_at_the_budget(monkeypatch):
+    """Under the broken walk, start 3 is read off 6, and claim 1's start 2 off 5."""
+    monkeypatch.setattr(n1, "walk", broken_walk)
+    gt1 = {budget: _row_and_per_start("n1.all_gt1", max_a0=60, budget=budget)[0][:5]
+           for budget in (2, 3)}                          # starts 2, 3, 4, 5, 6
+    assert gt1[3] == [(2, 2, 1), (3, 3, 1), (4, 3, 1), (5, 1, 1), (6, 2, 1)]
+    assert gt1[2] == [(2, 2, 1), None, None, (5, 1, 1), (6, 2, 1)]
+    mult3 = {budget: _row_and_per_start("n1.mult3_propagates", max_a0=60, budget=budget)[0][:2]
+             for budget in (1, 2)}                        # starts 3, 6
+    assert mult3 == {2: [(3, 2, 5), (6, 1, 5)], 1: [None, (6, 1, 5)]}
+    claim1 = {window: _row_and_per_start("n1.claim1", max_a0=60, window=window)[0][:2]
+              for window in (0, 1)}                       # starts 2, 5
+    assert claim1 == {1: [(2, 1, 5, 1), (5, 0, 5, 1)], 0: [None, (5, 0, 5, 1)]}
+
+
+def test_all_gt1_reads_at_most_a_tenth_of_the_values_the_per_start_route_reads(monkeypatch):
+    """At the suite's sizes the per-start route reads 999 * 301 values of the walk."""
+    walk = n1.walk
+    read = 0
+
+    def counting(a0):
+        nonlocal read
+        for v in walk(a0):
+            read += 1
+            yield v
+
+    monkeypatch.setattr(n1, "walk", counting)
+    assert _run("n1.all_gt1", max_a0=1000, budget=300).steps == 999
+    swept, read = read, 0
+    assert all(w is None for w in suite._per_start(
+        range(2, 1001), lambda a0: n1.lemma_all_gt1(a0, 300)))
+    assert 0 < 10 * swept <= read, (swept, read)
+
+
+def test_classification_row_tests_at_most_a_thousand_squares(monkeypatch):
+    """From an empty memo, the row's confirm_plus3_run scans test few squares.
+
+    Each start scanning its own window tested 1,386,694 squares at the
+    suite's max_a0 = 10^4.  The scan's range is the only one on the row's
+    path through n1, so a counting range counts the squares it tests.
+    """
+    tested = 0
+
+    def counting_range(*args):
+        nonlocal tested
+        for s in range(*args):
+            tested += 1
+            yield s
+
+    monkeypatch.setattr(n1, "_square_free", {})
+    monkeypatch.setattr(n1, "range", counting_range, raising=False)
+    assert _run("n1.classification").outcome
+    assert 0 < tested <= 1000, tested
+
+
 def test_run_suite_small_config(small_claims):
     out, err = io.StringIO(), io.StringIO()
     assert suite.run_suite(7, True, out, err, small_claims) == 0
@@ -189,11 +305,15 @@ def test_run_suite_small_config(small_claims):
 
 
 def test_default_table_matches_golden_records():
-    """The default table at the default seed reproduces the committed record stream."""
-    out, err = io.StringIO(), io.StringIO()
-    assert suite.run_suite(cli.DEFAULT_SEED, True, out, err) == 0
-    golden = (DATA / f"suite_records_{cli.DEFAULT_SEED}.txt").read_text()
-    assert out.getvalue() == golden
+    """The default table reproduces the committed record streams.
+
+    Two runs at the default seed, then seed 1, in one process, so that what
+    n1.confirm_plus3_run remembers between calls reaches no record.
+    """
+    for seed in (cli.DEFAULT_SEED, cli.DEFAULT_SEED, 1):
+        out, err = io.StringIO(), io.StringIO()
+        assert suite.run_suite(seed, True, out, err) == 0
+        assert out.getvalue() == (DATA / f"suite_records_{seed}.txt").read_text(), seed
 
 
 def test_default_table_matches_golden_human_output():
