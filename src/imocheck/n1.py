@@ -194,8 +194,13 @@ def first_repeat_in_run(runs: list[tuple[int, int, int]], start: int,
     two starts.  Returns (that value, its orbit index in the earlier run),
     or None when no earlier run shares a value.
     """
-    return min(((max(u, start), j + (max(u, start) - u) // 3) for u, j, w in runs
-                if (u - start) % 3 == 0 and u <= last and start <= w), default=None)
+    first = None
+    for u, j, w in runs:
+        if (u - start) % 3 == 0 and u <= last and start <= w:
+            shared = (u, j) if u > start else (start, j + (start - u) // 3)
+            if first is None or shared < first:
+                first = shared
+    return first
 
 
 def classify(a0: int, budget: int) -> OrbitTrace:

@@ -29,6 +29,11 @@ when a_1 is a start of the same sweep, a_0 breaks at index 0 or 1 or where
 a_1 breaks, one index later (_successor_verdicts).  The verdicts come out
 in increasing order of start, so steps and the witness are unchanged.
 
+Within one run_suite call, n1.cycle_shape reads the classify(a0,
+n1.default_budget(a0)) traces that n1.classification kept one row earlier,
+the result of the very call it would make, so no record changes; it
+classifies the starts that row did not reach (_mult3_traces).
+
 The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
 and the exhaustive sweep counts each board's verdicts with
@@ -41,9 +46,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from itertools import islice, repeat
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from itertools import groupby, islice, repeat
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import a2, n1, tiling
 from .rational import Rational, ZERO, finite_sum, render
@@ -113,15 +117,15 @@ def a2_sum_lemmas(rng: random.Random, instances: int, max_n: int) -> Witnesses:
         r = _random_rational(rng)
         f = lambda i: fs[i].as_integer_ratio()
         g = lambda i: gs[i].as_integer_ratio()
+        sum_f = finite_sum(f, 0, n)
         checks = (
-            ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)),
-            ("remove_zero", finite_sum(f, 0, n) == fs[0] + finite_sum(f, 1, n)),
-            ("distrib_left", r * finite_sum(f, 0, n)
+            ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == sum_f),
+            ("remove_zero", sum_f == fs[0] + finite_sum(f, 1, n)),
+            ("distrib_left", r * sum_f
              == finite_sum(lambda i: (r * fs[i]).as_integer_ratio(), 0, n)),
             ("subtractf", finite_sum(lambda i: (fs[i] - gs[i]).as_integer_ratio(), 0, n)
-             == finite_sum(f, 0, n) - finite_sum(g, 0, n)),
-            ("negf", finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n)
-             == -finite_sum(f, 0, n)),
+             == sum_f - finite_sum(g, 0, n)),
+            ("negf", finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n) == -sum_f),
         )
         bad = next((name for name, ok in checks if not ok), None)
         yield None if bad is None else (trial, bad, n)
@@ -186,13 +190,26 @@ def c1_corner_lemma(max_side: int) -> Witnesses:
             for r in boards)
 
 
+def _inside_pairs(rects: Sequence[tiling.Rect]) -> Iterator[tuple[tiling.Rect, tiling.Rect]]:
+    """(ri, ro) for ro in rects for ri in rects if tiling.inside(ri, ro), in that order.
+
+    The rects are valid and those of one x-span adjacent, as rects_inside
+    yields them, so the x-span groups concatenate to rects in order.
+    """
+    by_span = {span: list(group) for span, group in groupby(rects, lambda r: r[:2])}
+    for ro in rects:
+        x1, x2, y1, y2 = ro
+        for (u1, u2), group in by_span.items():
+            if x1 <= u1 and u2 <= x2:
+                yield from ((ri, ro) for ri in group if y1 <= ri[2] and ri[3] <= y2)
+
+
 def c1_parity_lemma(coord_max: int) -> Witnesses:
     """Exhaustive green-inside-green distance parity over small coordinates."""
     greens = [r for r in tiling.rects_inside(coord_max, coord_max)
               if tiling.classify_rect(r) is tiling.RectClass.GREEN]
-    pairs = ((ri, ro) for ro in greens for ri in greens if tiling.inside(ri, ro))
     return (None if tiling.parity_lemma_check(ri, ro) is None else (ri, ro)
-            for ri, ro in pairs)
+            for ri, ro in _inside_pairs(greens))
 
 
 def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
@@ -285,7 +302,7 @@ def n1_step_image(limit: int) -> Witnesses:
     """Totality: each step lands on isqrt(x) or x + 3 and stays above 1."""
     def witness(x: int) -> tuple | None:
         nxt = n1.n1_step(x)
-        return None if nxt in (n1.isqrt(x), x + 3) and nxt > 1 else (x, nxt)
+        return None if (nxt == x + 3 or nxt == n1.isqrt(x)) and nxt > 1 else (x, nxt)
 
     return map(witness, range(2, limit + 1))
 
@@ -318,13 +335,20 @@ def n1_fixed_orbits(a0: int) -> Witnesses:
             yield start, "detect_cycle", cycle
 
 
+# n1.classification's traces by multiple of 3, for n1.cycle_shape; a dict only in run_suite.
+_mult3_traces: dict[int, n1.OrbitTrace] | None = None
+
+
 def n1_classification(max_a0: int) -> Witnesses:
     """For every 2 <= a0 <= max_a0, PeriodicMult3 exactly when 3 divides a0.
 
     No start may end in BudgetExceeded at n1.default_budget.
     """
     def witness(a0: int) -> tuple | None:
-        cls = n1.classify(a0, n1.default_budget(a0)).classification
+        trace = n1.classify(a0, n1.default_budget(a0))
+        if _mult3_traces is not None and a0 % 3 == 0:
+            _mult3_traces[a0] = trace
+        cls = trace.classification
         ok = (cls is not n1.OrbitClass.BUDGET_EXCEEDED
               and (cls is n1.OrbitClass.PERIODIC_MULT3) == (a0 % 3 == 0))
         return None if ok else (a0, cls.value)
@@ -336,10 +360,12 @@ def n1_cycle_shape(max_a0: int) -> Witnesses:
     """Every multiple of 3 up to max_a0 cycles through exactly {3, 6, 9}.
 
     A start with no cycle certificate within n1.default_budget fails with
-    the cycle None.
+    the cycle None.  A trace n1.classification kept in this run is reused.
     """
+    traces = _mult3_traces or {}
+
     def witness(a0: int) -> tuple | None:
-        trace = n1.classify(a0, n1.default_budget(a0))
+        trace = traces.get(a0) or n1.classify(a0, n1.default_budget(a0))
         cycle = None if trace.cycle is None else tuple(sorted(trace.cycle_values()))
         return None if cycle == (3, 6, 9) else (a0, cycle)
 
@@ -410,16 +436,16 @@ def n1_gt1(max_a0: int, budget: int) -> Witnesses:
 
 # -- the table and its runner -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One row: a claim id, its sweep, the sweep's params and whether it takes the rng.
 
-    A seeded row's sweep takes the suite's random.Random first.
+    A seeded row's sweep takes the suite's random.Random first.  The
+    default params dict is shared by the rows, so nothing writes to params.
     """
 
     id: str
     sweep: Callable[..., Iterable[tuple | None]]
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any] = {}
     seeded: bool = False
 
     def run(self, rng: random.Random) -> ClaimReport:
@@ -479,25 +505,30 @@ def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
     Exit code 0 when every claim passes, 1 when one fails, 3 when a row
     raised (which takes precedence).
     """
+    global _mult3_traces
     rng = random.Random(seed)
     diagnostics = err if records else out
     print(f"suite seed={seed}", file=diagnostics)
     failures = 0
     raised = False
-    for claim in claims:
-        t0 = time.perf_counter()
-        try:
-            rep = claim.run(rng)
-        except Exception as exc:
-            raised = True
-            kind = type(exc).__name__
-            message = " ".join(str(exc).split())
-            print(f"imocheck: claim {claim.id} raised {kind}: {message}", file=err)
-            rep = first_failure(claim.id, {}, [(kind,)])
-        elapsed = time.perf_counter() - t0
-        print(rep.record_line() if records else _human_line(rep), file=out)
-        failures += not rep.outcome
-        print(f"time {claim.id} {elapsed:.3f}s", file=err)
+    _mult3_traces = {}
+    try:
+        for claim in claims:
+            t0 = time.perf_counter()
+            try:
+                rep = claim.run(rng)
+            except Exception as exc:
+                raised = True
+                kind = type(exc).__name__
+                message = " ".join(str(exc).split())
+                print(f"imocheck: claim {claim.id} raised {kind}: {message}", file=err)
+                rep = first_failure(claim.id, {}, [(kind,)])
+            elapsed = time.perf_counter() - t0
+            print(rep.record_line() if records else _human_line(rep), file=out)
+            failures += not rep.outcome
+            print(f"time {claim.id} {elapsed:.3f}s", file=err)
+    finally:
+        _mult3_traces = None
     print(f"{len(claims) - failures}/{len(claims)} claims passed", file=diagnostics)
     if raised:
         return 3

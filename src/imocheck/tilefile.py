@@ -130,9 +130,11 @@ class WitnessParity(Enum):
 
 
 def distance_parity(ds: tuple[int, ...]) -> WitnessParity | None:
-    if all(d % 2 == 0 for d in ds):
+    """ALL_EVEN when {d % 2 for d in ds} <= {0}, () too; ALL_ODD when it is {1}; else None."""
+    parities = {d % 2 for d in ds}
+    if parities <= {0}:
         return WitnessParity.ALL_EVEN
-    if all(d % 2 == 1 for d in ds):
+    if parities == {1}:
         return WitnessParity.ALL_ODD
     return None
 

@@ -117,10 +117,11 @@ class RectClass(Enum):
 
 
 def classify_rect(r: Rect) -> RectClass:
-    cs = corners(r)
-    if all(green(c) for c in cs):
+    """GREEN when set(map(green, corners(r))) == {True}, YELLOW when it is {False}, else MIXED."""
+    colours = set(map(green, corners(r)))
+    if colours == {True}:
         return RectClass.GREEN
-    if all(yellow(c) for c in cs):
+    if colours == {False}:
         return RectClass.YELLOW
     return RectClass.MIXED
 

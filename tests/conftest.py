@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -40,7 +39,7 @@ SMALL_PARAMS = {
 @pytest.fixture
 def small_claims():
     """suite.CLAIMS, same rows and order, at SMALL_PARAMS sizes."""
-    return tuple(dataclasses.replace(c, params={**c.params, **SMALL_PARAMS.get(c.id, {})})
+    return tuple(c._replace(params={**c.params, **SMALL_PARAMS.get(c.id, {})})
                  for c in suite.CLAIMS)
 
 

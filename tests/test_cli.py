@@ -421,6 +421,15 @@ def test_each_command_imports_only_its_own_modules(tmp_path, argv, absent):
     assert loaded & absent == set()
 
 
+def test_importing_the_suite_loads_neither_dataclasses_nor_inspect():
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", "import imocheck.suite"],
+                          capture_output=True, text=True, timeout=30, check=True)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "imocheck.suite" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
+
+
 def test_the_budget_cap_is_the_default_budget_at_the_a0_cap():
     assert cli.N1_CLASSIFY_MAX_BUDGET == n1.default_budget(cli.N1_CLASSIFY_MAX_A0)
 

@@ -145,6 +145,18 @@ def test_first_repeat_in_run_from_either_side():
     assert n1.first_repeat_in_run([(12, 0, 36)], 3, 9) is None
 
 
+small_values = st.integers(0, 40)
+
+
+@given(st.lists(st.tuples(small_values, small_values, small_values), max_size=8),
+       small_values, small_values)
+def test_first_repeat_in_run_equals_its_min_expression(runs, start, last):
+    """The loop against its earlier one-expression form, on drawn run lists."""
+    oracle = min(((max(u, start), j + (max(u, start) - u) // 3) for u, j, w in runs
+                  if (u - start) % 3 == 0 and u <= last and start <= w), default=None)
+    assert n1.first_repeat_in_run(runs, start, last) == oracle
+
+
 def stepped_classify(a0, budget):
     """Reference classification by stepping: (class, cycle, m), without the tail scan."""
     seen = {a0: 0}

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import random
 import re
@@ -20,7 +19,7 @@ DATA = Path(__file__).parent / "data"
 def _run(claim_id, rng=None, **params):
     """The suite.CLAIMS row ``claim_id``, run with ``params`` over the row's own."""
     row = next(c for c in suite.CLAIMS if c.id == claim_id)
-    return dataclasses.replace(row, params={**row.params, **params}).run(rng)
+    return row._replace(params={**row.params, **params}).run(rng)
 
 
 def test_record_line_grammar():
@@ -331,7 +330,7 @@ def _raises(*args, **params):
 def test_a_raising_row_does_not_end_the_battery(small_claims):
     rows = small_claims
     middle = len(rows) // 2
-    broken = dataclasses.replace(rows[middle], sweep=_raises)
+    broken = rows[middle]._replace(sweep=_raises)
     table = rows[:middle] + (broken,) + rows[middle + 1:]
     out, err = io.StringIO(), io.StringIO()
     assert suite.run_suite(7, True, out, err, table) == 3
@@ -372,6 +371,119 @@ def test_keyboard_interrupt_ends_the_battery():
     table = (suite.Claim("x.stop", interrupted),)
     with pytest.raises(KeyboardInterrupt):
         suite.run_suite(1, True, io.StringIO(), io.StringIO(), table)
+
+
+# -- the N1 traces that run_suite shares between rows ------------------------------
+
+N1_TRACE_ROWS = ("n1.classification", "n1.cycle_shape")
+
+
+def _recording_classify(monkeypatch, change=lambda a0, trace: trace):
+    """Patch n1.classify to record each start it is called on; change may alter a trace."""
+    calls = []
+    classify = n1.classify
+
+    def recording(a0, budget):
+        calls.append(a0)
+        return change(a0, classify(a0, budget))
+
+    monkeypatch.setattr(n1, "classify", recording)
+    return calls
+
+
+def _trace_rows(small_claims):
+    return tuple(c for c in small_claims if c.id in N1_TRACE_ROWS)
+
+
+def test_the_shared_traces_live_for_one_run_suite_call(small_claims):
+    """None before and after every call: a pass, a caught raise and an uncaught one."""
+    assert suite._mult3_traces is None
+    sink = io.StringIO()
+    assert suite.run_suite(7, True, sink, sink, _trace_rows(small_claims)) == 0
+    assert suite._mult3_traces is None
+    raising = _trace_rows(small_claims) + (suite.Claim("x.raise", _raises),)
+    assert suite.run_suite(7, True, sink, sink, raising) == 3
+    assert suite._mult3_traces is None
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        suite.run_suite(7, True, sink, sink, raising[:1] + (suite.Claim("x.stop", interrupted),))
+    assert suite._mult3_traces is None
+
+
+def test_cycle_shape_classifies_no_start_after_a_passing_classification(monkeypatch,
+                                                                        small_claims):
+    calls = _recording_classify(monkeypatch)
+    out = io.StringIO()
+    assert suite.run_suite(7, True, out, io.StringIO(), _trace_rows(small_claims)) == 0
+    assert calls == list(range(2, 61))
+    assert out.getvalue().splitlines() == [
+        "CLAIM n1.classification max_a0=60 steps=59 outcome=pass",
+        "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
+
+
+def test_cycle_shape_covers_every_start_when_classification_fails_early(monkeypatch,
+                                                                       small_claims):
+    """4 claims a cycle, so classification stops there; cycle_shape classifies 6..60 itself."""
+    calls = _recording_classify(monkeypatch, lambda a0, trace: trace._replace(
+        classification=n1.OrbitClass.PERIODIC_MULT3) if a0 == 4 else trace)
+    out = io.StringIO()
+    assert suite.run_suite(7, True, out, io.StringIO(), _trace_rows(small_claims)) == 1
+    assert calls == [2, 3, 4] + list(range(6, 61, 3))
+    assert out.getvalue().splitlines() == [
+        "CLAIM n1.classification max_a0=60 steps=2 witness=4;PeriodicMult3 outcome=fail",
+        "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
+
+
+def test_a_row_run_outside_run_suite_classifies_every_start_itself(monkeypatch):
+    assert _run("n1.classification", max_a0=60).outcome
+    calls = _recording_classify(monkeypatch, lambda a0, trace: trace._replace(
+        cycle=(0, 2)) if a0 == 30 else trace)     # 30 reaches 6: the period 6, 9, not 6, 9, 3
+    rep = _run("n1.cycle_shape", max_a0=60)
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (30, (6, 9)), 9)
+    assert calls == list(range(3, 31, 3))
+
+
+def test_a_second_run_suite_keeps_no_trace_of_the_first(monkeypatch, small_claims):
+    """With classify raising on 30, both N1 trace rows fail, as before the rows shared traces."""
+    first = io.StringIO()
+    assert suite.run_suite(7, True, first, io.StringIO(), small_claims) == 0
+
+    def raising_on_30(a0, trace):
+        if a0 == 30:
+            raise ArithmeticError("a0 = 30")
+        return trace
+
+    _recording_classify(monkeypatch, raising_on_30)
+    out = io.StringIO()
+    assert suite.run_suite(7, True, out, io.StringIO(), small_claims) == 3
+    expected = [f"CLAIM {line.split()[1]} steps=0 witness=ArithmeticError outcome=fail"
+                if line.split()[1] in N1_TRACE_ROWS else line
+                for line in first.getvalue().splitlines()]
+    assert out.getvalue().splitlines() == expected
+
+
+# -- the parity row's pairs -------------------------------------------------------
+
+def test_parity_row_checks_the_nested_filters_pairs_in_order(monkeypatch):
+    check = tiling.parity_lemma_check
+    checked = []
+
+    def recording(ri, ro):
+        checked.append((ri, ro))
+        return check(ri, ro)
+
+    monkeypatch.setattr(tiling, "parity_lemma_check", recording)
+    for coord_max in range(10):
+        greens = [r for r in tiling.rects_inside(coord_max, coord_max)
+                  if tiling.classify_rect(r) is tiling.RectClass.GREEN]
+        checked.clear()
+        assert _run("c1.parity_lemma_exhaustive", coord_max=coord_max).outcome
+        assert checked == [(ri, ro) for ro in greens for ri in greens
+                           if tiling.inside(ri, ro)], coord_max
+    assert len(checked) == 7575
 
 
 def _theorem_oracle(board, tiles):
@@ -532,7 +644,7 @@ def test_exhaustive_row_names_a_later_failure_as_the_fold_only_sweep_did(
     before = sum(tiling.count_tilings_reference(a, b) for a, b in suite._odd_boards(9)
                  if (a, b) < (3, 3))
     assert rep.steps > before   # past the first board and the first tiling of its board
-    assert rep == dataclasses.replace(row, sweep=_raw_only_exhaustive_theorem).run(None)
+    assert rep == row._replace(sweep=_raw_only_exhaustive_theorem).run(None)
 
 
 def test_exhaustive_row_lists_no_tiling_when_every_count_holds(monkeypatch, small_claims):

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +73,37 @@ def test_classify_examples():
     assert tiling.classify_rect((0, 17, 0, 11)) is RectClass.GREEN
     assert tiling.classify_rect((1, 2, 0, 1)) is RectClass.YELLOW
     assert tiling.classify_rect((0, 2, 0, 1)) is RectClass.MIXED
+
+
+def _classify_rect_by_all(r):
+    """classify_rect's earlier definition, two all() passes over the corners."""
+    cs = tiling.corners(r)
+    if all(tiling.green(c) for c in cs):
+        return RectClass.GREEN
+    if all(tiling.yellow(c) for c in cs):
+        return RectClass.YELLOW
+    return RectClass.MIXED
+
+
+def test_classify_rect_equals_the_all_based_definition_inside_12x12():
+    for r in tiling.rects_inside(12, 12):
+        assert tiling.classify_rect(r) is _classify_rect_by_all(r), r
+
+
+def _distance_parity_by_all(ds):
+    """distance_parity's earlier definition, two all() passes over the distances."""
+    if all(d % 2 == 0 for d in ds):
+        return WitnessParity.ALL_EVEN
+    if all(d % 2 == 1 for d in ds):
+        return WitnessParity.ALL_ODD
+    return None
+
+
+def test_distance_parity_equals_the_all_based_definition():
+    assert tiling.distance_parity(()) is WitnessParity.ALL_EVEN
+    for k in range(5):
+        for ds in product(range(-3, 4), repeat=k):
+            assert tiling.distance_parity(ds) is _distance_parity_by_all(ds), ds
 
 
 def test_count_examples():
