@@ -145,6 +145,14 @@ def cmd_n1(args: argparse.Namespace) -> int:
             return _fail_usage("--steps must be non-negative")
         if args.steps > N1_MAX_STEPS:
             return _fail_usage(f"n1 needs --steps <= {N1_MAX_STEPS}")
+        # Each step takes a square root or adds 3, so a0 + 3*steps bounds the
+        # prefix; a value with more digits than Python's int -> str limit
+        # could not be printed.  The limit is 0 when it is off, and absent
+        # before Python 3.10.7, which has none.
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        if digits and args.a0 + 3 * args.steps >= 10 ** digits:
+            return _fail_usage(f"n1 --steps needs --a0 + 3 * --steps < 10**{digits}, "
+                               f"Python's {digits}-digit limit on printing an integer")
         print(" ".join(str(v) for v in n1.orbit(args.a0, args.steps)))
         return EXIT_PASS
     if args.a0 > N1_CLASSIFY_MAX_A0:

@@ -38,8 +38,8 @@ The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
 and the exhaustive sweep counts each board's verdicts with
 tiling.count_tiling_theorem, listing a board's tilings through
-tiling.check_raw_tiling_theorem only to name a failing one.  Tests check
-the count against the raw route, and the raw route against the Tiling route.
+check_tiling_theorem only to name a failing one.  Tests check the count
+against the Tiling route.
 """
 
 from __future__ import annotations
@@ -223,26 +223,25 @@ def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
 
     Counts each board's verdicts with tiling.count_tiling_theorem, which
     checks the chain without visiting the tilings one by one.  A board
-    whose count holds a failure lists its tilings and runs
-    tiling.check_raw_tiling_theorem on each, in enumeration order, until
-    report.first_failure stops at the first failing one, so steps and the
-    witness name that tiling.  When the raw route finds no failure there,
-    the two routes disagree, and the row fails with the count as witness.
-    Tests check the count against the raw route and the raw route against
-    the Tiling route on small boards, and the acceptance test re-checks
-    these tilings as Tilings.
+    whose count holds a failure lists its tilings with tiling.enum_tilings
+    and runs tiling.check_tiling_theorem on each as a Tiling, in
+    enumeration order, until report.first_failure stops at the first
+    failing one, so steps and the witness name that tiling.  When the
+    Tiling route finds no failure there, the two routes disagree, and the
+    row fails with the count as witness.  Tests check the count against the
+    Tiling route on small boards, and the acceptance test re-checks these
+    tilings as Tilings.
     """
     for a, b in _odd_boards(area_cap):
-        board = (0, a, 0, b)
-        table = tiling.board_table(a, b)
-        counts = tiling.count_tiling_theorem(table, a, b)
+        counts = tiling.count_tiling_theorem(a, b)
         if list(counts) == [None]:
             yield from repeat(None, counts[None])
             continue
+        board = (0, a, 0, b)
         for tiles in tiling.enum_tilings(a, b):
-            problem = tiling.check_raw_tiling_theorem(table, board, tiles)[0]
+            problem = tiling.check_tiling_theorem(tiling.Tiling(board, frozenset(tiles)))
             yield None if problem is None else (a, b, problem, sorted(tiles))
-        yield a, b, "the count and the raw route disagree", sorted(counts.items(), key=str)
+        yield a, b, "the count and the Tiling route disagree", sorted(counts.items(), key=str)
 
 
 ENUMERATION_BOARDS = ((1, 1), (2, 1), (1, 3), (2, 2), (2, 3), (3, 3))

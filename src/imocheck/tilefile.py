@@ -81,11 +81,10 @@ def _overlapping_pair(rs: list[Rect]) -> tuple[Rect, Rect] | None:
 def tiling_problems(t: Tiling) -> list[str]:
     """Invariant violations, human-readable; empty list means valid.
 
-    The validator of any Tiling, every c1-check file included (raw tile
-    tuples take check_raw_tiling_theorem's mask union, and enumerated
-    tilings are valid by construction).  The tiles cover the board exactly
-    when none overlap, each lies inside the board and their areas add up to
-    the board's, so it counts areas instead of squares.
+    The one tiling validator: c1-check runs it on every file, and
+    tiling.check_tiling_theorem on every Tiling it checks.  The tiles cover
+    the board exactly when none overlap, each lies inside the board and
+    their areas add up to the board's, so it counts areas instead of squares.
     """
     problems = []
     b = t.board

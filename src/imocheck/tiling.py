@@ -22,18 +22,15 @@ are imported here, so tiling.witness is tilefile.witness.  The property
 tests assert the validator's agreement with the literal cover and
 overlap_literal definitions, keeping the set definitions authoritative.
 
-Three routes of the per-tiling theorem chain live here and end in one
+Two routes of the per-tiling theorem chain live here and end in one
 verdict ladder.  check_tiling_theorem takes any Tiling and validates it
-with tiling_problems.  check_raw_tiling_theorem takes raw tile tuples and
-reads each tile's facts from the board's board_table, checking validity as
-a union of square masks without building a Tiling.  count_tiling_theorem
-counts the verdicts of every tiling of a board without visiting each
-tiling: it runs the chain inside count_tilings on the same table,
-as each tile is placed, and its state keeps only what the ladder reads
-(whether a witness was placed, the first green tile's parity and the two
-sums), so the search memoizes on it.  The tests compare the raw and Tiling
-routes on every tiling of every board of area at most 12 and on mutated
-tile lists, and the count with the raw route's verdicts on the same boards.
+with tiling_problems.  count_tiling_theorem counts the verdicts of every
+tiling of a board without visiting each tiling: it runs the chain inside
+count_tilings on the board's board_table, as each tile is placed, and its
+state keeps only what the ladder reads (whether a witness was placed, the
+first green tile's parity and the two sums), so the search memoizes on it.
+The tests compare the count with the Tiling route's verdicts on every
+tiling of every board of area at most 12.
 
 There is one tiling search, _placements' rule, run two ways: enum_tilings
 lists every tiling, and count_tilings counts the tilings that end in each
@@ -357,26 +354,20 @@ def count_tilings_reference(a: int, b: int) -> int:
 
 # -- the per-tiling theorem chain --------------------------------------------------
 
-# (square mask, distance parity, corners all green, green count, yellow count)
-TileFacts = tuple[int, WitnessParity | None, bool, int, int]
+# (distance parity, corners all green, green count, yellow count)
+TileFacts = tuple[WitnessParity | None, bool, int, int]
 
 
 def board_table(a: int, b: int) -> dict[Rect, TileFacts]:
     """Every valid rect inside the board (0, a, 0, b), mapped to its TileFacts.
 
-    The square mask has bit x*b + y for square (x, y), as in the enumerator,
-    so two tiles overlap exactly when their masks share a bit.  The board's
-    own entry holds the full mask, which a tiling's masks add up to exactly
-    when they cover the board, and the board's green and yellow counts.
+    The board's own entry holds the board's green and yellow counts.
     """
     _require_enumerable(a, b)
     board = (0, a, 0, b)
-    table: dict[Rect, TileFacts] = {}
-    for r in rects_inside(a, b):
-        mask = sum(1 << (x * b + y) for x, y in squares(r))
-        table[r] = (mask, distance_parity(side_distances(r, board)),
-                    classify_rect(r) is RectClass.GREEN, count_green(r), count_yellow(r))
-    return table
+    return {r: (distance_parity(side_distances(r, board)), classify_rect(r) is RectClass.GREEN,
+                count_green(r), count_yellow(r))
+            for r in rects_inside(a, b)}
 
 
 def _chain_problem(has_witness: bool, has_green: bool,
@@ -424,44 +415,6 @@ def check_tiling_theorem(t: Tiling) -> str | None:
                           sum(count_yellow(r) for r in t.tiles) - count_yellow(t.board))
 
 
-def check_raw_tiling_theorem(table: dict[Rect, TileFacts], board: Rect, tiles: Iterable[Rect]
-                             ) -> tuple[str | None, Rect | None, Rect | None]:
-    """check_tiling_theorem on a raw tile sequence, in one pass over the board's table.
-
-    Returns (problem, first parity witness, first green tile); the two tiles
-    are the ones witness and find_green_tile pick (None when the tiling is
-    invalid or has no such tile).  Validity is the literal square-set
-    definition evaluated on bit masks: a tile missing from the table is
-    invalid or outside the board, a tile sharing a bit with the union so far
-    overlaps it (a repeated tile included), and the union must end as the
-    board's own mask.
-    """
-    occ = 0
-    greens = yellows = 0
-    first_witness = first_green = None
-    for r in sorted(tiles, key=lex_key):
-        f = table.get(r)
-        if f is None:
-            return "invalid tiling", None, None
-        mask, parity, is_green, cg, cy = f
-        if occ & mask:
-            return "invalid tiling", None, None
-        occ |= mask
-        if first_witness is None and parity is not None:
-            first_witness = r
-        if first_green is None and is_green:
-            first_green = r
-        greens += cg
-        yellows += cy
-    full, _, _, board_green, board_yellow = table[board]
-    if occ != full:
-        return "invalid tiling", None, None
-    green_parity = None if first_green is None else table[first_green][1]
-    problem = _chain_problem(first_witness is not None, first_green is not None, green_parity,
-                             greens - board_green, yellows - board_yellow)
-    return problem, first_witness, first_green
-
-
 # The green parity of a CountState before any green tile is placed.
 _NO_GREEN_YET = "no green tile yet"
 # (a parity witness placed, the first green tile's parity or _NO_GREEN_YET,
@@ -469,20 +422,22 @@ _NO_GREEN_YET = "no green tile yet"
 CountState = tuple[bool, "WitnessParity | None | str", int, int]
 
 
-def count_tiling_theorem(table: dict[Rect, TileFacts], a: int, b: int) -> dict[str | None, int]:
-    """How many tilings of the board end in each of check_raw_tiling_theorem's verdicts.
+def count_tiling_theorem(a: int, b: int) -> dict[str | None, int]:
+    """How many tilings of the a x b board end in each of check_tiling_theorem's verdicts.
 
     The problem of a tiling (None when the chain holds) maps to its number
-    of tilings; a verdict no tiling gets is absent.  The ladder reads only
+    of tilings; a verdict no tiling gets is absent.  Each placed tile's
+    facts come from the board's board_table.  The ladder reads only
     whether a witness was placed, the first green tile's parity and the
     sums, and the sums are fixed by the squares covered, so
     count_tilings meets each covered set in a few states.
     """
-    board_green, board_yellow = table[(0, a, 0, b)][3:]
+    table = board_table(a, b)
+    board_green, board_yellow = table[(0, a, 0, b)][2:]
 
     def place(state: CountState, r: Rect) -> CountState:
         has_witness, green_parity, greens, yellows = state
-        _, parity, is_green, cg, cy = table[r]
+        parity, is_green, cg, cy = table[r]
         if green_parity is _NO_GREEN_YET and is_green:
             green_parity = parity
         return has_witness or parity is not None, green_parity, greens + cg, yellows + cy

@@ -218,6 +218,16 @@ def test_n1_orbit_above_2_64(capsys):
                    "18446744065119617029 18446744065119617032\n")
 
 
+def test_n1_steps_takes_values_up_to_the_int_to_str_digit_limit(capsys):
+    """One step past the largest printable a0 exits 2 before any work, not with a traceback."""
+    top = 10 ** sys.get_int_max_str_digits() - 4   # a0 + 3 is the largest printable int
+    code, out, err = run_cli(["n1", "--a0", str(top), "--steps", "1"], capsys)
+    assert (code, out, err) == (0, f"{top} {top + 3}\n", "")
+    code, out, err = run_cli(["n1", "--a0", str(top + 1), "--steps", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("imocheck: n1 --steps needs")
+
+
 def test_n1_rejects_small_a0(capsys):
     code, _, _ = run_cli(["n1", "--a0", "1", "--steps", "3"], capsys)
     assert code == 2

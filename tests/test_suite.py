@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from imocheck import cli, n1, report, suite, tiling
-from imocheck.errors import TheoremViolationError
+from imocheck import cli, n1, report, suite, tilefile, tiling
 from imocheck.report import ClaimReport
 from conftest import SMALL_PARAMS
 from test_cli import RECORD_RE
@@ -486,23 +485,6 @@ def test_parity_row_checks_the_nested_filters_pairs_in_order(monkeypatch):
     assert len(checked) == 7575
 
 
-def _theorem_oracle(board, tiles):
-    """check_tiling_theorem on a Tiling, plus the witness and green tile it scans."""
-    t = tiling.Tiling(board, frozenset(tiles))
-    problem = tiling.check_tiling_theorem(t)
-    if problem == "invalid tiling":
-        return problem, None, None
-    try:
-        first_witness = tiling.witness(t)[0]
-    except TheoremViolationError:
-        first_witness = None
-    try:
-        first_green = tiling.find_green_tile(t)
-    except TheoremViolationError:
-        first_green = None
-    return problem, first_witness, first_green
-
-
 def _mutants(a, b, tiles, n):
     """A tile dropped, shifted, grown into its neighbours, and sticking out of the board."""
     i = n % len(tiles)
@@ -517,36 +499,34 @@ def _mutants(a, b, tiles, n):
         yield "grown", rest + (grown,)
 
 
-def test_raw_chain_agrees_with_tiling_chain_on_small_boards():
+def _tiling_route(board, tiles):
+    return tiling.check_tiling_theorem(tiling.Tiling(board, frozenset(tiles)))
+
+
+def test_count_agrees_with_tiling_route_on_small_boards():
     """Every tiling of every board of area <= 12, odd, even and mixed, and mutants of each.
 
-    The raw route is checked against the Tiling route on each enumerated
-    tiling, and the count route's totals against the raw route's verdicts.
+    The count's verdict totals are checked against the Tiling route's
+    verdicts on each enumerated tiling, and every mutant is invalid to it.
     """
     seen = set()
     for a in range(1, 13):
         for b in range(1, 12 // a + 1):
             board = (0, a, 0, b)
-            table = tiling.board_table(a, b)
             problems = Counter()
             for n, tiles in enumerate(tiling.enum_tilings(a, b)):
-                tiles = tiles[::-1] if n % 2 else tiles   # the chain sorts its input
-                got = tiling.check_raw_tiling_theorem(table, board, tiles)
-                assert got == _theorem_oracle(board, tiles), (a, b, tiles)
-                problems[got[0]] += 1
-                seen.add(got[0])
+                problems[_tiling_route(board, tiles)] += 1
                 for kind, mutant in _mutants(a, b, tiles, n):
-                    got = tiling.check_raw_tiling_theorem(table, board, mutant)
-                    assert got == _theorem_oracle(board, mutant), (a, b, kind, mutant)
-                    assert got[0] == "invalid tiling", (a, b, kind, mutant)
-            assert tiling.count_tiling_theorem(table, a, b) == problems, (a, b)
+                    assert _tiling_route(board, mutant) == "invalid tiling", (a, b, kind, mutant)
+            assert tiling.count_tiling_theorem(a, b) == problems, (a, b)
+            seen |= problems.keys()
     assert seen == {None, "no parity witness", "no green tile",
                     "green tile fails distance parity"}
 
 
 def test_count_route_pins_the_verdicts_of_the_4x4_board():
     """No tiling of the even 4x4 board passes; 70,878 tilings and 60,576 without a witness."""
-    assert tiling.count_tiling_theorem(tiling.board_table(4, 4), 4, 4) == {
+    assert tiling.count_tiling_theorem(4, 4) == {
         "no parity witness": 60576, "green tile fails distance parity": 9998,
         "no green tile": 304}
 
@@ -566,7 +546,7 @@ def test_count_route_places_at_most_a_twentieth_of_the_fold_routes_tiles_on_3x5(
             yield placement
 
     monkeypatch.setattr(tiling, "_placements", counting)
-    tiling.count_tiling_theorem(tiling.board_table(3, 5), 3, 5)
+    tiling.count_tiling_theorem(3, 5)
     counted, drawn = drawn, 0
     tiling.enum_tilings(3, 5)
     assert 0 < 20 * counted <= drawn, (counted, drawn)
@@ -586,21 +566,20 @@ def _dropping_green_sum(kernel):
     return run
 
 
+def _patch_distance_parity(monkeypatch, parity):
+    """Both routes read it: tiling's table and green tile, and tilefile's witness."""
+    for module in (tiling, tilefile):
+        monkeypatch.setattr(module, "distance_parity", parity)
+
+
 def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatch, small_claims):
-    """Unit-square tiles count no green square: the count and the raw route both see it.
+    """Unit-square tiles count no green square: the count and the Tiling route both see it.
 
-    1x1 holds, since its one tile is the board, whose entry keeps its count.
+    1x1 holds, since its one tile is the board, which counts no green square either.
     """
-    board_table = tiling.board_table
-
-    def without_unit_greens(a, b):
-        table = board_table(a, b)
-        for r, f in table.items():
-            if tiling.area(r) == 1 and r != (0, a, 0, b):
-                table[r] = f[:3] + (0,) + f[4:]
-        return table
-
-    monkeypatch.setattr(tiling, "board_table", without_unit_greens)
+    count_green = tiling.count_green
+    monkeypatch.setattr(tiling, "count_green",
+                        lambda r: 0 if tiling.area(r) == 1 else count_green(r))
     rep = _exhaustive_row(small_claims).run(None)
     assert not rep.outcome and rep.steps == 1
     assert rep.witness == (1, 3, "green square counts do not add up",
@@ -612,39 +591,45 @@ def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatc
 def test_exhaustive_row_fails_when_only_the_count_sees_a_failure(monkeypatch, small_claims):
     monkeypatch.setattr(tiling, "count_tilings", _dropping_green_sum(tiling.count_tilings))
     rep = _exhaustive_row(small_claims).run(None)
-    assert not rep.outcome and rep.steps == 1   # the raw route held the one tiling of 1x1
-    assert rep.witness == (1, 1, "the count and the raw route disagree",
+    assert not rep.outcome and rep.steps == 1   # the Tiling route held the one tiling of 1x1
+    assert rep.witness == (1, 1, "the count and the Tiling route disagree",
                            [("green square counts do not add up", 1)])
 
 
-def _raw_only_exhaustive_theorem(area_cap):
-    """The exhaustive sweep without the count: the raw route on every tiling of every board."""
+def test_exhaustive_row_names_a_board_table_only_fault_as_a_disagreement(
+        monkeypatch, small_claims):
+    """A table with no parities: the count sees no witness, the Tiling route never reads it."""
+    board_table = tiling.board_table
+    monkeypatch.setattr(tiling, "board_table", lambda a, b: {
+        r: (None,) + f[1:] for r, f in board_table(a, b).items()})
+    rep = _exhaustive_row(small_claims).run(None)
+    assert not rep.outcome and rep.steps == 1
+    assert rep.witness == (1, 1, "the count and the Tiling route disagree",
+                           [("no parity witness", 1)])
+
+
+def _tiling_only_exhaustive_theorem(area_cap):
+    """The exhaustive sweep without the count: the Tiling route on every tiling of every board."""
     for a, b in suite._odd_boards(area_cap):
-        board, table = (0, a, 0, b), tiling.board_table(a, b)
         for tiles in tiling.enum_tilings(a, b):
-            problem = tiling.check_raw_tiling_theorem(table, board, tiles)[0]
+            problem = _tiling_route((0, a, 0, b), tiles)
             yield None if problem is None else (a, b, problem, sorted(tiles))
 
 
 def test_exhaustive_row_names_a_later_failure_as_the_fold_only_sweep_did(
         monkeypatch, small_claims):
-    board_table = tiling.board_table
-    centre = (1, 2, 1, 2)   # a green unit square; only 3x3 has it among the small boards
-
-    def without_centre_parity(a, b):
-        table = board_table(a, b)
-        if centre in table:
-            table[centre] = (table[centre][0], None) + table[centre][2:]
-        return table
-
-    monkeypatch.setattr(tiling, "board_table", without_centre_parity)
+    # (1, 1, 1, 1) are the gaps of the green centre square of 3x3, the first
+    # board among the small ones with a tile that has them.
+    distance_parity = tiling.distance_parity
+    _patch_distance_parity(monkeypatch,
+                           lambda ds: None if ds == (1, 1, 1, 1) else distance_parity(ds))
     row = _exhaustive_row(small_claims)
     rep = row.run(None)
     assert not rep.outcome and rep.witness[:3] == (3, 3, "green tile fails distance parity")
     before = sum(tiling.count_tilings_reference(a, b) for a, b in suite._odd_boards(9)
                  if (a, b) < (3, 3))
-    assert rep.steps > before   # past the first board and the first tiling of its board
-    assert rep == row._replace(sweep=_raw_only_exhaustive_theorem).run(None)
+    assert rep.steps == 481 > before   # past the first board and the first tiling of its board
+    assert rep == row._replace(sweep=_tiling_only_exhaustive_theorem).run(None)
 
 
 def test_exhaustive_row_lists_no_tiling_when_every_count_holds(monkeypatch, small_claims):
@@ -660,20 +645,7 @@ def test_exhaustive_row_lists_no_tiling_when_every_count_holds(monkeypatch, smal
 
 
 def test_exhaustive_row_catches_a_board_table_without_parities(monkeypatch, small_claims):
-    board_table = tiling.board_table
-    monkeypatch.setattr(tiling, "board_table", lambda a, b: {
-        r: (f[0], None) + f[2:] for r, f in board_table(a, b).items()})
+    _patch_distance_parity(monkeypatch, lambda ds: None)
     rep = _exhaustive_row(small_claims).run(None)
     assert not rep.outcome and rep.steps == 0
     assert rep.witness == (1, 1, "no parity witness", [(0, 1, 0, 1)])
-
-
-def test_raw_chain_rejects_a_repeated_tile():
-    # A Tiling holds a frozenset, which would drop the repeat; the raw chain sees it.
-    for a, b in [(1, 1), (2, 1), (3, 3), (1, 5)]:
-        table, board = tiling.board_table(a, b), (0, a, 0, b)
-        for tiles in tiling.enum_tilings(a, b):
-            for r in tiles:
-                assert tiling.check_raw_tiling_theorem(table, board, tiles + (r,))[0] \
-                    == "invalid tiling"
-
