@@ -2,15 +2,15 @@
 
 ``CLAIMS`` is the battery: one ordered row per claim, holding its id, its
 sweep, the sweep's keyword params (every size the suite checks lives here
-and nowhere else, and the record prints them) and whether the sweep draws
-from the suite's seeded random.Random.  The row is the only place a claim's
-id and params are spelled; ``Claim.run`` builds its record.
-``run_suite`` runs the rows in order with one rng for a given seed, so the
-record stream is byte-reproducible; it prints one line per claim (human text
-or record lines) to stdout and each row's wall time to stderr.  A row that
-raises does not end the battery: it gets a fail record with the exception
-class as witness, stderr gets one line, the remaining rows run and the exit
-code is 3.  Tests run the same runner on a small table.
+and nowhere else, and the record prints them) and the names of the run
+context values the sweep takes.  The row is the only place a claim's id and
+params are spelled; ``Claim.run`` builds its record.
+``run_suite`` runs the rows in order with one context, whose rng is seeded
+by the given seed, so the record stream is byte-reproducible; it prints one
+line per claim (human text or record lines) to stdout and each row's wall
+time to stderr.  A row that raises does not end the battery: it gets a fail
+record with the exception class as witness, stderr gets one line, the
+remaining rows run and the exit code is 3.  Tests run the same runner on a small table.
 
 An instance check (one start, one pair of rects, one tiling) returns None
 when the instance holds and a witness (for a tiling, the problem string)
@@ -29,10 +29,11 @@ when a_1 is a start of the same sweep, a_0 breaks at index 0 or 1 or where
 a_1 breaks, one index later (_successor_verdicts).  The verdicts come out
 in increasing order of start, so steps and the witness are unchanged.
 
-Within one run_suite call, n1.cycle_shape reads the classify(a0,
-n1.default_budget(a0)) traces that n1.classification kept one row earlier,
-the result of the very call it would make, so no record changes; it
-classifies the starts that row did not reach (_mult3_traces).
+The context's mult3_traces dict is a local of one run_suite call.
+n1.cycle_shape reads the classify(a0, n1.default_budget(a0)) traces that
+n1.classification kept there one row earlier, the result of the very call
+it would make, so no record changes; it classifies the starts that row did
+not reach.  A run_suite started inside another has its own dict.
 
 The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
@@ -334,19 +335,16 @@ def n1_fixed_orbits(a0: int) -> Witnesses:
             yield start, "detect_cycle", cycle
 
 
-# n1.classification's traces by multiple of 3, for n1.cycle_shape; a dict only in run_suite.
-_mult3_traces: dict[int, n1.OrbitTrace] | None = None
-
-
-def n1_classification(max_a0: int) -> Witnesses:
+def n1_classification(max_a0: int, mult3_traces: dict | None = None) -> Witnesses:
     """For every 2 <= a0 <= max_a0, PeriodicMult3 exactly when 3 divides a0.
 
-    No start may end in BudgetExceeded at n1.default_budget.
+    No start may end in BudgetExceeded at n1.default_budget.  Given
+    mult3_traces, it keeps each multiple of 3's trace there by start.
     """
     def witness(a0: int) -> tuple | None:
         trace = n1.classify(a0, n1.default_budget(a0))
-        if _mult3_traces is not None and a0 % 3 == 0:
-            _mult3_traces[a0] = trace
+        if mult3_traces is not None and a0 % 3 == 0:
+            mult3_traces[a0] = trace
         cls = trace.classification
         ok = (cls is not n1.OrbitClass.BUDGET_EXCEEDED
               and (cls is n1.OrbitClass.PERIODIC_MULT3) == (a0 % 3 == 0))
@@ -355,13 +353,14 @@ def n1_classification(max_a0: int) -> Witnesses:
     return map(witness, range(2, max_a0 + 1))
 
 
-def n1_cycle_shape(max_a0: int) -> Witnesses:
+def n1_cycle_shape(max_a0: int, mult3_traces: dict | None = None) -> Witnesses:
     """Every multiple of 3 up to max_a0 cycles through exactly {3, 6, 9}.
 
     A start with no cycle certificate within n1.default_budget fails with
-    the cycle None.  A trace n1.classification kept in this run is reused.
+    the cycle None.  A trace that n1.classification kept in mult3_traces is
+    reused.
     """
-    traces = _mult3_traces or {}
+    traces = mult3_traces or {}
 
     def witness(a0: int) -> tuple | None:
         trace = traces.get(a0) or n1.classify(a0, n1.default_budget(a0))
@@ -436,27 +435,30 @@ def n1_gt1(max_a0: int, budget: int) -> Witnesses:
 # -- the table and its runner -------------------------------------------------------
 
 class Claim(NamedTuple):
-    """One row: a claim id, its sweep, the sweep's params and whether it takes the rng.
+    """One row: a claim id, its sweep, the sweep's params and the run context it takes.
 
-    A seeded row's sweep takes the suite's random.Random first.  The
+    ``takes`` names the run_suite context values the sweep takes as
+    keywords: ``rng``, the run's random.Random, and ``mult3_traces``, the
+    dict of N1 traces that n1.classification fills and n1.cycle_shape
+    reads.  They are not params, so records do not print them.  The
     default params dict is shared by the rows, so nothing writes to params.
     """
 
     id: str
     sweep: Callable[..., Iterable[tuple | None]]
     params: dict[str, Any] = {}
-    seeded: bool = False
+    takes: tuple[str, ...] = ()
 
-    def run(self, rng: random.Random) -> ClaimReport:
-        return first_failure(self.id, self.params,
-                             self.sweep(*([rng] if self.seeded else []), **self.params))
+    def run(self, **context: Any) -> ClaimReport:
+        taken = {name: value for name, value in context.items() if name in self.takes}
+        return first_failure(self.id, self.params, self.sweep(**taken, **self.params))
 
 
-# The rows run in this order, so the seeded ones draw from the rng in this order.
+# The rows run in this order, so those that take the rng draw from it in this order.
 CLAIMS: tuple[Claim, ...] = (
     Claim("a2.base_case", a2_base_case),
     Claim("a2.verify", a2.verify, {"n_max": 200}),
-    Claim("a2.sum_lemmas", a2_sum_lemmas, {"instances": 500, "max_n": 12}, seeded=True),
+    Claim("a2.sum_lemmas", a2_sum_lemmas, {"instances": 500, "max_n": 12}, takes=("rng",)),
     Claim("a2.subtraction_identity", a2_subtraction_identity, {"max_n": 50}),
     Claim("a2.coefficient_positivity", a2_coefficient_positivity, {"max_n": 50}),
     Claim("c1.counting", c1_counting, {"coord_max": 12}),
@@ -466,16 +468,16 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("c1.theorem_exhaustive", c1_exhaustive_theorem, {"area_cap": 16}),
     Claim("c1.enumeration_count", c1_enumeration_count, {"boards": 6}),
     Claim("c1.theorem_random", c1_random_theorem, {"count": 1000, "pinwheels": 50},
-          seeded=True),
-    Claim("c1.roundtrip", c1_roundtrip, {"samples": 25}, seeded=True),
+          takes=("rng",)),
+    Claim("c1.roundtrip", c1_roundtrip, {"samples": 25}, takes=("rng",)),
     Claim("n1.square_mod3_ne2", n1.lemma_square_mod3_ne2, {"scan_limit": 10 ** 4}),
     Claim("n1.three_squares_mod3", n1.lemma_three_squares_mod3, {"scan_limit": 10 ** 4}),
     Claim("n1.square_mod3_zero", n1.lemma_square_mod3_zero, {"scan_limit": 10 ** 4}),
     Claim("n1.step_image", n1_step_image, {"limit": 10 ** 5}),
     Claim("n1.residue_preservation", n1_residue_preservation, {"limit": 10 ** 5}),
     Claim("n1.fixed_orbits", n1_fixed_orbits, {"a0": 7}),
-    Claim("n1.classification", n1_classification, {"max_a0": 10 ** 4}),
-    Claim("n1.cycle_shape", n1_cycle_shape, {"max_a0": 10 ** 4}),
+    Claim("n1.classification", n1_classification, {"max_a0": 10 ** 4}, takes=("mult3_traces",)),
+    Claim("n1.cycle_shape", n1_cycle_shape, {"max_a0": 10 ** 4}, takes=("mult3_traces",)),
     Claim("n1.claim1", n1_claim1, {"max_a0": 1000, "window": 200}),
     Claim("n1.claim2_certificate", n1_claim2, {"max_x": 10 ** 4}),
     Claim("n1.claim3", n1_claim3, {"max_a0": 1000}),
@@ -499,35 +501,30 @@ def _human_line(rep: ClaimReport) -> str:
 
 def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
               claims: Sequence[Claim] = CLAIMS) -> int:
-    """Run the rows in order with one rng seeded by ``seed``.
+    """Run the rows in order with one context: an rng seeded by ``seed`` and a trace dict.
 
     Exit code 0 when every claim passes, 1 when one fails, 3 when a row
     raised (which takes precedence).
     """
-    global _mult3_traces
-    rng = random.Random(seed)
+    context = {"rng": random.Random(seed), "mult3_traces": {}}
     diagnostics = err if records else out
     print(f"suite seed={seed}", file=diagnostics)
     failures = 0
     raised = False
-    _mult3_traces = {}
-    try:
-        for claim in claims:
-            t0 = time.perf_counter()
-            try:
-                rep = claim.run(rng)
-            except Exception as exc:
-                raised = True
-                kind = type(exc).__name__
-                message = " ".join(str(exc).split())
-                print(f"imocheck: claim {claim.id} raised {kind}: {message}", file=err)
-                rep = first_failure(claim.id, {}, [(kind,)])
-            elapsed = time.perf_counter() - t0
-            print(rep.record_line() if records else _human_line(rep), file=out)
-            failures += not rep.outcome
-            print(f"time {claim.id} {elapsed:.3f}s", file=err)
-    finally:
-        _mult3_traces = None
+    for claim in claims:
+        t0 = time.perf_counter()
+        try:
+            rep = claim.run(**context)
+        except Exception as exc:
+            raised = True
+            kind = type(exc).__name__
+            message = " ".join(str(exc).split())
+            print(f"imocheck: claim {claim.id} raised {kind}: {message}", file=err)
+            rep = first_failure(claim.id, {}, [(kind,)])
+        elapsed = time.perf_counter() - t0
+        print(rep.record_line() if records else _human_line(rep), file=out)
+        failures += not rep.outcome
+        print(f"time {claim.id} {elapsed:.3f}s", file=err)
     print(f"{len(claims) - failures}/{len(claims)} claims passed", file=diagnostics)
     if raised:
         return 3

@@ -18,7 +18,7 @@ DATA = Path(__file__).parent / "data"
 def _run(claim_id, rng=None, **params):
     """The suite.CLAIMS row ``claim_id``, run with ``params`` over the row's own."""
     row = next(c for c in suite.CLAIMS if c.id == claim_id)
-    return row._replace(params={**row.params, **params}).run(rng)
+    return row._replace(params={**row.params, **params}).run(rng=rng)
 
 
 def test_record_line_grammar():
@@ -394,22 +394,41 @@ def _trace_rows(small_claims):
     return tuple(c for c in small_claims if c.id in N1_TRACE_ROWS)
 
 
-def test_the_shared_traces_live_for_one_run_suite_call(small_claims):
-    """None before and after every call: a pass, a caught raise and an uncaught one."""
-    assert suite._mult3_traces is None
+def test_a_run_suite_inside_a_row_leaves_the_outer_runs_traces(monkeypatch, small_claims):
+    """The inner run classifies 2..60 once for its own two rows; the outer cycle_shape none."""
+    trace_rows = _trace_rows(small_claims)
+
+    def inner_run():
+        sink = io.StringIO()
+        yield None if suite.run_suite(7, True, sink, sink, trace_rows) == 0 else ("inner",)
+
+    calls = _recording_classify(monkeypatch)
+    out = io.StringIO()
+    table = (trace_rows[0], suite.Claim("x.inner_run", inner_run), trace_rows[1])
+    assert suite.run_suite(7, True, out, io.StringIO(), table) == 0
+    assert calls == list(range(2, 61)) * 2
+    assert out.getvalue().splitlines() == [
+        "CLAIM n1.classification max_a0=60 steps=59 outcome=pass",
+        "CLAIM x.inner_run steps=1 outcome=pass",
+        "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
+
+
+def test_run_suite_provides_every_context_name_a_row_takes():
+    """A probe row that takes every name in the table receives each of them."""
+    names = {name for claim in suite.CLAIMS for name in claim.takes}
+    received = {}
+
+    def probe(**context):
+        received.update(context)
+        yield None
+
     sink = io.StringIO()
-    assert suite.run_suite(7, True, sink, sink, _trace_rows(small_claims)) == 0
-    assert suite._mult3_traces is None
-    raising = _trace_rows(small_claims) + (suite.Claim("x.raise", _raises),)
-    assert suite.run_suite(7, True, sink, sink, raising) == 3
-    assert suite._mult3_traces is None
-
-    def interrupted():
-        raise KeyboardInterrupt
-
-    with pytest.raises(KeyboardInterrupt):
-        suite.run_suite(7, True, sink, sink, raising[:1] + (suite.Claim("x.stop", interrupted),))
-    assert suite._mult3_traces is None
+    table = (suite.Claim("x.probe", probe, takes=tuple(names)),)
+    assert suite.run_suite(7, True, sink, sink, table) == 0
+    assert received.keys() == names == {"rng", "mult3_traces"}
+    # The rng's draw order is the order of these rows.
+    assert [c.id for c in suite.CLAIMS if "rng" in c.takes] == [
+        "a2.sum_lemmas", "c1.theorem_random", "c1.roundtrip"]
 
 
 def test_cycle_shape_classifies_no_start_after_a_passing_classification(monkeypatch,
@@ -531,7 +550,7 @@ def test_count_route_pins_the_verdicts_of_the_4x4_board():
         "no green tile": 304}
 
 
-def test_count_route_places_at_most_a_twentieth_of_the_fold_routes_tiles_on_3x5(monkeypatch):
+def test_count_route_places_at_most_a_twentieth_of_enum_tilings_tiles_on_3x5(monkeypatch):
     """The memo keeps the count from placing the tiles of 31,484 tilings one by one.
 
     Both searches draw every tile they place from tiling._placements.
@@ -572,7 +591,7 @@ def _patch_distance_parity(monkeypatch, parity):
         monkeypatch.setattr(module, "distance_parity", parity)
 
 
-def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatch, small_claims):
+def test_exhaustive_row_catches_a_count_green_that_drops_unit_squares(monkeypatch, small_claims):
     """Unit-square tiles count no green square: the count and the Tiling route both see it.
 
     1x1 holds, since its one tile is the board, which counts no green square either.
@@ -580,7 +599,7 @@ def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatc
     count_green = tiling.count_green
     monkeypatch.setattr(tiling, "count_green",
                         lambda r: 0 if tiling.area(r) == 1 else count_green(r))
-    rep = _exhaustive_row(small_claims).run(None)
+    rep = _exhaustive_row(small_claims).run()
     assert not rep.outcome and rep.steps == 1
     assert rep.witness == (1, 3, "green square counts do not add up",
                            [(0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3)])
@@ -590,7 +609,7 @@ def test_exhaustive_row_catches_a_fold_state_that_drops_the_green_sum(monkeypatc
 
 def test_exhaustive_row_fails_when_only_the_count_sees_a_failure(monkeypatch, small_claims):
     monkeypatch.setattr(tiling, "count_tilings", _dropping_green_sum(tiling.count_tilings))
-    rep = _exhaustive_row(small_claims).run(None)
+    rep = _exhaustive_row(small_claims).run()
     assert not rep.outcome and rep.steps == 1   # the Tiling route held the one tiling of 1x1
     assert rep.witness == (1, 1, "the count and the Tiling route disagree",
                            [("green square counts do not add up", 1)])
@@ -602,7 +621,7 @@ def test_exhaustive_row_names_a_board_table_only_fault_as_a_disagreement(
     board_table = tiling.board_table
     monkeypatch.setattr(tiling, "board_table", lambda a, b: {
         r: (None,) + f[1:] for r, f in board_table(a, b).items()})
-    rep = _exhaustive_row(small_claims).run(None)
+    rep = _exhaustive_row(small_claims).run()
     assert not rep.outcome and rep.steps == 1
     assert rep.witness == (1, 1, "the count and the Tiling route disagree",
                            [("no parity witness", 1)])
@@ -616,7 +635,7 @@ def _tiling_only_exhaustive_theorem(area_cap):
             yield None if problem is None else (a, b, problem, sorted(tiles))
 
 
-def test_exhaustive_row_names_a_later_failure_as_the_fold_only_sweep_did(
+def test_exhaustive_row_names_a_later_failure_as_the_tiling_only_sweep_does(
         monkeypatch, small_claims):
     # (1, 1, 1, 1) are the gaps of the green centre square of 3x3, the first
     # board among the small ones with a tile that has them.
@@ -624,28 +643,28 @@ def test_exhaustive_row_names_a_later_failure_as_the_fold_only_sweep_did(
     _patch_distance_parity(monkeypatch,
                            lambda ds: None if ds == (1, 1, 1, 1) else distance_parity(ds))
     row = _exhaustive_row(small_claims)
-    rep = row.run(None)
+    rep = row.run()
     assert not rep.outcome and rep.witness[:3] == (3, 3, "green tile fails distance parity")
     before = sum(tiling.count_tilings_reference(a, b) for a, b in suite._odd_boards(9)
                  if (a, b) < (3, 3))
     assert rep.steps == 481 > before   # past the first board and the first tiling of its board
-    assert rep == row._replace(sweep=_tiling_only_exhaustive_theorem).run(None)
+    assert rep == row._replace(sweep=_tiling_only_exhaustive_theorem).run()
 
 
 def test_exhaustive_row_lists_no_tiling_when_every_count_holds(monkeypatch, small_claims):
     row = _exhaustive_row(small_claims)
-    steps = row.run(None).steps
+    steps = row.run().steps
 
     def refuse(a, b):
         raise AssertionError(f"listed the tilings of {a}x{b}")
 
     monkeypatch.setattr(tiling, "enum_tilings", refuse)
-    rep = row.run(None)
+    rep = row.run()
     assert rep.outcome and rep.steps == steps
 
 
 def test_exhaustive_row_catches_a_board_table_without_parities(monkeypatch, small_claims):
     _patch_distance_parity(monkeypatch, lambda ds: None)
-    rep = _exhaustive_row(small_claims).run(None)
+    rep = _exhaustive_row(small_claims).run()
     assert not rep.outcome and rep.steps == 0
     assert rep.witness == (1, 1, "no parity witness", [(0, 1, 0, 1)])
