@@ -179,8 +179,13 @@ def parse_tiling(text: str) -> Tiling:
         digits = "".join(args)   # every token is decimal iff their concatenation is
         if args and not (digits.isascii() and digits.isdecimal()):
             raise TilingParseError(line_no, f"expected decimal naturals, got {args}")
-        # the length test comes first: int() refuses numbers of thousands of digits
-        values = [int(tok) for tok in args if len(tok.lstrip("0")) <= _MAX_SIDE_DIGITS]
+        # int() refuses thousands of digits, leading zeros too, so it reads each
+        # token stripped of them, and only once the length test has kept it
+        values = []
+        for tok in args:
+            s = tok.lstrip("0")
+            if len(s) <= _MAX_SIDE_DIGITS:
+                values.append(int(s or "0"))
         if len(values) < len(args) or max(values, default=0) > MAX_SIDE:
             raise TilingParseError(line_no, f"a number above the cap {MAX_SIDE}")
         if keyword == "board":

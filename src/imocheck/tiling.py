@@ -25,18 +25,17 @@ overlap_literal definitions, keeping the set definitions authoritative.
 Two routes of the per-tiling theorem chain live here and end in one
 verdict ladder.  check_tiling_theorem takes any Tiling and validates it
 with tiling_problems.  count_tiling_theorem counts the verdicts of every
-tiling of a board without visiting each tiling: it runs the chain inside
-count_tilings on the board's board_table, as each tile is placed, and its
-state keeps only what the ladder reads (whether a witness was placed, the
-first green tile's parity and the two sums), so the search memoizes on it.
+tiling of a board without visiting each tiling: it runs the chain on the
+board's board_table as each tile is placed, keeping only what the ladder
+reads (whether a witness was placed, the first green tile's parity and the
+two sums), so its search memoizes on that and the covered squares.
 The tests compare the count with the Tiling route's verdicts on every
 tiling of every board of area at most 12.
 
 There is one tiling search, _placements' rule, run two ways: enum_tilings
-lists every tiling, and count_tilings counts the tilings that end in each
-verdict, memoized on the covered squares and a small state.  C1's
-exhaustive theorem check counts; it lists a board's tilings only when the
-count holds a failure, to name the first failing one.
+lists every tiling, and count_tiling_theorem counts the tilings that end
+in each verdict.  C1's exhaustive theorem check counts; it lists a board's
+tilings only when the count holds a failure, to name the first failing one.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import random
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .errors import PreconditionFailedError, TheoremViolationError
 # c1-gen, the suite and the tests read the file layer through this module too
@@ -54,8 +53,6 @@ from .tilefile import (MAX_SIDE, MAX_TILES, Rect, Tiling, WitnessParity, _lex_ti
                        side_distances, tiling_problems, valid_rect, witness)
 
 Square = tuple[int, int]
-State = TypeVar("State")
-Verdict = TypeVar("Verdict")
 
 
 def _require_valid(r: Rect) -> None:
@@ -287,39 +284,6 @@ def enum_tilings(a: int, b: int) -> list[tuple[Rect, ...]]:
     return results
 
 
-def count_tilings(a: int, b: int, place: Callable[[State, Rect], State],
-                  leaf: Callable[[State], Verdict], state: State) -> dict[Verdict, int]:
-    """How many tilings of enum_tilings' search end in each ``leaf(state)`` value.
-
-    Along each path of the search, ``place(state, tile)`` gives the state
-    after a tile is placed; ``leaf(state)`` is a complete tiling's verdict.
-    The search is enum_tilings', memoized on (occupancy, state): the
-    tilings that complete a partial one depend only on the squares it
-    covers, so a sub-search reached again with an equal state is counted
-    once.  ``state`` must be hashable, and ``place`` and ``leaf`` pure.  It
-    pays when the state forgets which tiles were placed; a state that
-    remembers them makes every key distinct.  The memo lives for one call.
-    """
-    full = (1 << a * b) - 1
-    memo: dict[tuple[int, State], dict[Verdict, int]] = {}
-
-    def rec(occ: int, state: State) -> dict[Verdict, int]:
-        key = (occ, state)
-        counts = memo.get(key)
-        if counts is None:
-            if occ == full:
-                counts = {leaf(state): 1}
-            else:
-                counts = {}
-                for tile, mask in _placements(occ, a, b):
-                    for verdict, n in rec(occ | mask, place(state, tile)).items():
-                        counts[verdict] = counts.get(verdict, 0) + n
-            memo[key] = counts
-        return counts
-
-    return rec(0, state)
-
-
 def enumerate_tilings(a: int, b: int) -> Iterator[Tiling]:
     """Every tiling of the a x b board, each exactly once (canonical order)."""
     _require_enumerable(a, b)
@@ -415,36 +379,46 @@ def check_tiling_theorem(t: Tiling) -> str | None:
                           sum(count_yellow(r) for r in t.tiles) - count_yellow(t.board))
 
 
-# The green parity of a CountState before any green tile is placed.
+# count_tiling_theorem's green_parity before any green tile is placed.
 _NO_GREEN_YET = "no green tile yet"
-# (a parity witness placed, the first green tile's parity or _NO_GREEN_YET,
-#  green sum, yellow sum)
-CountState = tuple[bool, "WitnessParity | None | str", int, int]
 
 
 def count_tiling_theorem(a: int, b: int) -> dict[str | None, int]:
     """How many tilings of the a x b board end in each of check_tiling_theorem's verdicts.
 
     The problem of a tiling (None when the chain holds) maps to its number
-    of tilings; a verdict no tiling gets is absent.  Each placed tile's
-    facts come from the board's board_table.  The ladder reads only
-    whether a witness was placed, the first green tile's parity and the
-    sums, and the sums are fixed by the squares covered, so
-    count_tilings meets each covered set in a few states.
+    of tilings; a verdict no tiling gets is absent.  The search is
+    enum_tilings' and reads each placed tile's facts from board_table.  The
+    tilings that complete a partial one depend only on the squares it
+    covers, so a sub-search reached again in an equal state is counted
+    once.  The sums are fixed by the covered squares while count_green and
+    count_yellow are right; they stay in the key so that a fault in either
+    still shows.  The memo lives for one call.
     """
     table = board_table(a, b)
     board_green, board_yellow = table[(0, a, 0, b)][2:]
+    full = (1 << a * b) - 1
+    memo: dict[tuple, dict[str | None, int]] = {}
 
-    def place(state: CountState, r: Rect) -> CountState:
-        has_witness, green_parity, greens, yellows = state
-        parity, is_green, cg, cy = table[r]
-        if green_parity is _NO_GREEN_YET and is_green:
-            green_parity = parity
-        return has_witness or parity is not None, green_parity, greens + cg, yellows + cy
+    def rec(occ: int, has_witness: bool, green_parity: WitnessParity | None | str,
+            greens: int, yellows: int) -> dict[str | None, int]:
+        key = (occ, has_witness, green_parity, greens, yellows)
+        counts = memo.get(key)
+        if counts is None:
+            if occ == full:
+                counts = {_chain_problem(has_witness, green_parity is not _NO_GREEN_YET,
+                                         green_parity, greens - board_green,
+                                         yellows - board_yellow): 1}
+            else:
+                counts = {}
+                for tile, mask in _placements(occ, a, b):
+                    parity, is_green, cg, cy = table[tile]
+                    first_parity = (parity if green_parity is _NO_GREEN_YET and is_green
+                                    else green_parity)
+                    for verdict, n in rec(occ | mask, has_witness or parity is not None,
+                                          first_parity, greens + cg, yellows + cy).items():
+                        counts[verdict] = counts.get(verdict, 0) + n
+            memo[key] = counts
+        return counts
 
-    def leaf(state: CountState) -> str | None:
-        has_witness, green_parity, greens, yellows = state
-        return _chain_problem(has_witness, green_parity is not _NO_GREEN_YET, green_parity,
-                              greens - board_green, yellows - board_yellow)
-
-    return count_tilings(a, b, place, leaf, (False, _NO_GREEN_YET, 0, 0))
+    return rec(0, False, _NO_GREEN_YET, 0, 0)

@@ -134,6 +134,13 @@ def test_c1_check_even_board_with_witness_exits_0(tmp_path, capsys):
     assert out == "witness (0,2,0,1) ds=(0,0,0,0) AllEven\n"
 
 
+def test_c1_check_reads_a_side_padded_past_the_int_digit_limit_by_its_value(tmp_path, capsys):
+    path = tmp_path / "padded.tiling"
+    path.write_text(f"board {'0' * 5000}3 1\ntile 0 3 0 1\n")
+    code, out, err = run_cli(["c1-check", str(path)], capsys)
+    assert (code, out, err) == (0, "witness (0,3,0,1) ds=(0,0,0,0) AllEven\n", "")
+
+
 def test_c1_check_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.tiling"
     path.write_text("board 2 1\ntile 0 zwei 0 1\n")

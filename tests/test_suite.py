@@ -550,6 +550,20 @@ def test_count_route_pins_the_verdicts_of_the_4x4_board():
         "no green tile": 304}
 
 
+def test_count_reads_the_first_green_tiles_parity_as_the_tiling_route_does(monkeypatch):
+    """With correct facts every green tile of a board passes or fails alike; a fault splits them.
+
+    Both routes lose the parity of 3x3's green centre square, so the verdict
+    of a tiling with it depends on which of its green tiles is read.
+    """
+    distance_parity = tiling.distance_parity
+    _patch_distance_parity(monkeypatch,
+                           lambda ds: None if ds == (1, 1, 1, 1) else distance_parity(ds))
+    problems = Counter(_tiling_route((0, 3, 0, 3), tiles) for tiles in tiling.enum_tilings(3, 3))
+    assert problems == {None: 306, "green tile fails distance parity": 14, "no parity witness": 2}
+    assert tiling.count_tiling_theorem(3, 3) == problems
+
+
 def test_count_route_places_at_most_a_twentieth_of_enum_tilings_tiles_on_3x5(monkeypatch):
     """The memo keeps the count from placing the tiles of 31,484 tilings one by one.
 
@@ -575,16 +589,6 @@ def _exhaustive_row(claims):
     return next(c for c in claims if c.id == "c1.theorem_exhaustive")
 
 
-def _dropping_green_sum(kernel):
-    """``kernel`` with a ``place`` that zeroes the green sum, index 2 of the count's state."""
-    def run(a, b, place, leaf, state):
-        def place_dropping(s, r):
-            placed = place(s, r)
-            return placed[:2] + (0,) + placed[3:]
-        return kernel(a, b, place_dropping, leaf, state)
-    return run
-
-
 def _patch_distance_parity(monkeypatch, parity):
     """Both routes read it: tiling's table and green tile, and tilefile's witness."""
     for module in (tiling, tilefile):
@@ -608,11 +612,18 @@ def test_exhaustive_row_catches_a_count_green_that_drops_unit_squares(monkeypatc
 
 
 def test_exhaustive_row_fails_when_only_the_count_sees_a_failure(monkeypatch, small_claims):
-    monkeypatch.setattr(tiling, "count_tilings", _dropping_green_sum(tiling.count_tilings))
+    """A table whose unit tiles, the board aside, count no green square: only the count reads it.
+
+    1x1 holds, since its one tile is the board; three of the four tilings of 1x3 hold a unit tile.
+    """
+    board_table = tiling.board_table
+    monkeypatch.setattr(tiling, "board_table", lambda a, b: {
+        r: f[:2] + (0,) + f[3:] if tiling.area(r) == 1 and r != (0, a, 0, b) else f
+        for r, f in board_table(a, b).items()})
     rep = _exhaustive_row(small_claims).run()
-    assert not rep.outcome and rep.steps == 1   # the Tiling route held the one tiling of 1x1
-    assert rep.witness == (1, 1, "the count and the Tiling route disagree",
-                           [("green square counts do not add up", 1)])
+    assert not rep.outcome and rep.steps == 5   # the Tiling route held 1x1 and all of 1x3
+    assert rep.witness == (1, 3, "the count and the Tiling route disagree",
+                           [("green square counts do not add up", 3), (None, 1)])
 
 
 def test_exhaustive_row_names_a_board_table_only_fault_as_a_disagreement(

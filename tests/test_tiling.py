@@ -308,6 +308,14 @@ def test_board_table_entry_of_the_board_holds_its_counts(monkeypatch):
                         problem: total - 1, None: 1}, (a, b)
 
 
+def test_count_tiling_theorem_counts_boards_past_the_enumerators_area_cap(monkeypatch):
+    """5x5 is OEIS A116694's 84231996; the count never lists a tiling, so no failure hides."""
+    monkeypatch.setattr(tiling, "ENUM_AREA_CAP", 25)
+    assert tiling.count_tiling_theorem(5, 5) == {None: 84231996}
+    assert tiling.count_tiling_theorem(7, 3) == tiling.count_tiling_theorem(3, 7) == {
+        None: 3149674}
+
+
 # -- text format -------------------------------------------------------------------------
 
 FILE_LAYER = ["Rect", "valid_rect", "area", "inside", "Tiling", "tiling_problems", "lex_key",
@@ -389,6 +397,9 @@ def test_parse_refuses_a_number_above_the_cap_at_its_line(token):
 
 def test_parse_reads_leading_zeros():
     t = tiling.parse_tiling("board 3 3\ntile 0000000 0000003 0 3\n")
+    assert t == Tiling((0, 3, 0, 3), frozenset([(0, 3, 0, 3)]))
+    # more zeros than int() reads in one number: the value, 3, still parses
+    t = tiling.parse_tiling(f"board {'0' * 5000}3 3\ntile 0 3 0 3\n")
     assert t == Tiling((0, 3, 0, 3), frozenset([(0, 3, 0, 3)]))
 
 
