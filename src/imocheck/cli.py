@@ -41,12 +41,12 @@ A2_MAX_N = 1000
 # orbit's +3 runs, a handful at any a0 (n1 --a0 999999999999 --classify,
 # 1.33M steps to its cycle: 0.09 s and 14.5 MB peak RSS on a 2-core host,
 # against 0.08 s for n1 --steps 0 and 0.07 s and 14.4 MB for a bare
-# python -c pass).  Divergent starts cost the budget scan below.
+# python -c pass).  A divergent tail is confirmed with three square tests.
 N1_CLASSIFY_MAX_A0 = 10 ** 12
-# n1 --classify --budget: confirming the +3 run costs about sqrt(3 * budget)
-# square tests (n1 --a0 1000000000000 --classify, whose default budget is
-# this cap: 0.36-0.47 s and 14.6 MB); the cap is n1.default_budget at the a0
-# cap, written out so that the parser does not load n1 (a test pins the two).
+# n1 --classify --budget: a tail of any length takes the same three square
+# tests to confirm, so this cap is the exit-2 contract, not a cost bound.  It
+# is n1.default_budget at the a0 cap, written out so that the parser does not
+# load n1 (a test pins the two).
 N1_CLASSIFY_MAX_BUDGET = 4 * N1_CLASSIFY_MAX_A0 + 1000
 # n1 --steps: n1.orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).

@@ -10,9 +10,11 @@ certifies divergence within the examined window.
 
 classify jumps along the orbit's +3 runs from square to square, so its cost
 is a handful of runs even at a_0 = 10^12, while the budget still counts
-steps; detect_cycle and orbit read the stepped orbit from walk, the only
-loop over the step rule, and the tests use them as its oracle.  n1_step is
-the one-step definition the walk is checked against.
+steps; it and confirm_plus3_run find a run's last square with one kernel,
+run_end_root, which tests three candidate roots, whatever the run's length.
+detect_cycle and orbit read the stepped orbit from walk, the only loop over
+the step rule, and the tests use them as its oracle.  n1_step is the
+one-step definition the walk is checked against.
 
 The claims of the proof are checked one start at a time, from a_0: the
 orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
@@ -89,9 +91,20 @@ def orbit_fill(a0: int, k: int) -> list[int]:
     return list(itertools.islice(walk(a0), k + 1))
 
 
-# Per residue r mod 3, the longest stretch lo, lo + 3, ..., hi a scan found
-# square-free.  Each entry was scanned, so an update lost to a race costs only time.
-_square_free: dict[int, tuple[int, int]] = {}
+def run_end_root(v: int) -> int | None:
+    """The s whose square ends the +3 run from v, or None when no square does.
+
+    That is the least s with s * s >= v and s * s = v (mod 3).  s * s mod 3
+    is 0 or 1 by s mod 3 alone, so the least such s is ceil(sqrt(v)) or one
+    of the next two roots, and a v = 2 (mod 3) has none.  Each candidate is
+    tested as a square, not by its residue.
+    """
+    root = math.isqrt(v)
+    root += root * root < v
+    for s in range(root, root + 3):
+        if (s * s - v) % 3 == 0:
+            return s
+    return None
 
 
 def confirm_plus3_run(start: int, nsteps: int) -> int:
@@ -99,28 +112,15 @@ def confirm_plus3_run(start: int, nsteps: int) -> int:
 
     Equivalent to checking that none of start, start+3, ..., start+3*(nsteps-1)
     is a perfect square.  Returns -1 when confirmed, else the offset of the
-    first perfect square in the run.  Instead of stepping, this scans the
-    perfect squares falling inside the window, which is exact and costs
-    about sqrt(3 * nsteps) square tests rather than nsteps.  A window that
-    starts inside its residue's known square-free stretch, or 3 above its
-    end hi, tests only the squares above hi; a scan that finds no square
-    records its window, or extends the stretch, when that makes it longer.
+    first perfect square in the run: run_end_root(start) squared, when it
+    lies in the window, so a window of any length costs three square tests.
     """
     if nsteps <= 0:
         return -1
-    last = start + 3 * (nsteps - 1)
-    r = start % 3
-    known = _square_free.get(r, (start, start - 3))
-    lo, hi = known if known[0] <= start <= known[1] + 3 else (start, start - 3)
-    s0 = math.isqrt(hi + 3)
-    if s0 * s0 < hi + 3:
-        s0 += 1
-    for s in range(s0, math.isqrt(last) + 1):
-        if s * s % 3 == r:
-            return (s * s - start) // 3
-    if max(hi, last) - lo > known[1] - known[0]:
-        _square_free[r] = lo, max(hi, last)
-    return -1
+    s = run_end_root(start)
+    if s is None or s * s > start + 3 * (nsteps - 1):
+        return -1
+    return (s * s - start) // 3
 
 
 def orbit(a0: int, k: int) -> list[int]:
@@ -229,9 +229,7 @@ def classify(a0: int, budget: int) -> OrbitTrace:
     runs: list[tuple[int, int, int]] = []       # (start value, start index, last value)
     v, i = a0, 0
     while i <= budget and v % 3 != 2:
-        s = math.isqrt(v - 1) + 1            # the least s with s * s >= v
-        while (s * s - v) % 3:
-            s += 1
+        s = run_end_root(v)
         last = s * s
         repeat = first_repeat_in_run(runs, v, last)
         if repeat is not None:

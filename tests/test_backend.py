@@ -61,48 +61,64 @@ def test_confirm_plus3_run_boundaries(start, nsteps, expected):
     assert first_non_plus3_step(start, nsteps) == expected
 
 
-# Windows that overlap: starts in one small range, or just below a square.
-overlapping_starts = st.one_of(
-    st.integers(2, 3000),
-    st.builds(lambda s, d: max(2, s * s - d), st.integers(2, 60), st.integers(0, 40)))
-
-
-@given(st.lists(st.tuples(overlapping_starts, st.integers(0, 600)), min_size=1, max_size=12))
-def test_confirm_plus3_run_matches_scan_over_a_sequence_of_calls(calls):
-    """Each call of a sequence, against a plain scan, from an empty square-free memo."""
-    n1._square_free.clear()
-    for start, nsteps in calls:
-        assert n1.confirm_plus3_run(start, nsteps) == first_square_by_scan(start, nsteps)
-
-
-def test_confirm_plus3_run_memo_on_pinned_windows(monkeypatch):
-    monkeypatch.setattr(n1, "_square_free", {})
-    memo = n1._square_free
+def test_confirm_plus3_run_on_pinned_windows():
     assert n1.confirm_plus3_run(200, 101) == -1      # 200, 203, ..., 500 (residue 2)
-    assert memo == {2: (200, 500)}
-    assert n1.confirm_plus3_run(203, 50) == -1       # inside the stretch
-    assert memo == {2: (200, 500)}
-    assert n1.confirm_plus3_run(503, 10) == -1       # at hi + 3
-    assert memo == {2: (200, 530)}
-    assert n1.confirm_plus3_run(500, 20) == -1       # straddling its end
-    assert memo == {2: (200, 557)}
-    assert n1.confirm_plus3_run(2, 30) == -1         # wholly before it, and shorter
-    assert memo == {2: (200, 557)}
-    assert n1.confirm_plus3_run(2, 300) == -1        # wholly before it, and longer
-    assert memo == {2: (2, 899)}
+    assert n1.confirm_plus3_run(203, 50) == -1
+    assert n1.confirm_plus3_run(503, 10) == -1
+    assert n1.confirm_plus3_run(500, 20) == -1
+    assert n1.confirm_plus3_run(2, 30) == -1
+    assert n1.confirm_plus3_run(2, 300) == -1
     # residue 1: 904, 907, ..., 946 lies between 30^2 = 900 and 31^2 = 961
     assert n1.confirm_plus3_run(904, 15) == -1
-    assert memo == {2: (2, 899), 1: (904, 946)}
     assert n1.confirm_plus3_run(946, 10) == 5        # 961 = 946 + 3 * 5
-    assert memo == {2: (2, 899), 1: (904, 946)}      # a hit records nothing
-    assert n1.confirm_plus3_run(949, 5) == 4         # ... so 949 still meets 961
+    assert n1.confirm_plus3_run(949, 5) == 4
     # residue 0: 1071, 1074, 1077 lies between 30^2 = 900 and 33^2 = 1089
     assert n1.confirm_plus3_run(1071, 3) == -1
     assert n1.confirm_plus3_run(1077, 10) == 4       # 1089 = 1077 + 3 * 4
-    assert memo[0] == (1071, 1077)
-    assert n1.confirm_plus3_run(1080, 2) == -1       # at hi + 3, below 1089
-    assert memo[0] == (1071, 1083)
+    assert n1.confirm_plus3_run(1080, 2) == -1       # 1083 is the window's last value
     assert n1.confirm_plus3_run(1083, 3) == 2
+
+
+def run_end_root_by_search(v):
+    """The least s >= 0 with s*s >= v and s*s = v (mod 3), searched up to ceil(sqrt(v)) + 10."""
+    top = math.isqrt(v) + 11
+    return next((s for s in range(max(0, top - 21), top + 1)
+                 if s * s >= v and s * s % 3 == v % 3), None)
+
+
+def test_run_end_root_matches_search_on_every_small_value():
+    for v in range(10**4 + 1):
+        assert n1.run_end_root(v) == run_end_root_by_search(v), v
+
+
+@given(st.one_of(st.integers(0, 10**30),
+                 st.builds(lambda s, d: max(0, s * s - d), st.integers(0, 10**15), st.integers(-3, 9))))
+def test_run_end_root_matches_search_on_large_values(v):
+    assert n1.run_end_root(v) == run_end_root_by_search(v)
+
+
+@given(st.integers(0, 10**12), st.integers(0, 4 * 10**12))
+def test_confirm_plus3_run_tests_at_most_three_candidate_roots(start, nsteps):
+    """Each call iterates at most three roots, whatever the window's length.
+
+    The kernel's range is the only one on confirm_plus3_run's path, so a
+    counting range in n1 counts the candidates it tests.  A scan of every
+    root in the window tests about sqrt(3 * nsteps).
+    """
+    tested = 0
+
+    def counting_range(*args):
+        nonlocal tested
+        for s in range(*args):
+            tested += 1
+            yield s
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(n1, "range", counting_range, raising=False)
+        found = n1.confirm_plus3_run(start, nsteps)
+    assert tested <= 3, (start, nsteps, tested)
+    if found >= 0:
+        assert found < nsteps and n1.is_perfect_square(start + 3 * found)
 
 
 @given(st.one_of(st.integers(2, 10**9), st.integers(2**64 - 10**6, 2**70)),

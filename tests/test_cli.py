@@ -259,22 +259,14 @@ def test_n1_classify_theorem_anomaly_exits_3(capsys, monkeypatch):
 def test_n1_classify_lines_equal_the_square_to_square_reference(capsys, perfbench_oracles):
     """2000 seeded log-uniform starts in [2, 10^12], against perfbench's n1_reference.
 
-    Each start runs at its default budget capped at 4*10^6 steps.  That is
-    past every decision index up to 10^12 (about (4/3)*10^6 at most), so a
-    right answer prints the default-budget line, and a wrong index shows as
-    BudgetExceeded; only the divergent tails' confirmation scans are
-    shorter.  The two starts at the a0 cap run at their full default budget.
+    Each start, and the two starts at the a0 cap, run at their full default
+    budget, so every divergent tail is confirmed to the budget's end.
     """
     reference = perfbench_oracles.n1_reference
     rng = random.Random(20170901)
     lo, hi = math.log(2), math.log(10 ** 12)
-    for _ in range(2000):
-        a0 = max(2, int(math.exp(rng.uniform(lo, hi))))
-        budget = min(n1.default_budget(a0), 4 * 10 ** 6)
-        code, out, err = run_cli(["n1", "--a0", str(a0), "--classify", "--budget", str(budget)],
-                                 capsys)
-        assert (code, out, err) == (0, reference(a0) + "\n", ""), a0
-    for a0 in (cli.N1_CLASSIFY_MAX_A0 - 1, cli.N1_CLASSIFY_MAX_A0):
+    starts = [max(2, int(math.exp(rng.uniform(lo, hi)))) for _ in range(2000)]
+    for a0 in starts + [cli.N1_CLASSIFY_MAX_A0 - 1, cli.N1_CLASSIFY_MAX_A0]:
         code, out, err = run_cli(["n1", "--a0", str(a0), "--classify"], capsys)
         assert (code, out, err) == (0, reference(a0) + "\n", ""), a0
 

@@ -1,4 +1,6 @@
+import importlib
 import io
+import pkgutil
 import random
 import re
 from collections import Counter
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import imocheck
 from imocheck import cli, n1, report, suite, tilefile, tiling
 from imocheck.report import ClaimReport
 from conftest import SMALL_PARAMS
@@ -268,27 +271,6 @@ def test_all_gt1_reads_at_most_a_tenth_of_the_values_the_per_start_route_reads(m
     assert 0 < 10 * swept <= read, (swept, read)
 
 
-def test_classification_row_tests_at_most_a_thousand_squares(monkeypatch):
-    """From an empty memo, the row's confirm_plus3_run scans test few squares.
-
-    Each start scanning its own window tested 1,386,694 squares at the
-    suite's max_a0 = 10^4.  The scan's range is the only one on the row's
-    path through n1, so a counting range counts the squares it tests.
-    """
-    tested = 0
-
-    def counting_range(*args):
-        nonlocal tested
-        for s in range(*args):
-            tested += 1
-            yield s
-
-    monkeypatch.setattr(n1, "_square_free", {})
-    monkeypatch.setattr(n1, "range", counting_range, raising=False)
-    assert _run("n1.classification").outcome
-    assert 0 < tested <= 1000, tested
-
-
 def test_run_suite_small_config(small_claims):
     out, err = io.StringIO(), io.StringIO()
     assert suite.run_suite(7, True, out, err, small_claims) == 0
@@ -305,13 +287,23 @@ def test_run_suite_small_config(small_claims):
 def test_default_table_matches_golden_records():
     """The default table reproduces the committed record streams.
 
-    Two runs at the default seed, then seed 1, in one process, so that what
-    n1.confirm_plus3_run remembers between calls reaches no record.
+    Two runs at the default seed, then seed 1, in one process, so that any
+    state a run leaves behind in the process would show in a later record.
     """
     for seed in (cli.DEFAULT_SEED, cli.DEFAULT_SEED, 1):
         out, err = io.StringIO(), io.StringIO()
         assert suite.run_suite(seed, True, out, err) == 0
         assert out.getvalue() == (DATA / f"suite_records_{seed}.txt").read_text(), seed
+
+
+def test_no_module_of_the_package_binds_a_mutable_container():
+    """No dict, list, set or bytearray at module level, so no state outlives a run."""
+    for info in pkgutil.iter_modules(imocheck.__path__):
+        module = importlib.import_module(f"imocheck.{info.name}")
+        found = [name for name, value in vars(module).items()
+                 if isinstance(value, (dict, list, set, bytearray))
+                 and not (name.startswith("__") and name.endswith("__"))]
+        assert found == [], module.__name__
 
 
 def test_default_table_matches_golden_human_output():
