@@ -69,7 +69,7 @@ def extend(seq: A2Sequence) -> A2Sequence:
     leaves them as they are), so a_{n+1} = T's numerator / (d * S).
     """
     n, a = seq.last_index, seq.numerators
-    t = -finite_sum(lambda k: (a[n + 1 - k], k + 1), 1, n + 2)
+    t = -finite_sum(zip(reversed(a), range(2, n + 3)))
     d = t.denominator
     return A2Sequence(seq.scale * d, tuple(x * d for x in a) + (t.numerator,))
 
@@ -80,14 +80,14 @@ def closed_form_next(seq: A2Sequence) -> Rational:
     if n < 1:
         raise PreconditionFailedError("closed form needs the prefix up to a_1 at least")
     a = seq.numerators
-    s = finite_sum(lambda k: (k * a[k], (n - k + 1) * (n - k + 2)), 1, n + 1)
+    s = finite_sum((k * a[k], (n - k + 1) * (n - k + 2)) for k in range(1, n + 1))
     return s / (seq.scale * (n + 2))
 
 
 def recurrence_residual(seq: A2Sequence, m: int) -> Rational:
     """sum_{k=0..m} a_{m-k}/(k+1); exactly zero whenever the relation holds at m."""
     a = seq.numerators
-    return finite_sum(lambda k: (a[m - k], k + 1), 0, m + 1) / seq.scale
+    return finite_sum(zip(a[m::-1], range(1, m + 2))) / seq.scale
 
 
 def build(n: int) -> A2Sequence:

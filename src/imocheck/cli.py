@@ -31,8 +31,8 @@ DEFAULT_SEED = 20170901
 
 # Input caps, checked before any work starts (exit 2 above them).
 # a2 --n: n^2 sum terms whose numerators' bit length grows with n, so the
-# cost grows faster than n^3 (a2 --n N --verify on a 2-core host: 0.5 s at
-# N = 400, 5 s at N = 1000; in process, 14 s at N = 1400, so N = 2000 would
+# cost grows faster than n^3 (a2 --n N --verify on a 2-core host: 0.4 s at
+# N = 400, 4.5 s at N = 1000; in process, 12 s at N = 1400, so N = 2000 would
 # be well past 30 s).  A higher cap would also break the output: a_2000's
 # denominator has 5774 digits, past Python's default 4300-digit limit on
 # int -> str, so printing it would raise.

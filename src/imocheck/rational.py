@@ -8,22 +8,23 @@ zero stored as 0/1.  Structural equality of canonical forms is therefore
 plain ``==``, and arithmetic and order are Fraction's own operators; a zero
 denominator raises the built-in ZeroDivisionError.
 
-``finite_sum`` takes its terms as plain integer pairs (numerator,
-denominator) rather than Fractions and builds one canonical Fraction at the
-end, so a sum pays a single normalisation instead of one per term.  It
-splits each term p/q into the integer p // q and the remainder (p % q)/q:
-the integer parts add as plain big integers, and only the remainders, each
-smaller than q, go through lcm arithmetic.  A term with a huge numerator
-over a small denominator (the A2 sums) therefore costs one short division
-and one big-integer addition.  All operations here are pure and the values
-immutable, so everything is safe for unrestricted concurrent use.
+``finite_sum`` takes its terms as an iterable of plain integer pairs
+(numerator, denominator) rather than Fractions and builds one canonical
+Fraction at the end, so a sum pays a single normalisation instead of one
+per term; an empty iterable gives 0/1.  It splits each term p/q into the
+integer p // q and the remainder (p % q)/q: the integer parts add as plain
+big integers, and only the remainders, each smaller than q, go through lcm
+arithmetic.  A term with a huge numerator over a small denominator (the A2
+sums) therefore costs one short division and one big-integer addition.  All
+operations here are pure and the values immutable, so everything is safe
+for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable
+from typing import Iterable
 
 Rational = Fraction
 
@@ -38,10 +39,10 @@ def render(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def finite_sum(f: Callable[[int], tuple[int, int]], lo: int, hi: int) -> Rational:
-    """Exact sum of f(lo), ..., f(hi-1) over the half-open range [lo, hi).
+def finite_sum(terms: Iterable[tuple[int, int]]) -> Rational:
+    """Exact sum of the terms, read once in order.
 
-    Each f(k) is an integer pair (p, q) standing for p/q: not necessarily
+    Each term is an integer pair (p, q) standing for p/q: not necessarily
     reduced, q of either sign but nonzero (a zero q raises
     ZeroDivisionError); ``Rational.as_integer_ratio`` gives one.  Each term
     splits as p/q = p // q + r/q with floor division, so r takes the sign
@@ -53,11 +54,10 @@ def finite_sum(f: Callable[[int], tuple[int, int]], lo: int, hi: int) -> Rationa
     Fraction makes it positive).  So the lcm arithmetic never sees a number
     larger than the q's lcm times the term count, however large the p.  The
     canonical Fraction is built once, from the final integer and pair.  An
-    empty range yields 0/1.
+    empty iterable yields 0/1.
     """
     whole, num, den = 0, 0, 1
-    for k in range(lo, hi):
-        p, q = f(k)
+    for p, q in terms:
         i, r = divmod(p, q)
         whole += i
         if r:

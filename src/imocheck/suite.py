@@ -116,17 +116,16 @@ def a2_sum_lemmas(rng: random.Random, instances: int, max_n: int) -> Witnesses:
         fs = [_random_rational(rng) for _ in range(n)]
         gs = [_random_rational(rng) for _ in range(n)]
         r = _random_rational(rng)
-        f = lambda i: fs[i].as_integer_ratio()
-        g = lambda i: gs[i].as_integer_ratio()
-        sum_f = finite_sum(f, 0, n)
+        sum_f = finite_sum(map(Rational.as_integer_ratio, fs))
         checks = (
-            ("reindex", finite_sum(lambda i: f(n - 1 - i), 0, n) == sum_f),
-            ("remove_zero", sum_f == fs[0] + finite_sum(f, 1, n)),
+            ("reindex", finite_sum(map(Rational.as_integer_ratio, reversed(fs))) == sum_f),
+            ("remove_zero", sum_f == fs[0] + finite_sum(map(Rational.as_integer_ratio, fs[1:]))),
             ("distrib_left", r * sum_f
-             == finite_sum(lambda i: (r * fs[i]).as_integer_ratio(), 0, n)),
-            ("subtractf", finite_sum(lambda i: (fs[i] - gs[i]).as_integer_ratio(), 0, n)
-             == sum_f - finite_sum(g, 0, n)),
-            ("negf", finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n) == -sum_f),
+             == finite_sum(map(Rational.as_integer_ratio, [r * x for x in fs]))),
+            ("subtractf",
+             finite_sum(map(Rational.as_integer_ratio, [x - y for x, y in zip(fs, gs)]))
+             == sum_f - finite_sum(map(Rational.as_integer_ratio, gs))),
+            ("negf", finite_sum(map(Rational.as_integer_ratio, [-x for x in fs])) == -sum_f),
         )
         bad = next((name for name, ok in checks if not ok), None)
         yield None if bad is None else (trial, bad, n)
@@ -142,8 +141,8 @@ def a2_subtraction_identity(max_n: int) -> Witnesses:
     a = a2.build(max_n).numerators
 
     def difference(n: int) -> Rational:
-        return ((n + 1) * finite_sum(lambda k: (a[k], n + 1 - k), 0, n + 1)
-                - n * finite_sum(lambda k: (a[k], n - k), 0, n))
+        return ((n + 1) * finite_sum(zip(a, range(n + 1, 0, -1)))
+                - n * finite_sum(zip(a, range(n, 0, -1))))
 
     return (None if difference(n) == ZERO else (n,) for n in range(2, max_n + 1))
 
@@ -224,8 +223,8 @@ def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
 
     Counts each board's verdicts with tiling.count_tiling_theorem, which
     checks the chain without visiting the tilings one by one.  A board
-    whose count holds a failure lists its tilings with tiling.enum_tilings
-    and runs tiling.check_tiling_theorem on each as a Tiling, in
+    whose count holds a failure lists its tilings with
+    tiling.enumerate_tilings and runs tiling.check_tiling_theorem on each, in
     enumeration order, until report.first_failure stops at the first
     failing one, so steps and the witness name that tiling.  When the
     Tiling route finds no failure there, the two routes disagree, and the
@@ -238,10 +237,9 @@ def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
         if list(counts) == [None]:
             yield from repeat(None, counts[None])
             continue
-        board = (0, a, 0, b)
-        for tiles in tiling.enum_tilings(a, b):
-            problem = tiling.check_tiling_theorem(tiling.Tiling(board, frozenset(tiles)))
-            yield None if problem is None else (a, b, problem, sorted(tiles))
+        for t in tiling.enumerate_tilings(a, b):
+            problem = tiling.check_tiling_theorem(t)
+            yield None if problem is None else (a, b, problem, sorted(t.tiles))
         yield a, b, "the count and the Tiling route disagree", sorted(counts.items(), key=str)
 
 

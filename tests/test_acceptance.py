@@ -59,15 +59,13 @@ def test_sum_lemmas_500_random_instances():
             fs = [Rational(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n)]
             gs = [Rational(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n)]
             r = Rational(rng.randint(-99, 99), rng.randint(1, 30))
-            f = lambda i: fs[i].as_integer_ratio()
-            g = lambda i: gs[i].as_integer_ratio()
-            assert finite_sum(lambda i: f(n - 1 - i), 0, n) == finite_sum(f, 0, n)
-            assert finite_sum(f, 0, n) == fs[0] + finite_sum(f, 1, n)
-            assert (r * finite_sum(f, 0, n)
-                    == finite_sum(lambda i: (r * fs[i]).as_integer_ratio(), 0, n))
-            assert (finite_sum(lambda i: (fs[i] - gs[i]).as_integer_ratio(), 0, n)
-                    == finite_sum(f, 0, n) - finite_sum(g, 0, n))
-            assert finite_sum(lambda i: (-fs[i]).as_integer_ratio(), 0, n) == -finite_sum(f, 0, n)
+            sum_f = finite_sum(map(Rational.as_integer_ratio, fs))
+            assert finite_sum(map(Rational.as_integer_ratio, reversed(fs))) == sum_f
+            assert sum_f == fs[0] + finite_sum(map(Rational.as_integer_ratio, fs[1:]))
+            assert r * sum_f == finite_sum(map(Rational.as_integer_ratio, [r * x for x in fs]))
+            assert (finite_sum(map(Rational.as_integer_ratio, [x - y for x, y in zip(fs, gs)]))
+                    == sum_f - finite_sum(map(Rational.as_integer_ratio, gs)))
+            assert finite_sum(map(Rational.as_integer_ratio, [-x for x in fs])) == -sum_f
 
 
 def _rects(coord_max):
