@@ -51,9 +51,9 @@ N1_CLASSIFY_MAX_BUDGET = 4 * N1_CLASSIFY_MAX_A0 + 1000
 # n1 --steps: n1.orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).
 N1_MAX_STEPS = 10 ** 6
-# c1-gen takes c1-check's caps, tilefile.MAX_SIDE and MAX_TILES (tiling
-# binds the same names), so every file it writes passes them: a guillotine
-# tiling of an a x b board has at most a*b tiles, a pinwheel always 5.
+# c1-gen takes c1-check's caps, tilefile.MAX_SIDE and MAX_TILES, so every
+# file it writes passes them: a guillotine tiling of an a x b board has at
+# most a*b tiles, a pinwheel always 5.
 
 
 def _fail_usage(message: str) -> int:
@@ -117,20 +117,20 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
 def cmd_c1_gen(args: argparse.Namespace) -> int:
     import random
 
-    from . import tiling
+    from . import tilefile, tiling
     if args.a < 1 or args.b < 1:
         return _fail_usage("board sides must be at least 1")
-    if max(args.a, args.b) > tiling.MAX_SIDE:
-        return _fail_usage(f"c1-gen needs --a and --b <= {tiling.MAX_SIDE}")
-    if args.kind == "guillotine" and args.a * args.b > tiling.MAX_TILES:
-        return _fail_usage(f"c1-gen --kind guillotine needs a*b <= {tiling.MAX_TILES}")
+    if max(args.a, args.b) > tilefile.MAX_SIDE:
+        return _fail_usage(f"c1-gen needs --a and --b <= {tilefile.MAX_SIDE}")
+    if args.kind == "guillotine" and args.a * args.b > tilefile.MAX_TILES:
+        return _fail_usage(f"c1-gen --kind guillotine needs a*b <= {tilefile.MAX_TILES}")
     if args.kind == "pinwheel":
         if args.a < 3 or args.b < 3:
             return _fail_usage("pinwheel needs both sides >= 3")
         t = tiling.random_pinwheel(args.a, args.b, random.Random(args.seed))
     else:
         t = tiling.gen_guillotine(args.a, args.b, args.seed)
-    sys.stdout.write(tiling.serialize_tiling(t))
+    sys.stdout.write(tilefile.serialize_tiling(t))
     return EXIT_PASS
 
 

@@ -50,7 +50,7 @@ import time
 from itertools import groupby, islice, repeat
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from . import a2, n1, tiling
+from . import a2, n1, tilefile, tiling
 from .rational import Rational, ZERO, finite_sum, render
 from .report import ClaimReport, first_failure
 
@@ -288,9 +288,9 @@ def c1_roundtrip(rng: random.Random, samples: int) -> Witnesses:
     for _ in range(samples):
         a, b = random_odd_board(rng)
         t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
-        text = tiling.serialize_tiling(t)
-        back = tiling.parse_tiling(text)
-        ok = back == t and tiling.serialize_tiling(back) == text
+        text = tilefile.serialize_tiling(t)
+        back = tilefile.parse_tiling(text)
+        ok = back == t and tilefile.serialize_tiling(back) == text
         yield None if ok else (a, b)
 
 

@@ -13,14 +13,12 @@ parity-of-distances lemma, and every link is executable here.  An instance
 check (parity_lemma_check, one pair of rects) returns None when it holds and
 a witness when it fails; the claims over many instances live in the suite.
 
-The set-level predicates are defined literally over materialized square
-sets (cover, overlap_literal, inside_literal); only inside also has an
-interval form, and its property test checks it against inside_literal.
 The file layer that c1-check runs (rects, Tiling, the validator
-tiling_problems, witness and the text format) lives in tilefile; its names
-are imported here, so tiling.witness is tilefile.witness.  The property
-tests assert the validator's agreement with the literal cover and
-overlap_literal definitions, keeping the set definitions authoritative.
+tiling_problems, witness and the text format) lives in tilefile.  This
+module imports from it only the names it calls, so tiling.witness is
+tilefile.witness; callers read the caps, lex_key and the text format from
+tilefile.  The one exception is parse_tiling, which nothing here calls:
+it stays bound because the benchmark's tracer wraps tiling.parse_tiling.
 
 Two routes of the per-tiling theorem chain live here and end in one
 verdict ladder.  check_tiling_theorem takes any Tiling and validates it
@@ -44,13 +42,12 @@ import random
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import PreconditionFailedError, TheoremViolationError
-# c1-gen, the suite and the tests read the file layer through this module too
-from .tilefile import (MAX_SIDE, MAX_TILES, Rect, Tiling, WitnessParity, _lex_tiles, area,
-                       distance_parity, inside, lex_key, parse_tiling, serialize_tiling,
+from .tilefile import (Rect, Tiling, WitnessParity, _lex_tiles, area, distance_parity, inside,
                        side_distances, tiling_problems, valid_rect, witness)
+from .tilefile import parse_tiling  # not called here: the benchmark traces tiling.parse_tiling
 
 Square = tuple[int, int]
 
@@ -69,32 +66,10 @@ def squares(r: Rect) -> set[Square]:
     return {(x, y) for x in range(x1, x2) for y in range(y1, y2)}
 
 
-# -- set-level predicates: literal oracles (inside's interval form is tilefile's) --
-
-def overlap_literal(r1: Rect, r2: Rect) -> bool:
-    return bool(squares(r1) & squares(r2))
-
-
-def cover(rs: Iterable[Rect], r: Rect) -> bool:
-    """Literal definition: the union of the tiles' squares equals r's squares."""
-    u: set[Square] = set()
-    for t in rs:
-        u |= squares(t)
-    return u == squares(r)
-
-
-def inside_literal(ri: Rect, ro: Rect) -> bool:
-    return squares(ri) <= squares(ro)
-
-
 # -- coloring and counting ----------------------------------------------------
 
 def green(s: Square) -> bool:
     return (s[0] + s[1]) % 2 == 0
-
-
-def yellow(s: Square) -> bool:
-    return not green(s)
 
 
 def corners(r: Rect) -> set[Square]:

@@ -1,14 +1,16 @@
 import functools
 import hashlib
+import importlib.util
 import math
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from imocheck import cli, n1, suite, tiling
+from imocheck import cli, n1, suite, tilefile, tiling
 from imocheck.errors import TheoremViolationError
 
 
@@ -328,11 +330,11 @@ def test_suite_has_only_seed_and_records():
     (["n1", "--a0", "5", "--classify", "--budget", str(cli.N1_CLASSIFY_MAX_BUDGET + 1)], None),
     (["n1", "--a0", "7", "--steps", "3", "--budget", "5"], None),
     (["c1-check", "{path}"], "".join(
-        [f"board {tiling.MAX_TILES + 1} 1\n"]
-        + [f"tile {x} {x + 1} 0 1\n" for x in range(tiling.MAX_TILES + 1)]).encode()),
-    (["c1-check", "{path}"], f"board 3 {tiling.MAX_SIDE + 1}\ntile 0 3 0 1\n".encode()),
-    (["c1-gen", "--a", "3", "--b", str(tiling.MAX_SIDE + 1), "--kind", "pinwheel"], None),
-    (["c1-gen", "--a", str(tiling.MAX_TILES + 1), "--b", "1"], None),
+        [f"board {tilefile.MAX_TILES + 1} 1\n"]
+        + [f"tile {x} {x + 1} 0 1\n" for x in range(tilefile.MAX_TILES + 1)]).encode()),
+    (["c1-check", "{path}"], f"board 3 {tilefile.MAX_SIDE + 1}\ntile 0 3 0 1\n".encode()),
+    (["c1-gen", "--a", "3", "--b", str(tilefile.MAX_SIDE + 1), "--kind", "pinwheel"], None),
+    (["c1-gen", "--a", str(tilefile.MAX_TILES + 1), "--b", "1"], None),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
         "n1-classify-budget-above-cap", "n1-steps-with-budget", "c1-check-tiles-above-cap",
@@ -449,3 +451,40 @@ def test_the_benchmark_setup_probe_still_reads_the_backend():
         [sys.executable, "-c", "import imocheck, imocheck.cli; print(imocheck.BACKEND_NAME)"],
         capture_output=True, text=True, timeout=30)
     assert (done.returncode, done.stdout) == (0, "pure\n")
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path: it is a script, not a package module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_backend_names_exactly_the_tracer_targets_and_each_is_the_library_object():
+    """perfbench/tracer.py wraps backend.<name> and rebinds each module global that is it."""
+    from imocheck import backend
+    tracer = _load_tracer()
+    wanted = {attr for module, attr, _ in tracer.TARGETS.values() if module == "backend"}
+    assert {name for name in vars(backend) if not name.startswith("_")} == wanted
+    assert backend.isqrt is math.isqrt
+    assert backend.confirm_plus3_run is n1.confirm_plus3_run
+    assert backend.orbit_fill is n1.orbit_fill
+    assert backend.enum_tilings is tiling.enum_tilings
+
+
+def test_every_tracer_target_is_a_library_object():
+    """Each TARGETS entry names a callable of the package, so no target goes missing.
+
+    tiling's file-layer targets must be tilefile's objects: the tracer
+    rebinds every module global that is the wrapped object, so its wrapper
+    on tiling.witness also reaches c1-check, which runs tilefile.witness.
+    """
+    for name, (module, path, _) in _load_tracer().TARGETS.items():
+        target = importlib.import_module(f"imocheck.{module}")
+        for part in path.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), name
+    for name in ("witness", "parse_tiling", "tiling_problems"):
+        assert getattr(tiling, name, None) is getattr(tilefile, name), name

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import pkgutil
@@ -304,6 +305,44 @@ def test_no_module_of_the_package_binds_a_mutable_container():
                  if isinstance(value, (dict, list, set, bytearray))
                  and not (name.startswith("__") and name.endswith("__"))]
         assert found == [], module.__name__
+
+
+FLOAT_CALLS = {"float", "math.sqrt", "math.log", "math.exp", "math.pow", "time.perf_counter"}
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _floats_in(node, where, found):
+    """Append (where, float literal or float-valued call) for each one below node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}"
+    elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        found.append((where, node.value))
+    elif isinstance(node, ast.Call) and _dotted(node.func) in FLOAT_CALLS:
+        found.append((where, _dotted(node.func)))
+    for child in ast.iter_child_nodes(node):
+        _floats_in(child, where, found)
+
+
+def test_floats_appear_only_in_the_generators_coin_flips_and_the_runners_clock():
+    """Every check is exact; the README names the only floats the package holds.
+
+    gen_guillotine's cut draws pick a tiling but decide no verdict, and
+    run_suite's clock only feeds the stderr time lines.
+    """
+    found = []
+    for path in sorted(Path(imocheck.__file__).parent.glob("*.py")):
+        _floats_in(ast.parse(path.read_text()), path.stem, found)
+    assert found == [("suite.run_suite", "time.perf_counter"),
+                     ("suite.run_suite", "time.perf_counter"),
+                     ("tiling.gen_guillotine.cut", 0.25), ("tiling.gen_guillotine.cut", 0.5)]
 
 
 def test_default_table_matches_golden_human_output():

@@ -17,6 +17,28 @@ valid_rects = st.builds(lambda xs, ys: (xs[0], xs[1] + 1, ys[0], ys[1] + 1),
 
 # -- squares and set-level predicates -----------------------------------------
 
+# The set-level predicates are defined literally over materialized square
+# sets (cover, overlap_literal, inside_literal).  The package has only their
+# interval forms: tilefile.inside, checked against inside_literal, and the
+# validator tiling_problems, checked against the literal cover and
+# overlap_literal definitions.  That keeps the set definitions authoritative.
+
+def overlap_literal(r1, r2):
+    return bool(tiling.squares(r1) & tiling.squares(r2))
+
+
+def cover(rs, r):
+    """Literal definition: the union of the tiles' squares equals r's squares."""
+    u = set()
+    for t in rs:
+        u |= tiling.squares(t)
+    return u == tiling.squares(r)
+
+
+def inside_literal(ri, ro):
+    return tiling.squares(ri) <= tiling.squares(ro)
+
+
 def test_squares_examples():
     assert tiling.squares((0, 2, 0, 1)) == {(0, 0), (1, 0)}
     assert tiling.squares((3, 3, 0, 5)) == set()
@@ -25,7 +47,7 @@ def test_squares_examples():
 
 @given(any_rects, any_rects)
 def test_inside_agrees_with_square_sets(ri, ro):
-    assert tiling.inside(ri, ro) == tiling.inside_literal(ri, ro)
+    assert tiling.inside(ri, ro) == inside_literal(ri, ro)
 
 
 def test_inside_examples():
@@ -35,12 +57,12 @@ def test_inside_examples():
 
 
 def overlap_free_literal(rs):
-    return not any(tiling.overlap_literal(r1, r2) for r1, r2 in combinations(rs, 2))
+    return not any(overlap_literal(r1, r2) for r1, r2 in combinations(rs, 2))
 
 
 def tiles_literal(rs, board):
     """The set definition of a tiling: the squares cover the board, none twice."""
-    return tiling.cover(rs, board) and overlap_free_literal(rs)
+    return cover(rs, board) and overlap_free_literal(rs)
 
 
 def test_tiles_singleton():
@@ -55,9 +77,13 @@ def test_tiles_agrees_with_literal_definition(rs, a, b):
 
 # -- coloring, corners, counting ------------------------------------------------
 
+def yellow(s):
+    return not tiling.green(s)
+
+
 def test_green_yellow():
     assert tiling.green((0, 0))
-    assert tiling.yellow((0, 1))
+    assert yellow((0, 1))
     assert tiling.green((16, 10))
 
 
@@ -80,7 +106,7 @@ def _classify_rect_by_all(r):
     cs = tiling.corners(r)
     if all(tiling.green(c) for c in cs):
         return RectClass.GREEN
-    if all(tiling.yellow(c) for c in cs):
+    if all(yellow(c) for c in cs):
         return RectClass.YELLOW
     return RectClass.MIXED
 
@@ -265,13 +291,56 @@ def test_enumeration_area_guard():
         next(tiling.enumerate_tilings(17, 11))
 
 
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 5), (2, 2), (2, 3), (3, 3), (4, 2)])
+def test_enum_tilings_matches_reference_count(a, b):
+    found = tiling.enum_tilings(a, b)
+    assert len(set(found)) == len(found) == tiling.count_tilings_reference(a, b)
+    # the squares cover the board and add up to its area, so no square is covered twice
+    board = (0, a, 0, b)
+    assert all(cover(ts, board) and sum(len(tiling.squares(r)) for r in ts) == a * b
+               for ts in found)
+
+
+def test_enum_tilings_places_tiles_by_distinct_lower_left_corners_in_lex_key_order():
+    """Every board of area <= 12; each tile covers the lex-min square left uncovered."""
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            for tiles in tiling.enum_tilings(a, b):
+                corners = [(r[0], r[2]) for r in tiles]
+                assert corners == sorted(set(corners)), (a, b, tiles)
+                assert list(tiles) == sorted(tiles, key=tilefile.lex_key), (a, b, tiles)
+
+
+def _callback_enum_tilings(a, b):
+    """enum_tilings as a generic search with place and leaf callbacks, a tuple as state."""
+    full = (1 << a * b) - 1
+    results = []
+
+    def search(occ, state, place, leaf):
+        if occ == full:
+            leaf(state)
+            return
+        for tile, mask in tiling._placements(occ, a, b):
+            search(occ | mask, place(state, tile), place, leaf)
+
+    search(0, (), lambda tiles, r: tiles + (r,), results.append)
+    return results
+
+
+def test_enum_tilings_lists_what_the_callback_search_lists_in_its_order():
+    """Every board of area <= 12: the same tilings, each the same tuple, in the same order."""
+    for a in range(1, 13):
+        for b in range(1, 12 // a + 1):
+            assert tiling.enum_tilings(a, b) == _callback_enum_tilings(a, b), (a, b)
+
+
 @pytest.mark.parametrize("a,b", [(1, 1), (3, 2), (2, 5), (12, 12)])
 def test_rects_inside_lists_every_rect_of_the_board_once_in_lex_order(a, b):
     rects = list(tiling.rects_inside(a, b))
     board = (0, a, 0, b)
     assert rects == sorted(set(rects))
     assert len(rects) == (a * (a + 1) // 2) * (b * (b + 1) // 2)
-    assert all(tiling.valid_rect(r) and tiling.inside_literal(r, board) for r in rects)
+    assert all(tiling.valid_rect(r) and inside_literal(r, board) for r in rects)
 
 
 def test_board_table_examples():
@@ -318,9 +387,8 @@ def test_count_tiling_theorem_counts_boards_past_the_enumerators_area_cap(monkey
 
 # -- text format -------------------------------------------------------------------------
 
-FILE_LAYER = ["Rect", "valid_rect", "area", "inside", "Tiling", "tiling_problems", "lex_key",
-              "_lex_tiles", "side_distances", "WitnessParity", "distance_parity", "witness",
-              "MAX_SIDE", "MAX_TILES", "parse_tiling", "serialize_tiling"]
+FILE_LAYER = ["Rect", "valid_rect", "area", "inside", "Tiling", "tiling_problems", "_lex_tiles",
+              "side_distances", "WitnessParity", "distance_parity", "witness", "parse_tiling"]
 
 
 def test_tiling_binds_tilefiles_objects():
@@ -331,6 +399,9 @@ def test_tiling_binds_tilefiles_objects():
     """
     for name in FILE_LAYER:
         assert getattr(tiling, name) is getattr(tilefile, name), name
+    # the names it does not call are read from tilefile
+    for name in ("MAX_SIDE", "MAX_TILES", "lex_key", "serialize_tiling"):
+        assert not hasattr(tiling, name), name
 
 
 GOLDEN = """\
@@ -342,7 +413,7 @@ tile 2 3 0 3
 
 
 def test_serialize_golden():
-    assert tiling.serialize_tiling(THREE_COLUMNS) == GOLDEN
+    assert tilefile.serialize_tiling(THREE_COLUMNS) == GOLDEN
 
 
 def test_tiling_is_an_immutable_value():
@@ -357,14 +428,14 @@ def test_tiling_is_an_immutable_value():
 
 
 def test_parse_round_trip():
-    t = tiling.parse_tiling(GOLDEN)
+    t = tilefile.parse_tiling(GOLDEN)
     assert t == THREE_COLUMNS
-    assert tiling.serialize_tiling(t) == GOLDEN
+    assert tilefile.serialize_tiling(t) == GOLDEN
 
 
 def test_parse_comments_and_blank_lines():
     text = "# a comment\n\nboard 2 1   # trailing comment\ntile 0 2 0 1\n"
-    t = tiling.parse_tiling(text)
+    t = tilefile.parse_tiling(text)
     assert t == Tiling((0, 2, 0, 1), frozenset([(0, 2, 0, 1)]))
 
 
@@ -379,27 +450,27 @@ def test_parse_comments_and_blank_lines():
     ("# nothing\n", 1),                         # missing board
     ("board \u0663 1\n", 1),                    # Arabic-Indic digit three
     ("board 2 1\ntile 0 \uff12 0 1\n", 2),      # fullwidth digit two
-    (f"board {tiling.MAX_SIDE + 1} 1\n", 1),    # board side above the cap
+    (f"board {tilefile.MAX_SIDE + 1} 1\n", 1),  # board side above the cap
     ("board 3 3\ntile 0 3 0 " + "9" * 5000 + "\n", 2),  # too long for int()
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(TilingParseError) as exc:
-        tiling.parse_tiling(text)
+        tilefile.parse_tiling(text)
     assert exc.value.line_no == line
 
 
-@pytest.mark.parametrize("token", ["9" * 5000, str(tiling.MAX_SIDE + 1), "0" * 7 + "9" * 7])
+@pytest.mark.parametrize("token", ["9" * 5000, str(tilefile.MAX_SIDE + 1), "0" * 7 + "9" * 7])
 def test_parse_refuses_a_number_above_the_cap_at_its_line(token):
     with pytest.raises(TilingParseError, match="a number above the cap") as exc:
-        tiling.parse_tiling(f"board 3 3\n\ntile 0 3 0 {token}\n")
+        tilefile.parse_tiling(f"board 3 3\n\ntile 0 3 0 {token}\n")
     assert exc.value.line_no == 3
 
 
 def test_parse_reads_leading_zeros():
-    t = tiling.parse_tiling("board 3 3\ntile 0000000 0000003 0 3\n")
+    t = tilefile.parse_tiling("board 3 3\ntile 0000000 0000003 0 3\n")
     assert t == Tiling((0, 3, 0, 3), frozenset([(0, 3, 0, 3)]))
     # more zeros than int() reads in one number: the value, 3, still parses
-    t = tiling.parse_tiling(f"board {'0' * 5000}3 3\ntile 0 3 0 3\n")
+    t = tilefile.parse_tiling(f"board {'0' * 5000}3 3\ntile 0 3 0 3\n")
     assert t == Tiling((0, 3, 0, 3), frozenset([(0, 3, 0, 3)]))
 
 
@@ -409,18 +480,18 @@ def unit_row(tiles):
 
 
 def test_parse_caps_admit_their_limits():
-    t = tiling.parse_tiling("\n".join(unit_row(tiling.MAX_TILES)))
-    assert len(t.tiles) == tiling.MAX_TILES and tiling.is_valid_tiling(t)
-    side = tiling.MAX_SIDE
-    t = tiling.parse_tiling(f"board {side} 000{side}\ntile 0 {side} 0 {side}\n")
+    t = tilefile.parse_tiling("\n".join(unit_row(tilefile.MAX_TILES)))
+    assert len(t.tiles) == tilefile.MAX_TILES and tiling.is_valid_tiling(t)
+    side = tilefile.MAX_SIDE
+    t = tilefile.parse_tiling(f"board {side} 000{side}\ntile 0 {side} 0 {side}\n")
     assert t.board == (0, side, 0, side) and tiling.is_valid_tiling(t)
 
 
 def test_parse_stops_at_the_tile_past_the_cap():
-    lines = unit_row(tiling.MAX_TILES + 1) + ["not a tiling line"]
+    lines = unit_row(tilefile.MAX_TILES + 1) + ["not a tiling line"]
     with pytest.raises(TilingParseError) as exc:
-        tiling.parse_tiling("\n".join(lines))
-    assert exc.value.line_no == tiling.MAX_TILES + 2
+        tilefile.parse_tiling("\n".join(lines))
+    assert exc.value.line_no == tilefile.MAX_TILES + 2
     assert "more than" in str(exc.value)
 
 
@@ -432,8 +503,8 @@ def test_generated_tilings_round_trip(seed):
     a = rng.randrange(1, 18, 2)
     b = rng.randrange(1, 12, 2)
     t = tiling.gen_guillotine(a, b, rng.getrandbits(32))
-    text = tiling.serialize_tiling(t)
-    assert tiling.parse_tiling(text) == t
+    text = tilefile.serialize_tiling(t)
+    assert tilefile.parse_tiling(text) == t
 
 
 # -- validation diagnostics -----------------------------------------------------------------
@@ -483,9 +554,9 @@ def damaged_tilings(draw):
 def test_tiling_problems_agrees_with_literal_definitions(case):
     board, rs = case
     problems = tiling.tiling_problems(Tiling(board, frozenset(rs)))
-    outside = not all(tiling.inside_literal(r, board) for r in rs)
+    outside = not all(inside_literal(r, board) for r in rs)
     overlap = not overlap_free_literal(rs)
-    gap = not (outside or overlap) and not tiling.cover(rs, board)
+    gap = not (outside or overlap) and not cover(rs, board)
     assert (problems == []) == tiles_literal(rs, board)
     assert any("not inside the board" in p for p in problems) == outside
     assert any(p.endswith(" overlap") for p in problems) == overlap
