@@ -101,7 +101,7 @@ def run_end_root(v: int) -> int | None:
     """
     root = math.isqrt(v)
     root += root * root < v
-    for s in range(root, root + 3):
+    for s in (root, root + 1, root + 2):
         if (s * s - v) % 3 == 0:
             return s
     return None

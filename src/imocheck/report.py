@@ -50,8 +50,7 @@ def first_failure(claim_id: str, params: dict[str, int],
     on a fail.
     """
     checked = 0
-    for w in witnesses:
+    for checked, w in enumerate(witnesses, 1):
         if w is not None:
-            return ClaimReport(claim_id, params, False, w, checked)
-        checked += 1
+            return ClaimReport(claim_id, params, False, w, checked - 1)
     return ClaimReport(claim_id, params, True, (), checked)

@@ -105,27 +105,31 @@ def a2_base_case() -> Witnesses:
     yield None if a1 == Rational(1, 2) else (1, render(a1))
 
 
-def _random_rational(rng: random.Random) -> Rational:
-    return Rational(rng.randint(-99, 99), rng.randint(1, 30))
+def _random_pair(rng: random.Random) -> tuple[int, int]:
+    return rng.randint(-99, 99), rng.randint(1, 30)
 
 
 def a2_sum_lemmas(rng: random.Random, instances: int, max_n: int) -> Witnesses:
-    """Re-indexing, remove-zero, distributivity, subtraction and negation of sums."""
+    """Re-indexing, remove-zero, distributivity, subtraction and negation of sums.
+
+    Each trial draws n, then f, g and r as unreduced (p, q) pairs, and builds
+    f - g, r * f and -f as pairs; only r * sum(f), f_1 + sum(f_2..) and the
+    comparisons go through Rational.
+    """
     for trial in range(instances):
         n = rng.randint(1, max_n)
-        fs = [_random_rational(rng) for _ in range(n)]
-        gs = [_random_rational(rng) for _ in range(n)]
-        r = _random_rational(rng)
-        sum_f = finite_sum(map(Rational.as_integer_ratio, fs))
+        fs = [_random_pair(rng) for _ in range(n)]
+        gs = [_random_pair(rng) for _ in range(n)]
+        rp, rq = _random_pair(rng)
+        sum_f = finite_sum(fs)
         checks = (
-            ("reindex", finite_sum(map(Rational.as_integer_ratio, reversed(fs))) == sum_f),
-            ("remove_zero", sum_f == fs[0] + finite_sum(map(Rational.as_integer_ratio, fs[1:]))),
-            ("distrib_left", r * sum_f
-             == finite_sum(map(Rational.as_integer_ratio, [r * x for x in fs]))),
-            ("subtractf",
-             finite_sum(map(Rational.as_integer_ratio, [x - y for x, y in zip(fs, gs)]))
-             == sum_f - finite_sum(map(Rational.as_integer_ratio, gs))),
-            ("negf", finite_sum(map(Rational.as_integer_ratio, [-x for x in fs])) == -sum_f),
+            ("reindex", finite_sum(reversed(fs)) == sum_f),
+            ("remove_zero", sum_f == Rational(*fs[0]) + finite_sum(fs[1:])),
+            ("distrib_left",
+             Rational(rp, rq) * sum_f == finite_sum([(rp * p, rq * q) for p, q in fs])),
+            ("subtractf", finite_sum([(p * s - u * q, q * s) for (p, q), (u, s) in zip(fs, gs)])
+             == sum_f - finite_sum(gs)),
+            ("negf", finite_sum([(-p, q) for p, q in fs]) == -sum_f),
         )
         bad = next((name for name, ok in checks if not ok), None)
         yield None if bad is None else (trial, bad, n)
@@ -159,12 +163,23 @@ def a2_coefficient_positivity(max_n: int) -> Witnesses:
 # -- C1 ---------------------------------------------------------------------------
 
 def c1_counting(coord_max: int) -> Witnesses:
-    """Closed-form green/yellow counts against brute-force square enumeration."""
+    """Closed-form green/yellow counts against a square-by-square count of tiling.green.
+
+    below[x][y] counts the green squares of (0, x, 0, y), one square at a time;
+    a rect's count is four entries by inclusion-exclusion.
+    """
+    below = [[0] * (coord_max + 1) for _ in range(coord_max + 1)]
+    for x in range(coord_max):
+        for y in range(coord_max):
+            below[x + 1][y + 1] = (below[x][y + 1] + below[x + 1][y] - below[x][y]
+                                   + tiling.green((x, y)))
+
     def holds(r: tiling.Rect) -> bool:
-        brute_green = sum(1 for s in tiling.squares(r) if tiling.green(s))
+        x1, x2, y1, y2 = r
+        brute_green = below[x2][y2] - below[x1][y2] - below[x2][y1] + below[x1][y1]
+        k = (x2 - x1) * (y2 - y1)
         cg, cy = tiling.count_green(r), tiling.count_yellow(r)
-        return (cg == brute_green and cy == tiling.area(r) - brute_green
-                and cg + cy == tiling.area(r))
+        return cg == brute_green and cy == k - brute_green and cg + cy == k
 
     return (None if holds(r) else r for r in tiling.rects_inside(coord_max, coord_max))
 
@@ -298,20 +313,16 @@ def c1_roundtrip(rng: random.Random, samples: int) -> Witnesses:
 
 def n1_step_image(limit: int) -> Witnesses:
     """Totality: each step lands on isqrt(x) or x + 3 and stays above 1."""
-    def witness(x: int) -> tuple | None:
-        nxt = n1.n1_step(x)
-        return None if (nxt == x + 3 or nxt == n1.isqrt(x)) and nxt > 1 else (x, nxt)
-
-    return map(witness, range(2, limit + 1))
+    isqrt, xs = n1.isqrt, range(2, limit + 1)
+    return (None if (nxt == x + 3 or nxt == isqrt(x)) and nxt > 1 else (x, nxt)
+            for x, nxt in zip(xs, map(n1.n1_step, xs)))
 
 
 def n1_residue_preservation(limit: int) -> Witnesses:
     """x = 0 (mod 3) exactly when its successor is."""
-    def witness(x: int) -> tuple | None:
-        nxt = n1.n1_step(x)
-        return None if (x % 3 == 0) == (nxt % 3 == 0) else (x, nxt)
-
-    return map(witness, range(2, limit + 1))
+    xs = range(2, limit + 1)
+    return (None if (x % 3 == 0) == (nxt % 3 == 0) else (x, nxt)
+            for x, nxt in zip(xs, map(n1.n1_step, xs)))
 
 
 def n1_fixed_orbits(a0: int) -> Witnesses:

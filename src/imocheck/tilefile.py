@@ -32,17 +32,17 @@ def valid_rect(r: Rect) -> bool:
 
 
 def area(r: Rect) -> int:
-    return (r[1] - r[0]) * (r[3] - r[2]) if valid_rect(r) else 0
+    x1, x2, y1, y2 = r
+    return (x2 - x1) * (y2 - y1) if x1 < x2 and y1 < y2 else 0
 
 
 def inside(ri: Rect, ro: Rect) -> bool:
     """squares(ri) subset-of squares(ro), by coordinate comparison."""
-    if not valid_rect(ri):
+    x1, x2, y1, y2 = ri
+    if not (x1 < x2 and y1 < y2):
         return True
-    if not valid_rect(ro):
-        return False
-    return (ro[0] <= ri[0] and ri[1] <= ro[1]
-            and ro[2] <= ri[2] and ri[3] <= ro[3])
+    u1, u2, v1, v2 = ro
+    return u1 <= x1 and x2 <= u2 and v1 <= y1 and y2 <= v2   # these make ro valid too
 
 
 class Tiling(NamedTuple):

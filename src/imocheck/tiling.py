@@ -12,12 +12,15 @@ proof chain runs through corner colors, green/yellow counting and the
 parity-of-distances lemma, and every link is executable here.  An instance
 check (parity_lemma_check, one pair of rects) returns None when it holds and
 a witness when it fails; the claims over many instances live in the suite.
+classify_rect, count_green and count_yellow read colours straight off the
+coordinates and never call green(), so green() serves only the brute-force
+routes that check them: the suite's counting row and the tests.
 
 The file layer that c1-check runs (rects, Tiling, the validator
 tiling_problems, witness and the text format) lives in tilefile.  This
 module imports from it only the names it calls, so tiling.witness is
-tilefile.witness; callers read the caps, lex_key and the text format from
-tilefile.  The one exception is parse_tiling, which nothing here calls:
+tilefile.witness; callers read area, the caps, lex_key and the text format
+from tilefile.  The one exception is parse_tiling, which nothing here calls:
 it stays bound because the benchmark's tracer wraps tiling.parse_tiling.
 
 Two routes of the per-tiling theorem chain live here and end in one
@@ -45,16 +48,11 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import PreconditionFailedError, TheoremViolationError
-from .tilefile import (Rect, Tiling, WitnessParity, _lex_tiles, area, distance_parity, inside,
+from .tilefile import (Rect, Tiling, WitnessParity, _lex_tiles, distance_parity, inside,
                        side_distances, tiling_problems, valid_rect, witness)
 from .tilefile import parse_tiling  # not called here: the benchmark traces tiling.parse_tiling
 
 Square = tuple[int, int]
-
-
-def _require_valid(r: Rect) -> None:
-    if not valid_rect(r):
-        raise PreconditionFailedError(f"rect {r} needs x1 < x2 and y1 < y2")
 
 
 def squares(r: Rect) -> set[Square]:
@@ -72,13 +70,6 @@ def green(s: Square) -> bool:
     return (s[0] + s[1]) % 2 == 0
 
 
-def corners(r: Rect) -> set[Square]:
-    """The up-to-four corner squares of a valid rect."""
-    _require_valid(r)
-    x1, x2, y1, y2 = r
-    return {(x1, y1), (x1, y2 - 1), (x2 - 1, y1), (x2 - 1, y2 - 1)}
-
-
 class RectClass(Enum):
     GREEN = "Green"
     YELLOW = "Yellow"
@@ -86,30 +77,37 @@ class RectClass(Enum):
 
 
 def classify_rect(r: Rect) -> RectClass:
-    """GREEN when set(map(green, corners(r))) == {True}, YELLOW when it is {False}, else MIXED."""
-    colours = set(map(green, corners(r)))
-    if colours == {True}:
-        return RectClass.GREEN
-    if colours == {False}:
-        return RectClass.YELLOW
+    """GREEN when the four corner squares' x + y are all even, YELLOW when all odd, else MIXED."""
+    x1, x2, y1, y2 = r
+    if not (x1 < x2 and y1 < y2):
+        raise PreconditionFailedError(f"rect {r} needs x1 < x2 and y1 < y2")
+    c = (x1 + y1) % 2
+    if c == (x1 + y2 - 1) % 2 == (x2 - 1 + y1) % 2 == (x2 - 1 + y2 - 1) % 2:
+        return RectClass.YELLOW if c else RectClass.GREEN
     return RectClass.MIXED
 
 
 def count_green(r: Rect) -> int:
     """Number of green squares: (k+1) div 2 for a green start, k div 2 otherwise.
 
-    k is the total square count; a yellow start is the green-start formula
+    k = (x2 - x1) * (y2 - y1) is the total square count, and the start (x1, y1)
+    is green when x1 + y1 is even; a yellow start is the green-start formula
     for the rect shifted one square sideways, hence the swapped roles.
     """
-    _require_valid(r)
-    k = area(r)
-    return (k + 1) // 2 if green((r[0], r[2])) else k // 2
+    x1, x2, y1, y2 = r
+    if not (x1 < x2 and y1 < y2):
+        raise PreconditionFailedError(f"rect {r} needs x1 < x2 and y1 < y2")
+    k = (x2 - x1) * (y2 - y1)
+    return k // 2 if (x1 + y1) % 2 else (k + 1) // 2
 
 
 def count_yellow(r: Rect) -> int:
-    _require_valid(r)
-    k = area(r)
-    return k // 2 if green((r[0], r[2])) else (k + 1) // 2
+    """Number of yellow squares: count_green's closed form with the roles swapped."""
+    x1, x2, y1, y2 = r
+    if not (x1 < x2 and y1 < y2):
+        raise PreconditionFailedError(f"rect {r} needs x1 < x2 and y1 < y2")
+    k = (x2 - x1) * (y2 - y1)
+    return (k + 1) // 2 if (x1 + y1) % 2 else k // 2
 
 
 # -- tilings -------------------------------------------------------------------

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from imocheck import a2, n1, tiling
+from imocheck import a2, n1, tilefile, tiling
 from imocheck.rational import Rational, ZERO, finite_sum
 
 SEED = 20170901
@@ -82,7 +82,7 @@ def test_c1_counting_closed_forms():
         for r in _rects(12):
             brute_green = sum(1 for s in tiling.squares(r) if (s[0] + s[1]) % 2 == 0)
             assert tiling.count_green(r) == brute_green, r
-            assert tiling.count_yellow(r) == tiling.area(r) - brute_green, r
+            assert tiling.count_yellow(r) == tilefile.area(r) - brute_green, r
             checked += 1
         assert checked == 6084
 

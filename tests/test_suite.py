@@ -11,6 +11,7 @@ import pytest
 
 import imocheck
 from imocheck import cli, n1, report, suite, tilefile, tiling
+from imocheck.rational import Rational
 from imocheck.report import ClaimReport
 from conftest import SMALL_PARAMS
 from test_cli import RECORD_RE
@@ -131,6 +132,71 @@ def test_enumeration_count_failure_counts_the_tilings_before_it(monkeypatch):
     assert rep.steps == 1 + 2 + 4   # the tilings of 1x1, 2x1 and 1x3
     rep = _run("c1.enumeration_count", boards=3)   # stops before the 2x2 board
     assert (rep.outcome, rep.steps) == (True, 1 + 2 + 4)
+
+
+def test_the_rng_rows_make_the_fraction_era_draws():
+    """The three rows that take the rng draw what they drew when A2 built Fractions.
+
+    The reference loop only draws: per trial of a2.sum_lemmas, n and then
+    (p, q) for each f, each g and for r; then the C1 rows' boards, tiling
+    seeds and pinwheel cuts.  The rng must stand where it does after each row.
+    """
+    rows = [c for c in suite.CLAIMS if "rng" in c.takes]
+    assert [c.id for c in rows] == ["a2.sum_lemmas", "c1.theorem_random", "c1.roundtrip"]
+    sums, theorem, roundtrip = (c.params for c in rows)
+    ref = random.Random(cli.DEFAULT_SEED)
+    after = []
+    for _ in range(sums["instances"]):
+        n = ref.randint(1, sums["max_n"])
+        for _ in range(2 * n + 1):                   # each f, each g, then r
+            Rational(ref.randint(-99, 99), ref.randint(1, 30))
+    after.append(ref.getstate())
+    for _ in range(theorem["count"]):
+        ref.randrange(1, 18, 2), ref.randrange(1, 12, 2), ref.getrandbits(63)
+    for _ in range(theorem["pinwheels"]):
+        a, b = ref.randrange(3, 18, 2), ref.randrange(3, 12, 2)
+        ref.sample(range(1, a), 2), ref.sample(range(1, b), 2)
+    after.append(ref.getstate())
+    for _ in range(roundtrip["samples"]):
+        ref.randrange(1, 18, 2), ref.randrange(1, 12, 2), ref.getrandbits(63)
+    after.append(ref.getstate())
+    rng = random.Random(cli.DEFAULT_SEED)
+    for row, state in zip(rows, after):
+        assert row.run(rng=rng).outcome, row.id
+        assert rng.getstate() == state, row.id
+
+
+def test_sum_lemmas_row_fails_on_a_finite_sum_that_drops_every_remainder(monkeypatch):
+    """A sum of the terms' integer parts only: f_1 kept whole no longer adds up."""
+    monkeypatch.setattr(suite, "finite_sum", lambda terms: Rational(sum(p // q for p, q in terms)))
+    rep = _run("a2.sum_lemmas", random.Random(cli.DEFAULT_SEED))
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (0, "remove_zero", 5), 0)
+
+
+def test_counting_row_prefix_count_equals_square_enumeration_inside_9x9(monkeypatch):
+    """With closed forms that enumerate squares, the row holds on every rect inside [0, 9]^2.
+
+    It holds on a rect exactly when its prefix count equals
+    sum(green(s) for s in squares(r)): both counts then read that sum.
+    """
+    def enumerated(r):
+        return sum(tiling.green(s) for s in tiling.squares(r))
+
+    monkeypatch.setattr(tiling, "count_green", enumerated)
+    monkeypatch.setattr(tiling, "count_yellow", lambda r: tilefile.area(r) - enumerated(r))
+    rep = _run("c1.counting", coord_max=9)
+    assert (rep.outcome, rep.steps) == (True, 45 * 45)
+
+
+def test_counting_row_fails_at_the_first_rect_holding_a_recoloured_square(monkeypatch):
+    """green() with (3, 5) flipped: the prefix count reads it, the closed forms do not."""
+    green = tiling.green
+    monkeypatch.setattr(tiling, "green", lambda s: (not green(s)) if s == (3, 5) else green(s))
+    rects = list(tiling.rects_inside(12, 12))
+    first = next(i for i, r in enumerate(rects) if (3, 5) in tiling.squares(r))
+    rep = _run("c1.counting")
+    assert (rep.outcome, rep.witness, rep.steps) == (False, rects[first], first)
+    assert (first, rects[first]) == (239, (0, 4, 0, 6))   # 3 x-spans of 78 y-spans, then 5
 
 
 def test_check_tiling_theorem_flags_bad_input():
@@ -633,7 +699,7 @@ def test_exhaustive_row_catches_a_count_green_that_drops_unit_squares(monkeypatc
     """
     count_green = tiling.count_green
     monkeypatch.setattr(tiling, "count_green",
-                        lambda r: 0 if tiling.area(r) == 1 else count_green(r))
+                        lambda r: 0 if tilefile.area(r) == 1 else count_green(r))
     rep = _exhaustive_row(small_claims).run()
     assert not rep.outcome and rep.steps == 1
     assert rep.witness == (1, 3, "green square counts do not add up",
@@ -649,7 +715,7 @@ def test_exhaustive_row_fails_when_only_the_count_sees_a_failure(monkeypatch, sm
     """
     board_table = tiling.board_table
     monkeypatch.setattr(tiling, "board_table", lambda a, b: {
-        r: f[:2] + (0,) + f[3:] if tiling.area(r) == 1 and r != (0, a, 0, b) else f
+        r: f[:2] + (0,) + f[3:] if tilefile.area(r) == 1 and r != (0, a, 0, b) else f
         for r, f in board_table(a, b).items()})
     rep = _exhaustive_row(small_claims).run()
     assert not rep.outcome and rep.steps == 5   # the Tiling route held 1x1 and all of 1x3

@@ -87,23 +87,41 @@ def test_green_yellow():
     assert tiling.green((16, 10))
 
 
+# corners and its precondition are the literal definitions that classify_rect
+# reads off the coordinates; only the tests build corner sets.
+
+def _require_valid(r):
+    if not tilefile.valid_rect(r):
+        raise PreconditionFailedError(f"rect {r} needs x1 < x2 and y1 < y2")
+
+
+def corners(r):
+    """The up-to-four corner squares of a valid rect."""
+    _require_valid(r)
+    x1, x2, y1, y2 = r
+    return {(x1, y1), (x1, y2 - 1), (x2 - 1, y1), (x2 - 1, y2 - 1)}
+
+
 def test_corners():
-    assert tiling.corners((0, 1, 0, 1)) == {(0, 0)}
-    assert tiling.corners((0, 17, 0, 11)) == {(0, 0), (0, 10), (16, 0), (16, 10)}
-    assert tiling.corners((2, 4, 3, 5)) == {(2, 3), (2, 4), (3, 3), (3, 4)}
+    assert corners((0, 1, 0, 1)) == {(0, 0)}
+    assert corners((0, 17, 0, 11)) == {(0, 0), (0, 10), (16, 0), (16, 10)}
+    assert corners((2, 4, 3, 5)) == {(2, 3), (2, 4), (3, 3), (3, 4)}
     with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
-        tiling.corners((1, 1, 0, 2))
+        corners((1, 1, 0, 2))
 
 
 def test_classify_examples():
     assert tiling.classify_rect((0, 17, 0, 11)) is RectClass.GREEN
     assert tiling.classify_rect((1, 2, 0, 1)) is RectClass.YELLOW
     assert tiling.classify_rect((0, 2, 0, 1)) is RectClass.MIXED
+    for invalid in ((1, 1, 0, 2), (0, 2, 3, 1)):
+        with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
+            tiling.classify_rect(invalid)
 
 
 def _classify_rect_by_all(r):
-    """classify_rect's earlier definition, two all() passes over the corners."""
-    cs = tiling.corners(r)
+    """classify_rect's literal definition, two all() passes over the corner squares."""
+    cs = corners(r)
     if all(tiling.green(c) for c in cs):
         return RectClass.GREEN
     if all(yellow(c) for c in cs):
@@ -136,15 +154,17 @@ def test_count_examples():
     assert (tiling.count_green((0, 3, 0, 3)), tiling.count_yellow((0, 3, 0, 3))) == (5, 4)
     assert (tiling.count_green((0, 1, 0, 1)), tiling.count_yellow((0, 1, 0, 1))) == (1, 0)
     assert (tiling.count_green((1, 3, 0, 2)), tiling.count_yellow((1, 3, 0, 2))) == (2, 2)
-    with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
-        tiling.count_green((2, 2, 0, 1))
+    for invalid in ((2, 2, 0, 1), (0, 1, 1, 0)):
+        for count in (tiling.count_green, tiling.count_yellow):
+            with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
+                count(invalid)
 
 
 @given(valid_rects)
 def test_counts_match_brute_force(r):
     brute = sum(1 for s in tiling.squares(r) if tiling.green(s))
     assert tiling.count_green(r) == brute
-    assert tiling.count_yellow(r) == tiling.area(r) - brute
+    assert tiling.count_yellow(r) == tilefile.area(r) - brute
 
 
 @given(valid_rects)
@@ -387,7 +407,7 @@ def test_count_tiling_theorem_counts_boards_past_the_enumerators_area_cap(monkey
 
 # -- text format -------------------------------------------------------------------------
 
-FILE_LAYER = ["Rect", "valid_rect", "area", "inside", "Tiling", "tiling_problems", "_lex_tiles",
+FILE_LAYER = ["Rect", "valid_rect", "inside", "Tiling", "tiling_problems", "_lex_tiles",
               "side_distances", "WitnessParity", "distance_parity", "witness", "parse_tiling"]
 
 
@@ -400,7 +420,7 @@ def test_tiling_binds_tilefiles_objects():
     for name in FILE_LAYER:
         assert getattr(tiling, name) is getattr(tilefile, name), name
     # the names it does not call are read from tilefile
-    for name in ("MAX_SIDE", "MAX_TILES", "lex_key", "serialize_tiling"):
+    for name in ("area", "MAX_SIDE", "MAX_TILES", "lex_key", "serialize_tiling"):
         assert not hasattr(tiling, name), name
 
 
