@@ -60,14 +60,6 @@ def is_perfect_square(x: int) -> bool:
     return s * s == x
 
 
-def sqrt_exact(x: int) -> int:
-    """The s with s*s = x; defined only on perfect squares."""
-    s = isqrt(x)
-    if s * s != x:
-        raise PreconditionFailedError(f"{x} is not a perfect square")
-    return s
-
-
 def n1_step(x: int) -> int:
     """One step: isqrt(x) if x is a perfect square, else x + 3 (no orbit loop calls it)."""
     if x < 1:
@@ -290,7 +282,7 @@ def check_claim2(x: int) -> tuple | None:
     v = x + 3 * steps
     if v not in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2):
         return "unexpected first square", v
-    after = sqrt_exact(v)
+    after = isqrt(v)
     if not (after <= t + 3 < t * t < x):
         return "descent chain broken", after
     # one more step lands on `after`, the smaller value

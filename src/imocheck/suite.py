@@ -6,7 +6,9 @@ and nowhere else, and the record prints them) and the names of the run
 context values the sweep takes.  The row is the only place a claim's id and
 params are spelled; ``Claim.run`` builds its record.
 ``run_suite`` runs the rows in order with one context, whose rng is seeded
-by the given seed, so the record stream is byte-reproducible; it prints one
+by the given seed, so the record stream is byte-reproducible.  The rng is
+all that rows share: a row's record depends only on its params and, for a
+row that takes the rng, the draws of the rng rows before it.  It prints one
 line per claim (human text or record lines) to stdout and each row's wall
 time to stderr.  A row that raises does not end the battery: it gets a fail
 record with the exception class as witness, stderr gets one line, the
@@ -28,12 +30,6 @@ per-start checks, because the orbit from a_1 is the orbit of the value a_1:
 when a_1 is a start of the same sweep, a_0 breaks at index 0 or 1 or where
 a_1 breaks, one index later (_successor_verdicts).  The verdicts come out
 in increasing order of start, so steps and the witness are unchanged.
-
-The context's mult3_traces dict is a local of one run_suite call.
-n1.cycle_shape reads the classify(a0, n1.default_budget(a0)) traces that
-n1.classification kept there one row earlier, the result of the very call
-it would make, so no record changes; it classifies the starts that row did
-not reach.  A run_suite started inside another has its own dict.
 
 The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
@@ -344,17 +340,13 @@ def n1_fixed_orbits(a0: int) -> Witnesses:
             yield start, "detect_cycle", cycle
 
 
-def n1_classification(max_a0: int, mult3_traces: dict | None = None) -> Witnesses:
+def n1_classification(max_a0: int) -> Witnesses:
     """For every 2 <= a0 <= max_a0, PeriodicMult3 exactly when 3 divides a0.
 
-    No start may end in BudgetExceeded at n1.default_budget.  Given
-    mult3_traces, it keeps each multiple of 3's trace there by start.
+    No start may end in BudgetExceeded at n1.default_budget.
     """
     def witness(a0: int) -> tuple | None:
-        trace = n1.classify(a0, n1.default_budget(a0))
-        if mult3_traces is not None and a0 % 3 == 0:
-            mult3_traces[a0] = trace
-        cls = trace.classification
+        cls = n1.classify(a0, n1.default_budget(a0)).classification
         ok = (cls is not n1.OrbitClass.BUDGET_EXCEEDED
               and (cls is n1.OrbitClass.PERIODIC_MULT3) == (a0 % 3 == 0))
         return None if ok else (a0, cls.value)
@@ -362,17 +354,14 @@ def n1_classification(max_a0: int, mult3_traces: dict | None = None) -> Witnesse
     return map(witness, range(2, max_a0 + 1))
 
 
-def n1_cycle_shape(max_a0: int, mult3_traces: dict | None = None) -> Witnesses:
+def n1_cycle_shape(max_a0: int) -> Witnesses:
     """Every multiple of 3 up to max_a0 cycles through exactly {3, 6, 9}.
 
     A start with no cycle certificate within n1.default_budget fails with
-    the cycle None.  A trace that n1.classification kept in mult3_traces is
-    reused.
+    the cycle None.
     """
-    traces = mult3_traces or {}
-
     def witness(a0: int) -> tuple | None:
-        trace = traces.get(a0) or n1.classify(a0, n1.default_budget(a0))
+        trace = n1.classify(a0, n1.default_budget(a0))
         cycle = None if trace.cycle is None else tuple(sorted(trace.cycle_values()))
         return None if cycle == (3, 6, 9) else (a0, cycle)
 
@@ -447,10 +436,10 @@ class Claim(NamedTuple):
     """One row: a claim id, its sweep, the sweep's params and the run context it takes.
 
     ``takes`` names the run_suite context values the sweep takes as
-    keywords: ``rng``, the run's random.Random, and ``mult3_traces``, the
-    dict of N1 traces that n1.classification fills and n1.cycle_shape
-    reads.  They are not params, so records do not print them.  The
-    default params dict is shared by the rows, so nothing writes to params.
+    keywords.  The context holds only ``rng``, the run's random.Random,
+    which is all that rows share; it is not a param, so records do not
+    print it.  The default params dict is shared by the rows, so nothing
+    writes to params.
     """
 
     id: str
@@ -485,8 +474,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("n1.step_image", n1_step_image, {"limit": 10 ** 5}),
     Claim("n1.residue_preservation", n1_residue_preservation, {"limit": 10 ** 5}),
     Claim("n1.fixed_orbits", n1_fixed_orbits, {"a0": 7}),
-    Claim("n1.classification", n1_classification, {"max_a0": 10 ** 4}, takes=("mult3_traces",)),
-    Claim("n1.cycle_shape", n1_cycle_shape, {"max_a0": 10 ** 4}, takes=("mult3_traces",)),
+    Claim("n1.classification", n1_classification, {"max_a0": 10 ** 4}),
+    Claim("n1.cycle_shape", n1_cycle_shape, {"max_a0": 10 ** 4}),
     Claim("n1.claim1", n1_claim1, {"max_a0": 1000, "window": 200}),
     Claim("n1.claim2_certificate", n1_claim2, {"max_x": 10 ** 4}),
     Claim("n1.claim3", n1_claim3, {"max_a0": 1000}),
@@ -510,12 +499,12 @@ def _human_line(rep: ClaimReport) -> str:
 
 def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
               claims: Sequence[Claim] = CLAIMS) -> int:
-    """Run the rows in order with one context: an rng seeded by ``seed`` and a trace dict.
+    """Run the rows in order with one context: an rng seeded by ``seed``.
 
     Exit code 0 when every claim passes, 1 when one fails, 3 when a row
     raised (which takes precedence).
     """
-    context = {"rng": random.Random(seed), "mult3_traces": {}}
+    context = {"rng": random.Random(seed)}
     diagnostics = err if records else out
     print(f"suite seed={seed}", file=diagnostics)
     failures = 0

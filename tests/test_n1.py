@@ -34,12 +34,6 @@ def test_isqrt_random_spot_checks():
         assert s * s <= x < (s + 1) * (s + 1)
 
 
-def test_sqrt_exact_partial():
-    assert n1.sqrt_exact(144) == 12
-    with pytest.raises(PreconditionFailedError):
-        n1.sqrt_exact(2)
-
-
 # -- step and orbit ---------------------------------------------------------------
 
 def test_step_examples():

@@ -469,7 +469,7 @@ def test_keyboard_interrupt_ends_the_battery():
         suite.run_suite(1, True, io.StringIO(), io.StringIO(), table)
 
 
-# -- the N1 traces that run_suite shares between rows ------------------------------
+# -- rows share nothing but the rng -----------------------------------------------
 
 N1_TRACE_ROWS = ("n1.classification", "n1.cycle_shape")
 
@@ -491,25 +491,6 @@ def _trace_rows(small_claims):
     return tuple(c for c in small_claims if c.id in N1_TRACE_ROWS)
 
 
-def test_a_run_suite_inside_a_row_leaves_the_outer_runs_traces(monkeypatch, small_claims):
-    """The inner run classifies 2..60 once for its own two rows; the outer cycle_shape none."""
-    trace_rows = _trace_rows(small_claims)
-
-    def inner_run():
-        sink = io.StringIO()
-        yield None if suite.run_suite(7, True, sink, sink, trace_rows) == 0 else ("inner",)
-
-    calls = _recording_classify(monkeypatch)
-    out = io.StringIO()
-    table = (trace_rows[0], suite.Claim("x.inner_run", inner_run), trace_rows[1])
-    assert suite.run_suite(7, True, out, io.StringIO(), table) == 0
-    assert calls == list(range(2, 61)) * 2
-    assert out.getvalue().splitlines() == [
-        "CLAIM n1.classification max_a0=60 steps=59 outcome=pass",
-        "CLAIM x.inner_run steps=1 outcome=pass",
-        "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
-
-
 def test_run_suite_provides_every_context_name_a_row_takes():
     """A probe row that takes every name in the table receives each of them."""
     names = {name for claim in suite.CLAIMS for name in claim.takes}
@@ -522,34 +503,44 @@ def test_run_suite_provides_every_context_name_a_row_takes():
     sink = io.StringIO()
     table = (suite.Claim("x.probe", probe, takes=tuple(names)),)
     assert suite.run_suite(7, True, sink, sink, table) == 0
-    assert received.keys() == names == {"rng", "mult3_traces"}
+    assert received.keys() == names == {"rng"}
     # The rng's draw order is the order of these rows.
     assert [c.id for c in suite.CLAIMS if "rng" in c.takes] == [
         "a2.sum_lemmas", "c1.theorem_random", "c1.roundtrip"]
 
 
-def test_cycle_shape_classifies_no_start_after_a_passing_classification(monkeypatch,
-                                                                        small_claims):
-    calls = _recording_classify(monkeypatch)
+@pytest.mark.parametrize("change, classified, record", [
+    (lambda a0, trace: trace, list(range(2, 61)),
+     "CLAIM n1.classification max_a0=60 steps=59 outcome=pass"),
+    # 4 claims a cycle, so classification stops there.
+    (lambda a0, trace: trace._replace(classification=n1.OrbitClass.PERIODIC_MULT3)
+     if a0 == 4 else trace, [2, 3, 4],
+     "CLAIM n1.classification max_a0=60 steps=2 witness=4;PeriodicMult3 outcome=fail"),
+], ids=["plain", "classification_fails_at_4"])
+def test_cycle_shape_classifies_every_multiple_of_3_itself(monkeypatch, small_claims, change,
+                                                           classified, record):
+    """cycle_shape classifies 3..60 after classification, whatever that row reached."""
+    calls = _recording_classify(monkeypatch, change)
     out = io.StringIO()
-    assert suite.run_suite(7, True, out, io.StringIO(), _trace_rows(small_claims)) == 0
-    assert calls == list(range(2, 61))
+    status = suite.run_suite(7, True, out, io.StringIO(), _trace_rows(small_claims))
+    assert status == (0 if record.endswith("pass") else 1)
+    assert calls == classified + list(range(3, 61, 3))
     assert out.getvalue().splitlines() == [
-        "CLAIM n1.classification max_a0=60 steps=59 outcome=pass",
-        "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
+        record, "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
 
 
-def test_cycle_shape_covers_every_start_when_classification_fails_early(monkeypatch,
-                                                                       small_claims):
-    """4 claims a cycle, so classification stops there; cycle_shape classifies 6..60 itself."""
-    calls = _recording_classify(monkeypatch, lambda a0, trace: trace._replace(
-        classification=n1.OrbitClass.PERIODIC_MULT3) if a0 == 4 else trace)
-    out = io.StringIO()
-    assert suite.run_suite(7, True, out, io.StringIO(), _trace_rows(small_claims)) == 1
-    assert calls == [2, 3, 4] + list(range(6, 61, 3))
-    assert out.getvalue().splitlines() == [
-        "CLAIM n1.classification max_a0=60 steps=2 witness=4;PeriodicMult3 outcome=fail",
-        "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
+def test_rows_give_the_same_records_in_any_order(small_claims):
+    """The rng rows first, in their order, then the rest reversed: each id's record holds."""
+    def records(table):
+        out = io.StringIO()
+        assert suite.run_suite(7, True, out, io.StringIO(), table) == 0
+        return {line.split()[1]: line for line in out.getvalue().splitlines()}
+
+    rng_rows = tuple(c for c in small_claims if "rng" in c.takes)
+    others = tuple(c for c in small_claims if "rng" not in c.takes)
+    forward = records(small_claims)
+    assert len(forward) == 30
+    assert records(rng_rows + others[::-1]) == forward
 
 
 def test_a_row_run_outside_run_suite_classifies_every_start_itself(monkeypatch):
@@ -562,7 +553,7 @@ def test_a_row_run_outside_run_suite_classifies_every_start_itself(monkeypatch):
 
 
 def test_a_second_run_suite_keeps_no_trace_of_the_first(monkeypatch, small_claims):
-    """With classify raising on 30, both N1 trace rows fail, as before the rows shared traces."""
+    """With classify raising on 30, both rows that classify fail, each on its own call."""
     first = io.StringIO()
     assert suite.run_suite(7, True, first, io.StringIO(), small_claims) == 0
 
