@@ -99,16 +99,16 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"invalid tiling: {p}", file=sys.stderr)
         return EXIT_FAIL
-    try:
-        rect, parity = tilefile.witness(t)
-    except TheoremViolationError as exc:
+    found = tilefile.witness(t)
+    if found is None:
         a, b = t.board[1], t.board[3]
         if a % 2 == 0 or b % 2 == 0:
             print(f"no parity witness on the {a}x{b} board: "
                   "the theorem needs both sides odd", file=sys.stderr)
             return EXIT_FAIL
-        print(f"theorem anomaly: {exc}", file=sys.stderr)
+        print(f"theorem anomaly: no parity witness in a tiling of {t.board}", file=sys.stderr)
         return EXIT_ANOMALY
+    rect, parity = found
     ds = tilefile.side_distances(rect, t.board)
     print(f"witness {_format_rect(rect)} ds={_format_rect(ds)} {parity.value}")
     return EXIT_PASS
@@ -184,8 +184,14 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return suite.run_suite(args.seed, args.records, sys.stdout, sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """One stderr line, `<prog>: <message>`, and exit 2; argparse's own prints two."""
+        self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imocheck",
         description="Exact desk-scale checks for IMO 2006 A2, 2017 C1 and 2017 N1.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,7 +13,8 @@ class TheoremViolationError(ImocheckError, AssertionError):
     """A machine-checked theorem failed on valid input.
 
     This never fires on correct code and valid inputs; it signals a bug or
-    an invalid input that slipped past validation.
+    an invalid input that slipped past validation.  Its one raiser is
+    n1.classify, on a square inside a residue-2 run.
     """
 
 

@@ -47,9 +47,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .errors import PreconditionFailedError, TheoremViolationError
+from .errors import PreconditionFailedError
 from .tilefile import (Rect, Tiling, WitnessParity, _lex_tiles, distance_parity, inside,
-                       side_distances, tiling_problems, valid_rect, witness)
+                       side_distances, tiling_problems, witness)
 from .tilefile import parse_tiling  # not called here: the benchmark traces tiling.parse_tiling
 
 Square = tuple[int, int]
@@ -116,25 +116,23 @@ def is_valid_tiling(t: Tiling) -> bool:
     return not tiling_problems(t)
 
 
-def find_green_tile(t: Tiling) -> Rect:
-    """First tile (in (x1, y1, x2, y2) order) whose corners are all green.
+def find_green_tile(t: Tiling) -> Rect | None:
+    """First tile (in (x1, y1, x2, y2) order) whose corners are all green, or None.
 
-    On a valid tiling of an odd-by-odd board one always exists; running out
-    of tiles therefore raises TheoremViolationError.
+    On a valid tiling of an odd-by-odd board one always exists.
     """
     for r in _lex_tiles(t):
         if classify_rect(r) is RectClass.GREEN:
             return r
-    raise TheoremViolationError(f"no green tile in a tiling of {t.board}")
+    return None
 
 
 def parity_lemma_check(ri: Rect, ro: Rect) -> tuple[int, int, int, int] | None:
     """Green-inside-green distance parity: the four gaps are all even or all odd.
 
-    None when they are; else the gaps (left, right, bottom, top).
+    None when they are; else the gaps (left, right, bottom, top).  classify_rect
+    raises PreconditionFailedError on an invalid rect.
     """
-    if not (valid_rect(ri) and valid_rect(ro)):
-        raise PreconditionFailedError("both rects must be valid")
     if classify_rect(ri) is not RectClass.GREEN or classify_rect(ro) is not RectClass.GREEN:
         raise PreconditionFailedError("both rects must be green")
     if not inside(ri, ro):
@@ -333,21 +331,15 @@ def check_tiling_theorem(t: Tiling) -> str | None:
     """The full per-tiling chain on any Tiling; None when everything holds.
 
     Validity, witness existence, green-tile existence, the green tile itself
-    satisfying the distance parity, and the disjoint-union square counts.
+    satisfying the distance parity, and the disjoint-union square counts; a
+    lookup that returns None is a verdict, not an error.
     """
     if not is_valid_tiling(t):
         return "invalid tiling"
-    try:
-        first_witness = witness(t)[0]
-    except TheoremViolationError:
-        first_witness = None
-    try:
-        first_green = find_green_tile(t)
-    except TheoremViolationError:
-        first_green = None
+    first_green = find_green_tile(t)
     green_parity = (None if first_green is None
                     else distance_parity(side_distances(first_green, t.board)))
-    return _chain_problem(first_witness is not None, first_green is not None, green_parity,
+    return _chain_problem(witness(t) is not None, first_green is not None, green_parity,
                           sum(count_green(r) for r in t.tiles) - count_green(t.board),
                           sum(count_yellow(r) for r in t.tiles) - count_yellow(t.board))
 

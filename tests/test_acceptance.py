@@ -107,10 +107,13 @@ def test_c1_main_theorem_exhaustive():
         total = 0
         for a, b in boards:
             for t in tiling.enumerate_tilings(a, b):
-                rect, parity = tiling.witness(t)   # raises if the theorem fails
+                found = tiling.witness(t)
+                assert found is not None, t
+                rect, parity = found
                 assert tiling.distance_parity(
                     tiling.side_distances(rect, t.board)) is parity
                 green = tiling.find_green_tile(t)
+                assert green is not None, t
                 assert tiling.classify_rect(green) is tiling.RectClass.GREEN
                 total += 1
         assert total > 100_000
@@ -128,8 +131,8 @@ def test_c1_main_theorem_randomized():
             b = rng.randrange(1, 12, 2)
             t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
             assert tiling.is_valid_tiling(t)
-            tiling.witness(t)
-            tiling.find_green_tile(t)
+            assert tiling.witness(t) is not None, t
+            assert tiling.find_green_tile(t) is not None, t
         for _ in range(50):
             a = rng.randrange(3, 18, 2)
             b = rng.randrange(3, 12, 2)
@@ -137,8 +140,8 @@ def test_c1_main_theorem_randomized():
             cy1, cy2 = sorted(rng.sample(range(1, b), 2))
             t = tiling.pinwheel(a, b, cx1, cx2, cy1, cy2)
             assert tiling.is_valid_tiling(t)
-            tiling.witness(t)
-            tiling.find_green_tile(t)
+            assert tiling.witness(t) is not None, t
+            assert tiling.find_green_tile(t) is not None, t
 
 
 def test_c1_parity_lemma_exhaustive():

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from imocheck import cli, n1, suite, tilefile, tiling
-from imocheck.errors import TheoremViolationError
 
 
 def run_cli(argv, capsys):
@@ -104,12 +103,7 @@ def test_c1_check_overlap_exits_1(tmp_path, capsys):
 
 def test_c1_check_odd_board_without_witness_is_an_anomaly(tmp_path, capsys, monkeypatch):
     """On an odd-by-odd board a missing witness breaks the theorem: exit 3."""
-    from imocheck import tilefile
-
-    def no_witness(t):
-        raise TheoremViolationError(f"no parity witness in a tiling of {t.board}")
-
-    monkeypatch.setattr(tilefile, "witness", no_witness)
+    monkeypatch.setattr(tilefile, "witness", lambda t: None)
     path = tmp_path / "nine.tiling"
     path.write_text(NINE_UNITS)
     code, out, err = run_cli(["c1-check", str(path)], capsys)
@@ -312,6 +306,23 @@ def test_suite_starved_budget_fails(capsys, monkeypatch, small_suite):
                for line in out.splitlines())
 
 
+def test_suite_seeds_the_rows_rng_with_the_given_seed_or_the_default(capsys, monkeypatch):
+    """`suite --seed 1`, then `suite` with no seed: the rng a row takes starts at that seed."""
+    states = []
+
+    def probe(rng):
+        states.append(rng.getstate())   # before the row draws
+        rng.random()
+        return iter([None])
+
+    table = (suite.Claim("x.probe", probe, takes=("rng",)),)
+    monkeypatch.setattr(suite, "run_suite", functools.partial(suite.run_suite, claims=table))
+    for argv in (["suite", "--records", "--seed", "1"], ["suite", "--records"]):
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == (0, "CLAIM x.probe steps=1 outcome=pass\n"), argv
+    assert states == [random.Random(1).getstate(), random.Random(cli.DEFAULT_SEED).getstate()]
+
+
 def test_suite_has_only_seed_and_records():
     args = cli.build_parser().parse_args(["suite"])
     assert set(vars(args)) == {"command", "func", "records", "seed"}
@@ -335,11 +346,18 @@ def test_suite_has_only_seed_and_records():
     (["c1-check", "{path}"], f"board 3 {tilefile.MAX_SIDE + 1}\ntile 0 3 0 1\n".encode()),
     (["c1-gen", "--a", "3", "--b", str(tilefile.MAX_SIDE + 1), "--kind", "pinwheel"], None),
     (["c1-gen", "--a", str(tilefile.MAX_TILES + 1), "--b", "1"], None),
+    ([], None),
+    (["bogus"], None),
+    (["a2"], None),
+    (["a2", "--n", "x"], None),
+    (["n1", "--a0", "7", "--steps", "3", "--classify"], None),
+    (["a2", "--n", "3", "--bogus"], None),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
         "n1-classify-budget-above-cap", "n1-steps-with-budget", "c1-check-tiles-above-cap",
         "c1-check-board-side-above-cap", "c1-gen-side-above-cap",
-        "c1-gen-guillotine-tiles-above-cap"])
+        "c1-gen-guillotine-tiles-above-cap", "no-command", "unknown-command",
+        "a2-without-n", "a2-n-not-an-int", "n1-steps-with-classify", "unknown-flag"])
 def test_bad_input_is_one_usage_line(tmp_path, argv, content):
     """Exit 2 with one stderr line and no traceback, before any work starts."""
     path = tmp_path / "in.tiling"
@@ -351,6 +369,7 @@ def test_bad_input_is_one_usage_line(tmp_path, argv, content):
     assert done.returncode == 2
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("imocheck")
     assert "Traceback" not in done.stderr
 
 

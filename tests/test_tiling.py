@@ -220,6 +220,17 @@ def test_witness_pinwheel_cross_checked_by_scan():
     assert (parity is WitnessParity.ALL_EVEN) == expected[1]
 
 
+def test_lookups_return_none_on_a_valid_tiling_without_one():
+    """On the 2x1 board the answers are None, and the chain reports each as a verdict."""
+    units = Tiling((0, 2, 0, 1), frozenset([(0, 1, 0, 1), (1, 2, 0, 1)]))
+    domino = Tiling((0, 2, 0, 1), frozenset([(0, 2, 0, 1)]))
+    assert tiling.is_valid_tiling(units) and tiling.is_valid_tiling(domino)
+    assert tiling.witness(units) is None
+    assert tiling.find_green_tile(domino) is None
+    assert tiling.check_tiling_theorem(units) == "no parity witness"
+    assert tiling.check_tiling_theorem(domino) == "no green tile"
+
+
 def test_parity_lemma_check(monkeypatch):
     assert tiling.parity_lemma_check((0, 3, 0, 3), (0, 3, 0, 3)) is None
     assert tiling.parity_lemma_check((1, 2, 1, 2), (0, 3, 0, 3)) is None
@@ -233,6 +244,9 @@ def test_parity_lemma_preconditions():
         tiling.parity_lemma_check((1, 2, 0, 1), (0, 3, 0, 3))  # ri yellow
     with pytest.raises(PreconditionFailedError):
         tiling.parity_lemma_check((0, 3, 0, 3), (1, 2, 1, 2))  # not inside
+    for ri, ro in (((2, 1, 0, 1), (0, 3, 0, 3)), ((0, 1, 0, 1), (0, 3, 1, 1))):
+        with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
+            tiling.parity_lemma_check(ri, ro)   # an invalid rect, caught by classify_rect
 
 
 # -- generators ---------------------------------------------------------------------
@@ -360,7 +374,7 @@ def test_rects_inside_lists_every_rect_of_the_board_once_in_lex_order(a, b):
     board = (0, a, 0, b)
     assert rects == sorted(set(rects))
     assert len(rects) == (a * (a + 1) // 2) * (b * (b + 1) // 2)
-    assert all(tiling.valid_rect(r) and inside_literal(r, board) for r in rects)
+    assert all(tilefile.valid_rect(r) and inside_literal(r, board) for r in rects)
 
 
 def test_board_table_examples():
@@ -407,7 +421,7 @@ def test_count_tiling_theorem_counts_boards_past_the_enumerators_area_cap(monkey
 
 # -- text format -------------------------------------------------------------------------
 
-FILE_LAYER = ["Rect", "valid_rect", "inside", "Tiling", "tiling_problems", "_lex_tiles",
+FILE_LAYER = ["Rect", "inside", "Tiling", "tiling_problems", "_lex_tiles",
               "side_distances", "WitnessParity", "distance_parity", "witness", "parse_tiling"]
 
 
@@ -420,7 +434,7 @@ def test_tiling_binds_tilefiles_objects():
     for name in FILE_LAYER:
         assert getattr(tiling, name) is getattr(tilefile, name), name
     # the names it does not call are read from tilefile
-    for name in ("area", "MAX_SIDE", "MAX_TILES", "lex_key", "serialize_tiling"):
+    for name in ("area", "valid_rect", "MAX_SIDE", "MAX_TILES", "lex_key", "serialize_tiling"):
         assert not hasattr(tiling, name), name
 
 
