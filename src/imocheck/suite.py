@@ -1,18 +1,19 @@
 """The claim suite: every lemma, claim and theorem check as one table.
 
 ``CLAIMS`` is the battery: one ordered row per claim, holding its id, its
-sweep, the sweep's keyword params (every size the suite checks lives here
-and nowhere else, and the record prints them) and the names of the run
-context values the sweep takes.  The row is the only place a claim's id and
-params are spelled; ``Claim.run`` builds its record.
-``run_suite`` runs the rows in order with one context, whose rng is seeded
-by the given seed, so the record stream is byte-reproducible.  The rng is
-all that rows share: a row's record depends only on its params and, for a
-row that takes the rng, the draws of the rng rows before it.  It prints one
-line per claim (human text or record lines) to stdout and each row's wall
-time to stderr.  A row that raises does not end the battery: it gets a fail
-record with the exception class as witness, stderr gets one line, the
-remaining rows run and the exit code is 3.  Tests run the same runner on a small table.
+sweep, the sweep's keyword params (the record prints them) and whether the
+sweep draws from an rng.  The params hold every size the suite checks but
+three fixed ones: the random C1 boards' side caps RANDOM_MAX_A and
+RANDOM_MAX_B and the boards of ENUMERATION_BOARDS.  The row is the only
+place a claim's id and params are spelled; ``Claim.run`` builds its record.
+``run_suite`` runs the rows in order and gives each the run's seed; a seeded
+row draws from its own rng, seeded by the run's seed and its id.  Rows share
+nothing, so a row's record depends only on its id, its params and the seed,
+and the record stream is byte-reproducible.  It prints one line per claim
+(human text or record lines) to stdout and each row's wall time to stderr.
+A row that raises does not end the battery: it gets a fail record with the
+exception class as witness, stderr gets one line, the remaining rows run
+and the exit code is 3.  Tests run the same runner on a small table.
 
 An instance check (one start, one pair of rects, one tiling) returns None
 when the instance holds and a witness (for a tiling, the problem string)
@@ -433,30 +434,30 @@ def n1_gt1(max_a0: int, budget: int) -> Witnesses:
 # -- the table and its runner -------------------------------------------------------
 
 class Claim(NamedTuple):
-    """One row: a claim id, its sweep, the sweep's params and the run context it takes.
+    """One row: a claim id, its sweep, the sweep's params and whether it is seeded.
 
-    ``takes`` names the run_suite context values the sweep takes as
-    keywords.  The context holds only ``rng``, the run's random.Random,
-    which is all that rows share; it is not a param, so records do not
-    print it.  The default params dict is shared by the rows, so nothing
-    writes to params.
+    A seeded row's sweep takes a random.Random as its first argument, seeded
+    by the run's seed and the row's id, so its draws do not depend on the
+    other rows.  The rng is not a param, so records do not print it.  The
+    default params dict is shared by the rows, so nothing writes to params.
     """
 
     id: str
     sweep: Callable[..., Iterable[tuple | None]]
     params: dict[str, Any] = {}
-    takes: tuple[str, ...] = ()
+    seeded: bool = False
 
-    def run(self, **context: Any) -> ClaimReport:
-        taken = {name: value for name, value in context.items() if name in self.takes}
-        return first_failure(self.id, self.params, self.sweep(**taken, **self.params))
+    def run(self, seed: int) -> ClaimReport:
+        rng = (random.Random(f"{seed} {self.id}"),) if self.seeded else ()
+        return first_failure(self.id, self.params, self.sweep(*rng, **self.params))
 
 
-# The rows run in this order, so those that take the rng draw from it in this order.
+# The rows run and print in this order; a seeded row draws from its own rng, so the
+# order changes no record.
 CLAIMS: tuple[Claim, ...] = (
     Claim("a2.base_case", a2_base_case),
     Claim("a2.verify", a2.verify, {"n_max": 200}),
-    Claim("a2.sum_lemmas", a2_sum_lemmas, {"instances": 500, "max_n": 12}, takes=("rng",)),
+    Claim("a2.sum_lemmas", a2_sum_lemmas, {"instances": 500, "max_n": 12}, seeded=True),
     Claim("a2.subtraction_identity", a2_subtraction_identity, {"max_n": 50}),
     Claim("a2.coefficient_positivity", a2_coefficient_positivity, {"max_n": 50}),
     Claim("c1.counting", c1_counting, {"coord_max": 12}),
@@ -466,8 +467,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("c1.theorem_exhaustive", c1_exhaustive_theorem, {"area_cap": 16}),
     Claim("c1.enumeration_count", c1_enumeration_count, {"boards": 6}),
     Claim("c1.theorem_random", c1_random_theorem, {"count": 1000, "pinwheels": 50},
-          takes=("rng",)),
-    Claim("c1.roundtrip", c1_roundtrip, {"samples": 25}, takes=("rng",)),
+          seeded=True),
+    Claim("c1.roundtrip", c1_roundtrip, {"samples": 25}, seeded=True),
     Claim("n1.square_mod3_ne2", n1.lemma_square_mod3_ne2, {"scan_limit": 10 ** 4}),
     Claim("n1.three_squares_mod3", n1.lemma_three_squares_mod3, {"scan_limit": 10 ** 4}),
     Claim("n1.square_mod3_zero", n1.lemma_square_mod3_zero, {"scan_limit": 10 ** 4}),
@@ -499,12 +500,11 @@ def _human_line(rep: ClaimReport) -> str:
 
 def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
               claims: Sequence[Claim] = CLAIMS) -> int:
-    """Run the rows in order with one context: an rng seeded by ``seed``.
+    """Run the rows in order, each with the run's ``seed``.
 
     Exit code 0 when every claim passes, 1 when one fails, 3 when a row
     raised (which takes precedence).
     """
-    context = {"rng": random.Random(seed)}
     diagnostics = err if records else out
     print(f"suite seed={seed}", file=diagnostics)
     failures = 0
@@ -512,7 +512,7 @@ def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
     for claim in claims:
         t0 = time.perf_counter()
         try:
-            rep = claim.run(**context)
+            rep = claim.run(seed)
         except Exception as exc:
             raised = True
             kind = type(exc).__name__

@@ -307,7 +307,7 @@ def test_suite_starved_budget_fails(capsys, monkeypatch, small_suite):
 
 
 def test_suite_seeds_the_rows_rng_with_the_given_seed_or_the_default(capsys, monkeypatch):
-    """`suite --seed 1`, then `suite` with no seed: the rng a row takes starts at that seed."""
+    """`suite --seed 1`, then plain `suite`: a seeded row's rng starts at that seed and its id."""
     states = []
 
     def probe(rng):
@@ -315,12 +315,13 @@ def test_suite_seeds_the_rows_rng_with_the_given_seed_or_the_default(capsys, mon
         rng.random()
         return iter([None])
 
-    table = (suite.Claim("x.probe", probe, takes=("rng",)),)
+    table = (suite.Claim("x.probe", probe, seeded=True),)
     monkeypatch.setattr(suite, "run_suite", functools.partial(suite.run_suite, claims=table))
     for argv in (["suite", "--records", "--seed", "1"], ["suite", "--records"]):
         code, out, _ = run_cli(argv, capsys)
         assert (code, out) == (0, "CLAIM x.probe steps=1 outcome=pass\n"), argv
-    assert states == [random.Random(1).getstate(), random.Random(cli.DEFAULT_SEED).getstate()]
+    assert states == [random.Random("1 x.probe").getstate(),
+                      random.Random(f"{cli.DEFAULT_SEED} x.probe").getstate()]
 
 
 def test_suite_has_only_seed_and_records():

@@ -1,9 +1,12 @@
 import ast
 import importlib
 import io
+import os
 import pkgutil
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -20,10 +23,10 @@ from test_n1 import broken_walk
 DATA = Path(__file__).parent / "data"
 
 
-def _run(claim_id, rng=None, **params):
-    """The suite.CLAIMS row ``claim_id``, run with ``params`` over the row's own."""
+def _run(claim_id, seed=cli.DEFAULT_SEED, **params):
+    """The suite.CLAIMS row ``claim_id``, run at ``seed`` with ``params`` over the row's own."""
     row = next(c for c in suite.CLAIMS if c.id == claim_id)
-    return row._replace(params={**row.params, **params}).run(rng=rng)
+    return row._replace(params={**row.params, **params}).run(seed)
 
 
 def test_record_line_grammar():
@@ -43,22 +46,20 @@ def test_claim_report_is_immutable_and_equal_by_its_fields():
 
 
 def test_a2_reports_pass():
-    rng = random.Random(0)
     assert _run("a2.base_case").outcome
-    assert _run("a2.sum_lemmas", rng, instances=60, max_n=12).outcome
+    assert _run("a2.sum_lemmas", 0, instances=60, max_n=12).outcome
     assert _run("a2.subtraction_identity", max_n=20).outcome
     assert _run("a2.coefficient_positivity", max_n=20).outcome
 
 
 def test_c1_reports_pass():
-    rng = random.Random(1)
     assert _run("c1.counting", coord_max=8).outcome
     assert _run("c1.classification_link", coord_max=8).outcome
     assert _run("c1.corner_lemma", max_side=9).outcome
     assert _run("c1.parity_lemma_exhaustive", coord_max=6).outcome
     assert _run("c1.theorem_exhaustive", area_cap=9).outcome
-    assert _run("c1.theorem_random", rng, count=25, pinwheels=5).outcome
-    assert _run("c1.roundtrip", rng, samples=5).outcome
+    assert _run("c1.theorem_random", 1, count=25, pinwheels=5).outcome
+    assert _run("c1.roundtrip", 1, samples=5).outcome
 
 
 def test_n1_reports_pass():
@@ -135,42 +136,58 @@ def test_enumeration_count_failure_counts_the_tilings_before_it(monkeypatch):
 
 
 def test_the_rng_rows_make_the_fraction_era_draws():
-    """The three rows that take the rng draw what they drew when A2 built Fractions.
+    """The three seeded rows draw what they drew when A2 built Fractions, each from its own rng.
 
-    The reference loop only draws: per trial of a2.sum_lemmas, n and then
-    (p, q) for each f, each g and for r; then the C1 rows' boards, tiling
-    seeds and pinwheel cuts.  The rng must stand where it does after each row.
+    Each reference loop only draws, from the row's own random.Random(f"{seed} {id}"):
+    per trial of a2.sum_lemmas, n and then (p, q) for each f, each g and for
+    r; the C1 rows' boards, tiling seeds and pinwheel cuts.  The row's rng
+    must stand where the loop's does after the row.
     """
-    rows = [c for c in suite.CLAIMS if "rng" in c.takes]
+    rows = [c for c in suite.CLAIMS if c.seeded]
     assert [c.id for c in rows] == ["a2.sum_lemmas", "c1.theorem_random", "c1.roundtrip"]
     sums, theorem, roundtrip = (c.params for c in rows)
-    ref = random.Random(cli.DEFAULT_SEED)
-    after = []
-    for _ in range(sums["instances"]):
-        n = ref.randint(1, sums["max_n"])
-        for _ in range(2 * n + 1):                   # each f, each g, then r
-            Rational(ref.randint(-99, 99), ref.randint(1, 30))
-    after.append(ref.getstate())
-    for _ in range(theorem["count"]):
-        ref.randrange(1, 18, 2), ref.randrange(1, 12, 2), ref.getrandbits(63)
-    for _ in range(theorem["pinwheels"]):
-        a, b = ref.randrange(3, 18, 2), ref.randrange(3, 12, 2)
-        ref.sample(range(1, a), 2), ref.sample(range(1, b), 2)
-    after.append(ref.getstate())
-    for _ in range(roundtrip["samples"]):
-        ref.randrange(1, 18, 2), ref.randrange(1, 12, 2), ref.getrandbits(63)
-    after.append(ref.getstate())
-    rng = random.Random(cli.DEFAULT_SEED)
-    for row, state in zip(rows, after):
-        assert row.run(rng=rng).outcome, row.id
-        assert rng.getstate() == state, row.id
+
+    def sum_lemma_draws(ref):
+        for _ in range(sums["instances"]):
+            n = ref.randint(1, sums["max_n"])
+            for _ in range(2 * n + 1):                   # each f, each g, then r
+                Rational(ref.randint(-99, 99), ref.randint(1, 30))
+
+    def theorem_draws(ref):
+        for _ in range(theorem["count"]):
+            ref.randrange(1, 18, 2), ref.randrange(1, 12, 2), ref.getrandbits(63)
+        for _ in range(theorem["pinwheels"]):
+            a, b = ref.randrange(3, 18, 2), ref.randrange(3, 12, 2)
+            ref.sample(range(1, a), 2), ref.sample(range(1, b), 2)
+
+    def roundtrip_draws(ref):
+        for _ in range(roundtrip["samples"]):
+            ref.randrange(1, 18, 2), ref.randrange(1, 12, 2), ref.getrandbits(63)
+
+    for row, draws in zip(rows, (sum_lemma_draws, theorem_draws, roundtrip_draws)):
+        ref = random.Random(f"{cli.DEFAULT_SEED} {row.id}")
+        draws(ref)
+        after = []
+
+        def sweep(rng, **params):
+            yield from row.sweep(rng, **params)
+            after.append(rng.getstate())
+
+        assert row._replace(sweep=sweep).run(cli.DEFAULT_SEED).outcome, row.id
+        assert after == [ref.getstate()], row.id
 
 
 def test_sum_lemmas_row_fails_on_a_finite_sum_that_drops_every_remainder(monkeypatch):
-    """A sum of the terms' integer parts only: f_1 kept whole no longer adds up."""
+    """A sum of the terms' integer parts only: the first trial fails.
+
+    At seed 0 its f_1 is not an integer, so f_1 kept whole no longer adds
+    up; at the default seed f_1 is an integer, and r * sum(f) fails instead.
+    """
     monkeypatch.setattr(suite, "finite_sum", lambda terms: Rational(sum(p // q for p, q in terms)))
-    rep = _run("a2.sum_lemmas", random.Random(cli.DEFAULT_SEED))
-    assert (rep.outcome, rep.witness, rep.steps) == (False, (0, "remove_zero", 5), 0)
+    rep = _run("a2.sum_lemmas", 0)
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (0, "remove_zero", 4), 0)
+    rep = _run("a2.sum_lemmas")
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (0, "distrib_left", 4), 0)
 
 
 def test_counting_row_prefix_count_equals_square_enumeration_inside_9x9(monkeypatch):
@@ -469,7 +486,7 @@ def test_keyboard_interrupt_ends_the_battery():
         suite.run_suite(1, True, io.StringIO(), io.StringIO(), table)
 
 
-# -- rows share nothing but the rng -----------------------------------------------
+# -- rows share nothing ---------------------------------------------------------
 
 N1_TRACE_ROWS = ("n1.classification", "n1.cycle_shape")
 
@@ -489,24 +506,6 @@ def _recording_classify(monkeypatch, change=lambda a0, trace: trace):
 
 def _trace_rows(small_claims):
     return tuple(c for c in small_claims if c.id in N1_TRACE_ROWS)
-
-
-def test_run_suite_provides_every_context_name_a_row_takes():
-    """A probe row that takes every name in the table receives each of them."""
-    names = {name for claim in suite.CLAIMS for name in claim.takes}
-    received = {}
-
-    def probe(**context):
-        received.update(context)
-        yield None
-
-    sink = io.StringIO()
-    table = (suite.Claim("x.probe", probe, takes=tuple(names)),)
-    assert suite.run_suite(7, True, sink, sink, table) == 0
-    assert received.keys() == names == {"rng"}
-    # The rng's draw order is the order of these rows.
-    assert [c.id for c in suite.CLAIMS if "rng" in c.takes] == [
-        "a2.sum_lemmas", "c1.theorem_random", "c1.roundtrip"]
 
 
 @pytest.mark.parametrize("change, classified, record", [
@@ -529,18 +528,76 @@ def test_cycle_shape_classifies_every_multiple_of_3_itself(monkeypatch, small_cl
         record, "CLAIM n1.cycle_shape max_a0=60 steps=20 outcome=pass"]
 
 
-def test_rows_give_the_same_records_in_any_order(small_claims):
-    """The rng rows first, in their order, then the rest reversed: each id's record holds."""
-    def records(table):
-        out = io.StringIO()
-        assert suite.run_suite(7, True, out, io.StringIO(), table) == 0
-        return {line.split()[1]: line for line in out.getvalue().splitlines()}
+def _entry_states(table, states):
+    """The table, each seeded row's sweep appending (id, rng state on entry) to states."""
+    def recording(claim):
+        def sweep(rng, **params):
+            states.append((claim.id, rng.getstate()))
+            return claim.sweep(rng, **params)
+        return claim._replace(sweep=sweep)
 
-    rng_rows = tuple(c for c in small_claims if "rng" in c.takes)
-    others = tuple(c for c in small_claims if "rng" not in c.takes)
+    return tuple(recording(c) if c.seeded else c for c in table)
+
+
+def test_rows_give_the_same_records_in_any_order(small_claims):
+    """Every row reversed: each id's record and each seeded row's first draw state hold.
+
+    Pass records print no draw, so the rng states show what the records cannot.
+    """
+    def records(table):
+        out, states = io.StringIO(), []
+        assert suite.run_suite(7, True, out, io.StringIO(), _entry_states(table, states)) == 0
+        return {line.split()[1]: line for line in out.getvalue().splitlines()}, dict(states)
+
     forward = records(small_claims)
-    assert len(forward) == 30
-    assert records(rng_rows + others[::-1]) == forward
+    assert (len(forward[0]), len(forward[1])) == (30, 3)
+    assert records(small_claims[::-1]) == forward
+
+
+def test_a_seeded_row_run_alone_draws_what_it_draws_in_the_full_table(small_claims):
+    """Claim.run(7) on its own starts each seeded row's rng where run_suite(7, ...) does."""
+    in_table, alone = [], []
+    table = _entry_states(small_claims, in_table)
+    assert suite.run_suite(7, True, io.StringIO(), io.StringIO(), table) == 0
+    for claim in _entry_states(small_claims, alone):
+        if claim.seeded:
+            assert claim.run(7).outcome, claim.id
+    assert [i for i, _ in in_table] == ["a2.sum_lemmas", "c1.theorem_random", "c1.roundtrip"]
+    assert alone == in_table
+    assert len({state for _, state in in_table}) == 3
+
+
+HASH_SEED_PROBE = """
+import hashlib, sys
+from imocheck import suite
+states = []
+
+
+def probe(rng, **params):
+    states.append(rng.getstate())
+    return iter(())
+
+
+for claim in suite.CLAIMS:
+    if claim.seeded:
+        for seed in map(int, sys.argv[1:]):
+            claim._replace(sweep=probe).run(seed)
+print(hashlib.sha256(repr(states).encode()).hexdigest())
+"""
+
+
+def test_seeded_rows_draw_the_same_under_any_hash_seed():
+    """Each seeded row's rng state on entry, at both golden seeds, under PYTHONHASHSEED 0 and 1.
+
+    Pass records print no draw, so the golden record streams cannot see
+    whether str seeding depends on hash().
+    """
+    digests = {
+        subprocess.run([sys.executable, "-c", HASH_SEED_PROBE, str(cli.DEFAULT_SEED), "1"],
+                       capture_output=True, text=True, timeout=30, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": hash_seed}).stdout
+        for hash_seed in ("0", "1")}
+    assert len(digests) == 1 and len(digests.pop().strip()) == 64
 
 
 def test_a_row_run_outside_run_suite_classifies_every_start_itself(monkeypatch):
@@ -691,7 +748,7 @@ def test_exhaustive_row_catches_a_count_green_that_drops_unit_squares(monkeypatc
     count_green = tiling.count_green
     monkeypatch.setattr(tiling, "count_green",
                         lambda r: 0 if tilefile.area(r) == 1 else count_green(r))
-    rep = _exhaustive_row(small_claims).run()
+    rep = _exhaustive_row(small_claims).run(7)
     assert not rep.outcome and rep.steps == 1
     assert rep.witness == (1, 3, "green square counts do not add up",
                            [(0, 1, 0, 1), (0, 1, 1, 2), (0, 1, 2, 3)])
@@ -708,7 +765,7 @@ def test_exhaustive_row_fails_when_only_the_count_sees_a_failure(monkeypatch, sm
     monkeypatch.setattr(tiling, "board_table", lambda a, b: {
         r: f[:2] + (0,) + f[3:] if tilefile.area(r) == 1 and r != (0, a, 0, b) else f
         for r, f in board_table(a, b).items()})
-    rep = _exhaustive_row(small_claims).run()
+    rep = _exhaustive_row(small_claims).run(7)
     assert not rep.outcome and rep.steps == 5   # the Tiling route held 1x1 and all of 1x3
     assert rep.witness == (1, 3, "the count and the Tiling route disagree",
                            [("green square counts do not add up", 3), (None, 1)])
@@ -720,7 +777,7 @@ def test_exhaustive_row_names_a_board_table_only_fault_as_a_disagreement(
     board_table = tiling.board_table
     monkeypatch.setattr(tiling, "board_table", lambda a, b: {
         r: (None,) + f[1:] for r, f in board_table(a, b).items()})
-    rep = _exhaustive_row(small_claims).run()
+    rep = _exhaustive_row(small_claims).run(7)
     assert not rep.outcome and rep.steps == 1
     assert rep.witness == (1, 1, "the count and the Tiling route disagree",
                            [("no parity witness", 1)])
@@ -742,28 +799,28 @@ def test_exhaustive_row_names_a_later_failure_as_the_tiling_only_sweep_does(
     _patch_distance_parity(monkeypatch,
                            lambda ds: None if ds == (1, 1, 1, 1) else distance_parity(ds))
     row = _exhaustive_row(small_claims)
-    rep = row.run()
+    rep = row.run(7)
     assert not rep.outcome and rep.witness[:3] == (3, 3, "green tile fails distance parity")
     before = sum(tiling.count_tilings_reference(a, b) for a, b in suite._odd_boards(9)
                  if (a, b) < (3, 3))
     assert rep.steps == 481 > before   # past the first board and the first tiling of its board
-    assert rep == row._replace(sweep=_tiling_only_exhaustive_theorem).run()
+    assert rep == row._replace(sweep=_tiling_only_exhaustive_theorem).run(7)
 
 
 def test_exhaustive_row_lists_no_tiling_when_every_count_holds(monkeypatch, small_claims):
     row = _exhaustive_row(small_claims)
-    steps = row.run().steps
+    steps = row.run(7).steps
 
     def refuse(a, b):
         raise AssertionError(f"listed the tilings of {a}x{b}")
 
     monkeypatch.setattr(tiling, "enum_tilings", refuse)
-    rep = row.run()
+    rep = row.run(7)
     assert rep.outcome and rep.steps == steps
 
 
 def test_exhaustive_row_catches_a_board_table_without_parities(monkeypatch, small_claims):
     _patch_distance_parity(monkeypatch, lambda ds: None)
-    rep = _exhaustive_row(small_claims).run()
+    rep = _exhaustive_row(small_claims).run(7)
     assert not rep.outcome and rep.steps == 0
     assert rep.witness == (1, 1, "no parity witness", [(0, 1, 0, 1)])
