@@ -37,17 +37,6 @@ DEFAULT_SEED = 20170901
 # denominator has 5774 digits, past Python's default 4300-digit limit on
 # int -> str, so printing it would raise.
 A2_MAX_N = 1000
-# n1 --classify --a0: classify jumps square to square and keeps only the
-# orbit's +3 runs, a handful at any a0 (n1 --a0 999999999999 --classify,
-# 1.33M steps to its cycle: 0.09 s and 14.5 MB peak RSS on a 2-core host,
-# against 0.08 s for n1 --steps 0 and 0.07 s and 14.4 MB for a bare
-# python -c pass).  A divergent tail is confirmed with three square tests.
-N1_CLASSIFY_MAX_A0 = 10 ** 12
-# n1 --classify --budget: a tail of any length takes the same three square
-# tests to confirm, so this cap is the exit-2 contract, not a cost bound.  It
-# is n1.default_budget at the a0 cap, written out so that the parser does not
-# load n1 (a test pins the two).
-N1_CLASSIFY_MAX_BUDGET = 4 * N1_CLASSIFY_MAX_A0 + 1000
 # n1 --steps: n1.orbit_fill keeps every value, so memory grows linearly
 # (124 MB peak at the cap).
 N1_MAX_STEPS = 10 ** 6
@@ -145,25 +134,27 @@ def cmd_n1(args: argparse.Namespace) -> int:
             return _fail_usage("--steps must be non-negative")
         if args.steps > N1_MAX_STEPS:
             return _fail_usage(f"n1 needs --steps <= {N1_MAX_STEPS}")
-        # Each step takes a square root or adds 3, so a0 + 3*steps bounds the
-        # prefix; a value with more digits than Python's int -> str limit
-        # could not be printed.  The limit is 0 when it is off, and absent
-        # before Python 3.10.7, which has none.
-        digits = getattr(sys, "get_int_max_str_digits", int)()
-        if digits and args.a0 + 3 * args.steps >= 10 ** digits:
-            return _fail_usage(f"n1 --steps needs --a0 + 3 * --steps < 10**{digits}, "
-                               f"Python's {digits}-digit limit on printing an integer")
-        print(" ".join(str(v) for v in n1.orbit(args.a0, args.steps)))
+        k, needs = args.steps, "--steps needs --a0 + 3 * --steps"
+    else:
+        k = args.budget if args.budget is not None else n1.default_budget(args.a0)
+        if k < 1:
+            return _fail_usage("budget must be at least 1")
+        needs = "--classify needs --a0 + 3 * budget"
+    # k is the step count or the budget.  Each step takes a square root or
+    # adds 3, so a0 + 3*k bounds every orbit value up to step k; classify
+    # prints indices and counts up to the budget, or an anomaly's square in a
+    # residue-2 run from a value at most a0.  A number with more digits than
+    # Python's int -> str limit could not be printed.  The limit is 0 when it
+    # is off, and absent before Python 3.10.7, which has none.
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and args.a0 + 3 * k >= 10 ** digits:
+        return _fail_usage(f"n1 {needs} < 10**{digits}, "
+                           f"Python's {digits}-digit limit on printing an integer")
+    if args.steps is not None:
+        print(" ".join(str(v) for v in n1.orbit(args.a0, k)))
         return EXIT_PASS
-    if args.a0 > N1_CLASSIFY_MAX_A0:
-        return _fail_usage(f"n1 --classify needs --a0 <= {N1_CLASSIFY_MAX_A0}")
-    budget = args.budget if args.budget is not None else n1.default_budget(args.a0)
-    if budget < 1:
-        return _fail_usage("budget must be at least 1")
-    if budget > N1_CLASSIFY_MAX_BUDGET:
-        return _fail_usage(f"n1 --classify needs --budget <= {N1_CLASSIFY_MAX_BUDGET}")
     try:
-        trace = n1.classify(args.a0, budget)
+        trace = n1.classify(args.a0, k)
     except TheoremViolationError as exc:
         print(f"theorem anomaly: {exc}", file=sys.stderr)
         return EXIT_ANOMALY
@@ -172,7 +163,7 @@ def cmd_n1(args: argparse.Namespace) -> int:
         start, period = trace.cycle
         print(f"{cls.value} cycle=({start},{period})")
     elif cls is n1.OrbitClass.BUDGET_EXCEEDED:
-        print(f"{cls.value} steps={budget}")
+        print(f"{cls.value} steps={k}")
         return EXIT_ANOMALY
     else:
         print(f"{cls.value} m={trace.mod2_index}")
@@ -218,15 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("n1", help="print an orbit prefix or classify a start value")
     p.add_argument("--a0", type=int, required=True,
-                   help=f"start value (> 1; at most {N1_CLASSIFY_MAX_A0} with --classify)")
+                   help="start value (> 1; a0 + 3 * steps or budget below 10 to the "
+                        "power of Python's int -> str digit limit)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--steps", type=int,
                       help=f"print a_0..a_steps (steps at most {N1_MAX_STEPS})")
     mode.add_argument("--classify", action="store_true",
                       help="classify the orbit within the budget")
     p.add_argument("--budget", type=int, default=None,
-                   help="step budget for --classify (default 4*a0 + 1000, "
-                        f"at most {N1_CLASSIFY_MAX_BUDGET})")
+                   help="step budget for --classify (default 4*a0 + 1000)")
     p.set_defaults(func=cmd_n1)
 
     p = sub.add_parser("suite", help="run the full claim battery")

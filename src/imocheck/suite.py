@@ -5,7 +5,9 @@ sweep, the sweep's keyword params (the record prints them) and whether the
 sweep draws from an rng.  The params hold every size the suite checks but
 three fixed ones: the random C1 boards' side caps RANDOM_MAX_A and
 RANDOM_MAX_B and the boards of ENUMERATION_BOARDS.  The row is the only
-place a claim's id and params are spelled; ``Claim.run`` builds its record.
+place the suite writes a claim's id and params; ``Claim.run`` builds its
+record.  Outside the suite, ``imocheck a2 --verify`` writes its own a2.verify
+record (id and n_max), since the a2 command does not load this module.
 ``run_suite`` runs the rows in order and gives each the run's seed; a seeded
 row draws from its own rng, seeded by the run's seed and its id.  Rows share
 nothing, so a row's record depends only on its id, its params and the seed,

@@ -251,20 +251,84 @@ def test_n1_classify_theorem_anomaly_exits_3(capsys, monkeypatch):
     assert err.splitlines() == ["theorem anomaly: square 11 found in a residue-2 run from 5"]
 
 
+# The largest a0 that n1 --classify takes at its default budget 4*a0 + 1000:
+# a0 + 3 * budget below 10 to the power of Python's int -> str digit limit.
+N1_TOP_A0 = (10 ** sys.get_int_max_str_digits() - 3001) // 13
+# The largest --budget that n1 --a0 5 --classify takes: 5 + 3 * budget < 10**D.
+N1_TOP_BUDGET_AT_5 = (10 ** sys.get_int_max_str_digits() - 6) // 3
+
+
+def _largest_classify_start(residue):
+    return N1_TOP_A0 - (N1_TOP_A0 - residue) % 3
+
 
 def test_n1_classify_lines_equal_the_square_to_square_reference(capsys, perfbench_oracles):
-    """2000 seeded log-uniform starts in [2, 10^12], against perfbench's n1_reference.
+    """Seeded starts against perfbench's n1_reference, each at its full default budget.
 
-    Each start, and the two starts at the a0 cap, run at their full default
-    budget, so every divergent tail is confirmed to the budget's end.
+    2000 log-uniform starts in [2, 10^12] and the two starts that CI pins;
+    200 starts from 10^12 to the print bound (a digit count drawn uniformly,
+    then a value of that many digits); the largest start of each residue
+    that the bound admits.  Every divergent tail is confirmed to the
+    budget's end.
     """
     reference = perfbench_oracles.n1_reference
     rng = random.Random(20170901)
     lo, hi = math.log(2), math.log(10 ** 12)
     starts = [max(2, int(math.exp(rng.uniform(lo, hi)))) for _ in range(2000)]
-    for a0 in starts + [cli.N1_CLASSIFY_MAX_A0 - 1, cli.N1_CLASSIFY_MAX_A0]:
+    starts += [10 ** 12 - 1, 10 ** 12]
+    top_digits = len(str(N1_TOP_A0))
+    for _ in range(200):
+        digits = rng.randint(13, top_digits)
+        starts.append(rng.randrange(10 ** (digits - 1), min(10 ** digits, N1_TOP_A0 + 1)))
+    starts += [_largest_classify_start(r) for r in range(3)]
+    for a0 in starts:
         code, out, err = run_cli(["n1", "--a0", str(a0), "--classify"], capsys)
         assert (code, out, err) == (0, reference(a0) + "\n", ""), a0
+
+
+def test_n1_classify_takes_every_start_up_to_the_print_bound(capsys, monkeypatch):
+    """One past the bound, in a0 or in --budget, exits 2 with one line before classify runs."""
+    bound = 10 ** sys.get_int_max_str_digits()
+    top = N1_TOP_A0
+    assert top + 3 * n1.default_budget(top) < bound <= top + 1 + 3 * n1.default_budget(top + 1)
+    code, out, err = run_cli(["n1", "--a0", str(top), "--classify"], capsys)
+    assert (code, err) == (0, "") and out.startswith("DivergentViaMod1 m=")
+    code, out, err = run_cli(["n1", "--a0", "5", "--classify", "--budget",
+                              str(N1_TOP_BUDGET_AT_5)], capsys)
+    assert (code, out, err) == (0, "DivergentMod2 m=0\n", "")
+
+    def no_work(a0, budget):
+        raise AssertionError("classify ran past the print bound")
+
+    monkeypatch.setattr(n1, "classify", no_work)
+    for argv in (["--a0", str(top + 1)], ["--a0", "5", "--budget", str(N1_TOP_BUDGET_AT_5 + 1)]):
+        code, out, err = run_cli(["n1", *argv, "--classify"], capsys)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("imocheck: n1 --classify needs")
+
+
+def test_n1_classify_anomaly_square_at_the_print_bound_still_prints(capsys, monkeypatch):
+    """The anomaly line's square, a0 + 3 * (budget - 1) at the top residue-2 start, is printable."""
+    a0 = _largest_classify_start(2)
+    budget = n1.default_budget(a0)
+    monkeypatch.setattr(n1, "confirm_plus3_run", lambda start, nsteps: budget - 1)
+    code, out, err = run_cli(["n1", "--a0", str(a0), "--classify"], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"theorem anomaly: square {a0 + 3 * (budget - 1)} "
+                                f"found in a residue-2 run from {a0}"]
+
+
+def test_n1_classify_has_no_bound_when_the_digit_limit_is_off(capsys, perfbench_oracles):
+    limit = sys.get_int_max_str_digits()
+    a0 = 10 ** 4999 + 2                 # 5000 digits, a multiple of 3
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = run_cli(["n1", "--a0", str(a0), "--classify"], capsys)
+        want = perfbench_oracles.n1_reference(a0) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (0, want, "")
+    assert out.startswith("PeriodicMult3 cycle=(")
 
 
 # -- suite ----------------------------------------------------------------------
@@ -335,11 +399,11 @@ def test_suite_has_only_seed_and_records():
 @pytest.mark.parametrize("argv,content", [
     (["c1-check", "{path}"], "board 3 1\ntile 0 3 0 1  # caf\u00e9\n".encode()),
     (["c1-check", "{path}"], "board \u0663 1\ntile 0 3 0 1\n".encode()),  # Arabic-Indic 3
-    (["n1", "--a0", str(cli.N1_CLASSIFY_MAX_A0 + 1), "--classify"], None),
+    (["n1", "--a0", str(N1_TOP_A0 + 1), "--classify"], None),
     (["a2", "--n", str(cli.A2_MAX_N + 1)], None),
     (["a2", "--n", str(cli.A2_MAX_N + 1), "--verify"], None),
     (["n1", "--a0", "7", "--steps", str(cli.N1_MAX_STEPS + 1)], None),
-    (["n1", "--a0", "5", "--classify", "--budget", str(cli.N1_CLASSIFY_MAX_BUDGET + 1)], None),
+    (["n1", "--a0", "5", "--classify", "--budget", str(N1_TOP_BUDGET_AT_5 + 1)], None),
     (["n1", "--a0", "7", "--steps", "3", "--budget", "5"], None),
     (["c1-check", "{path}"], "".join(
         [f"board {tilefile.MAX_TILES + 1} 1\n"]
@@ -460,10 +524,6 @@ def test_importing_the_suite_loads_neither_dataclasses_nor_inspect():
               if line.startswith("import time:")}
     assert "imocheck.suite" in loaded
     assert loaded & {"dataclasses", "inspect"} == set()
-
-
-def test_the_budget_cap_is_the_default_budget_at_the_a0_cap():
-    assert cli.N1_CLASSIFY_MAX_BUDGET == n1.default_budget(cli.N1_CLASSIFY_MAX_A0)
 
 
 def test_the_benchmark_setup_probe_still_reads_the_backend():
