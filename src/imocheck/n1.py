@@ -12,9 +12,9 @@ classify jumps along the orbit's +3 runs from square to square, so its cost
 is a handful of runs even at a_0 = 10^12, while the budget still counts
 steps; it and confirm_plus3_run find a run's last square with one kernel,
 run_end_root, which tests three candidate roots, whatever the run's length.
-detect_cycle and orbit read the stepped orbit from walk, the only loop over
-the step rule, and the tests use them as its oracle.  n1_step is the
-one-step definition the walk is checked against.
+n1_step is the step rule's one implementation, and walk iterates it: orbit,
+detect_cycle and the claim and lemma scans read the stepped orbit from walk,
+so the suite's step rows check the rule every orbit runs.
 
 The claims of the proof are checked one start at a time, from a_0: the
 orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
@@ -32,8 +32,7 @@ returns None when the instance holds and a witness tuple when it fails.
 The three mod-3 lemma scans return the stream of such results over their
 instances, and the suite builds each claim's record from it.
 
-Everything is integer arithmetic, so orbit values are exact at every size.
-Square roots are exact integer floors, looked up as math.isqrt where used.
+All arithmetic is on integers, roots by math.isqrt, so values are exact at any size.
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ from typing import Callable, Iterator, NamedTuple
 from .errors import PreconditionFailedError, TheoremViolationError
 
 
-def isqrt(x: int) -> int:
-    """Floor integer square root; bracketing isqrt(x)^2 <= x < (isqrt(x)+1)^2."""
-    if x < 0:
-        raise PreconditionFailedError("isqrt needs a natural number")
-    return math.isqrt(x)
-
-
 def is_perfect_square(x: int) -> bool:
     if x < 0:
         return False
@@ -61,21 +53,19 @@ def is_perfect_square(x: int) -> bool:
 
 
 def n1_step(x: int) -> int:
-    """One step: isqrt(x) if x is a perfect square, else x + 3 (no orbit loop calls it)."""
-    if x < 1:
-        raise PreconditionFailedError("step needs x >= 1")
+    """One step: isqrt(x) if x is a perfect square, else x + 3; 0 is fixed."""
+    if x < 0:
+        raise PreconditionFailedError("step needs x >= 0")
     s = math.isqrt(x)
     return s if s * s == x else x + 3
 
 
 def walk(a0: int) -> Iterator[int]:
-    """a_0, a_1, ... of x -> isqrt(x) if square else x + 3, without end; 0 is fixed."""
-    sqrt = math.isqrt
+    """a_0, a_1, ... by n1_step, without end."""
     v = a0
     while True:
         yield v
-        s = sqrt(v)
-        v = s if s * s == v else v + 3
+        v = n1_step(v)
 
 
 def orbit_fill(a0: int, k: int) -> list[int]:
@@ -272,8 +262,8 @@ def check_claim2(x: int) -> tuple | None:
     """
     if x % 3 == 2 or x <= 9:
         raise PreconditionFailedError("claim 2 needs x mod 3 != 2 and x > 9")
-    t = isqrt(x - 1)
-    bound = 2 * isqrt(x) + 6
+    t = math.isqrt(x - 1)
+    bound = 2 * math.isqrt(x) + 6
     if t < 3:
         return "t<3", t
     steps = confirm_plus3_run(x, bound + 1)
@@ -282,7 +272,7 @@ def check_claim2(x: int) -> tuple | None:
     v = x + 3 * steps
     if v not in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2):
         return "unexpected first square", v
-    after = isqrt(v)
+    after = math.isqrt(v)
     if not (after <= t + 3 < t * t < x):
         return "descent chain broken", after
     # one more step lands on `after`, the smaller value

@@ -44,6 +44,7 @@ against the Tiling route.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from itertools import groupby, islice, repeat
@@ -312,7 +313,7 @@ def c1_roundtrip(rng: random.Random, samples: int) -> Witnesses:
 
 def n1_step_image(limit: int) -> Witnesses:
     """Totality: each step lands on isqrt(x) or x + 3 and stays above 1."""
-    isqrt, xs = n1.isqrt, range(2, limit + 1)
+    isqrt, xs = math.isqrt, range(2, limit + 1)
     return (None if (nxt == x + 3 or nxt == isqrt(x)) and nxt > 1 else (x, nxt)
             for x, nxt in zip(xs, map(n1.n1_step, xs)))
 

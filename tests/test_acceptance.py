@@ -5,6 +5,7 @@ criterion it is asserted; current hardware passes each with an order of
 magnitude to spare.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -198,7 +199,7 @@ def test_n1_claim2_certificates():
                 continue
             assert n1.check_claim2(x) is None, x
             # the certificate recomputed from the orbit: the first square, m steps on
-            t, bound = n1.isqrt(x - 1), 2 * n1.isqrt(x) + 6
+            t, bound = math.isqrt(x - 1), 2 * math.isqrt(x) + 6
             vals = n1.orbit(x, bound)
             m = next(i for i, v in enumerate(vals) if n1.is_perfect_square(v)) + 1
             assert vals[m - 1] in ((t + 1) ** 2, (t + 2) ** 2, (t + 3) ** 2), x

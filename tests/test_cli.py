@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,40 @@ def test_n1_steps_takes_values_up_to_the_int_to_str_digit_limit(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("imocheck: n1 --steps needs")
 
 
+@pytest.mark.parametrize("k", [0, 5, cli.N1_VALUES_PER_WRITE - 1, cli.N1_VALUES_PER_WRITE,
+                               cli.N1_VALUES_PER_WRITE + 1])
+def test_n1_steps_prints_the_orbit_across_write_boundaries(capsys, k):
+    code, out, err = run_cli(["n1", "--a0", "7", "--steps", str(k)], capsys)
+    assert (code, out, err) == (0, " ".join(map(str, n1.orbit(7, k))) + "\n", "")
+
+
+def test_n1_steps_memory_stays_flat(monkeypatch):
+    """10^4 values of 1000 digits are 10 MB of text, written a chunk at a time.
+
+    Keeping every value, every string and their join would peak at 21 MB;
+    the stream holds one chunk's values and text, about 3 MB.
+    """
+    a0, k = 10 ** 999 + 1, 10 ** 4
+    written = hashlib.sha256()
+
+    class Sink:
+        def write(self, text):
+            written.update(text.encode())
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        code = cli.main(["n1", "--a0", str(a0), "--steps", str(k)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert code == 0
+    assert peak < 5 * 2 ** 20, peak
+    want = " ".join(map(str, n1.orbit(a0, k))) + "\n"
+    assert written.hexdigest() == hashlib.sha256(want.encode()).hexdigest()
+
+
 def test_n1_rejects_small_a0(capsys):
     code, _, _ = run_cli(["n1", "--a0", "1", "--steps", "3"], capsys)
     assert code == 2
@@ -269,7 +304,7 @@ def test_n1_classify_lines_equal_the_square_to_square_reference(capsys, perfbenc
     200 starts from 10^12 to the print bound (a digit count drawn uniformly,
     then a value of that many digits); the largest start of each residue
     that the bound admits.  Every divergent tail is confirmed to the
-    budget's end.
+    budget's end.  One parser serves every start.
     """
     reference = perfbench_oracles.n1_reference
     rng = random.Random(20170901)
@@ -281,8 +316,11 @@ def test_n1_classify_lines_equal_the_square_to_square_reference(capsys, perfbenc
         digits = rng.randint(13, top_digits)
         starts.append(rng.randrange(10 ** (digits - 1), min(10 ** digits, N1_TOP_A0 + 1)))
     starts += [_largest_classify_start(r) for r in range(3)]
+    parser = cli.build_parser()
     for a0 in starts:
-        code, out, err = run_cli(["n1", "--a0", str(a0), "--classify"], capsys)
+        args = parser.parse_args(["n1", "--a0", str(a0), "--classify"])
+        code = args.func(args)
+        out, err = capsys.readouterr()
         assert (code, out, err) == (0, reference(a0) + "\n", ""), a0
 
 

@@ -355,6 +355,23 @@ def test_all_gt1_reads_at_most_a_tenth_of_the_values_the_per_start_route_reads(m
     assert 0 < 10 * swept <= read, (swept, read)
 
 
+def test_a_broken_step_rule_fails_the_step_image_and_fixed_orbit_rows(monkeypatch, small_claims):
+    """n1_step sending 16 to 5: the walk iterates n1_step, so the fixed orbit from 7 breaks.
+
+    The other rows that reach 16 see a 5 that keeps a nonzero residue and lies
+    above 1, so they pass, as do the rows that never reach 16.
+    """
+    step = n1.n1_step
+    monkeypatch.setattr(n1, "n1_step", lambda x: 5 if x == 16 else step(x))
+    records = {c.id: c.run(cli.DEFAULT_SEED).record_line() for c in small_claims}
+    assert {cid for cid, line in records.items() if line.endswith("outcome=fail")} == {
+        "n1.step_image", "n1.fixed_orbits"}
+    assert records["n1.step_image"] == (
+        "CLAIM n1.step_image limit=1000 steps=14 witness=16;5 outcome=fail")
+    assert records["n1.fixed_orbits"] == (
+        "CLAIM n1.fixed_orbits a0=7 steps=0 witness=7;7;10;13;16;5;8 outcome=fail")
+
+
 def test_run_suite_small_config(small_claims):
     out, err = io.StringIO(), io.StringIO()
     assert suite.run_suite(7, True, out, err, small_claims) == 0
