@@ -40,9 +40,11 @@ DEFAULT_SEED = 20170901
 A2_MAX_N = 1000
 # n1 --steps writes N1_VALUES_PER_WRITE values at a time (not a system call per
 # value under python -u), so memory stays flat: 15 MB peak at the cap, 30 MB from
-# a 4000-digit a0.  The cap bounds time, which grows with the steps and the digits
-# (2*10^4 steps from a 4000-digit a0: 8 s on a 2-core host).
+# a 4000-digit a0.  Time and output grow with the steps and the digits, so a
+# second cap bounds the bytes written, (steps + 1) * (digits(a0 + 3*steps) + 1):
+# 8,000,008 for --a0 7 at the step cap, about 4,190 steps from a 4000-digit a0.
 N1_MAX_STEPS = 10 ** 6
+N1_MAX_STEPS_BYTES = 2 ** 24
 N1_VALUES_PER_WRITE = 1024
 # c1-gen takes c1-check's caps, tilefile.MAX_SIDE and MAX_TILES, so every
 # file it writes passes them: a guillotine tiling of an a x b board has at
@@ -155,6 +157,9 @@ def cmd_n1(args: argparse.Namespace) -> int:
         return _fail_usage(f"n1 {needs} < 10**{digits}, "
                            f"Python's {digits}-digit limit on printing an integer")
     if args.steps is not None:
+        if (k + 1) * (len(str(args.a0 + 3 * k)) + 1) > N1_MAX_STEPS_BYTES:
+            return _fail_usage(f"n1 needs (--steps + 1) * (digits of --a0 + 3 * --steps, "
+                               f"plus 1) <= {N1_MAX_STEPS_BYTES}, the bytes it may write")
         values = map(str, itertools.islice(n1.walk(args.a0), k + 1))
         sys.stdout.write(" ".join(itertools.islice(values, N1_VALUES_PER_WRITE)))
         while chunk := " ".join(itertools.islice(values, N1_VALUES_PER_WRITE)):
@@ -221,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "power of Python's int -> str digit limit)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--steps", type=int,
-                      help=f"print a_0..a_steps (steps at most {N1_MAX_STEPS})")
+                      help=f"print a_0..a_steps (steps at most {N1_MAX_STEPS}, and at most "
+                           f"{N1_MAX_STEPS_BYTES} bytes of output)")
     mode.add_argument("--classify", action="store_true",
                       help="classify the orbit within the budget")
     p.add_argument("--budget", type=int, default=None,

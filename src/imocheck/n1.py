@@ -8,31 +8,20 @@ bounded-budget contract: a repeated value within the budget certifies a
 cycle, a reached residue-2 value plus a confirmed strictly increasing tail
 certifies divergence within the examined window.
 
-classify jumps along the orbit's +3 runs from square to square, so its cost
-is a handful of runs even at a_0 = 10^12, while the budget still counts
-steps; it and confirm_plus3_run find a run's last square with one kernel,
-run_end_root, which tests three candidate roots, whatever the run's length.
-n1_step is the step rule's one implementation, and walk iterates it: orbit,
-detect_cycle and the claim and lemma scans read the stepped orbit from walk,
-so the suite's step rows check the rule every orbit runs.
-
-The claims of the proof are checked one start at a time, from a_0: the
-orbit from a later term a_n is the orbit of the value a_n.  Claims 3 and 4
-and the three orbit lemmas are "first m where the orbit does X" statements
-and share one scan, _first_hit, which reads the walk only as far as that m;
-a lemma that every value keeps a property looks for the first value that
-breaks it.  Claim 1 compares consecutive values and so walks an orbit()
-prefix.  Claim 2 finds its first square with the +3-run kernel.  The
-suite's claim-1 and orbit-lemma sweeps call these checks in full only where
-a start's a_1 is not a start they have decided; elsewhere a_1's verdict,
-one index later, is a_0's (suite._successor_verdicts).
-
-An instance check (claims 1-4 and the three orbit lemmas, one start each)
-returns None when the instance holds and a witness tuple when it fails.
-The three mod-3 lemma scans return the stream of such results over their
-instances, and the suite builds each claim's record from it.
-
-All arithmetic is on integers, roots by math.isqrt, so values are exact at any size.
+An orbit is a chain of +3 runs.  runs moves from run to run through
+run_end_root, which tests three candidate roots whatever a run's length;
+classify and first_hit read it, so they cost a handful of runs even at
+a_0 = 10^12, while budgets still count steps.  Claims 3 and 4 and the three
+orbit lemmas ask first_hit for the first m where the orbit does X (or, for
+a lemma, breaks it).  walk iterates n1_step, the step rule's one per-value
+implementation, for orbit, detect_cycle and claim 1, which compares
+consecutive values, so the suite's step rows check the rule those read.
+Claim 2 finds its first square with confirm_plus3_run.  An instance check
+(claims 1-4 and the orbit lemmas, one start each) returns None when it
+holds and a witness tuple when it fails (claims 3 and 4: the last six
+values within the budget); the mod-3 lemma scans return a stream of such
+results.  All arithmetic is on integers, roots by math.isqrt, so values
+are exact at any size.
 """
 
 from __future__ import annotations
@@ -105,6 +94,21 @@ def confirm_plus3_run(start: int, nsteps: int) -> int:
     return (s * s - start) // 3
 
 
+def runs(a0: int) -> Iterator[tuple[int, int, int | None]]:
+    """The orbit's +3 runs from a0 as (start value, start index, last value).
+
+    A run from v ends at run_end_root(v) squared, and the next starts at that
+    root one step later.  A residue-2 run never ends: its last value is None.
+    """
+    v, i = a0, 0
+    while v % 3 != 2:
+        s = run_end_root(v)
+        last = s * s
+        yield v, i, last
+        v, i = s, i + (last - v) // 3 + 1
+    yield v, i, None
+
+
 def orbit(a0: int, k: int) -> list[int]:
     """The prefix [a_0, ..., a_k]."""
     if a0 <= 1:
@@ -166,18 +170,17 @@ class OrbitTrace(NamedTuple):
         return frozenset(orbit(self.cycle_value, self.cycle[1] - 1))
 
 
-def first_repeat_in_run(runs: list[tuple[int, int, int]], start: int,
+def first_repeat_in_run(earlier: list[tuple[int, int, int]], start: int,
                         last: int) -> tuple[int, int] | None:
     """The first value of the +3 run start, start + 3, ..., last that an earlier run holds.
 
-    ``runs`` lists the earlier runs as (start value, start index, last
-    value).  Two runs share values when they have the same residue mod 3
-    and their spans meet; the first shared value is then the later of the
-    two starts.  Returns (that value, its orbit index in the earlier run),
-    or None when no earlier run shares a value.
+    ``earlier`` lists earlier runs as runs yields them.  Two runs share
+    values when they have the same residue mod 3 and their spans meet; the
+    first shared value is then the later of the two starts.  Returns (that
+    value, its orbit index in the earlier run), or None when none is shared.
     """
     first = None
-    for u, j, w in runs:
+    for u, j, w in earlier:
         if (u - start) % 3 == 0 and u <= last and start <= w:
             shared = (u, j) if u > start else (start, j + (start - u) // 3)
             if first is None or shared < first:
@@ -195,25 +198,21 @@ def classify(a0: int, budget: int) -> OrbitTrace:
     BudgetExceeded otherwise.  At sufficient budget the outcome is
     PeriodicMult3 exactly when a0 is a multiple of 3.
 
-    The orbit is a chain of +3 runs.  A run from a non-square v ends at the
-    first square s^2 >= v with s^2 = v (mod 3), (s^2 - v) / 3 steps later,
-    and the next run starts at s; a square is a run of one value.  Residues
-    are constant along a run, so the first residue-2 value starts a run.
-    The first repeat is found from the runs themselves, not from the known
-    cycle: either the current run starts inside an earlier run of the same
-    residue, or an earlier run starts inside the current one.  Up to the
-    decision, time and memory grow with the number of runs, not of steps.
+    The first residue-2 value starts a run, since residues are constant
+    along a run.  The first repeat is found from the runs themselves, not
+    from the known cycle: either the current run starts inside an earlier
+    run of the same residue, or an earlier run starts inside the current
+    one.  Up to the decision, time and memory grow with the number of runs.
     """
     if a0 <= 1:
         raise PreconditionFailedError("classify needs a0 > 1")
     if budget < 1:
         raise PreconditionFailedError("classify needs budget >= 1")
-    runs: list[tuple[int, int, int]] = []       # (start value, start index, last value)
-    v, i = a0, 0
-    while i <= budget and v % 3 != 2:
-        s = run_end_root(v)
-        last = s * s
-        repeat = first_repeat_in_run(runs, v, last)
+    earlier: list[tuple[int, int, int]] = []
+    for v, i, last in runs(a0):
+        if i > budget or last is None:
+            break
+        repeat = first_repeat_in_run(earlier, v, last)
         if repeat is not None:
             value, first = repeat
             at = i + (value - v) // 3
@@ -221,9 +220,8 @@ def classify(a0: int, budget: int) -> OrbitTrace:
                 break
             return OrbitTrace(OrbitClass.PERIODIC_MULT3, cycle=(first, at - first),
                               cycle_value=value)
-        runs.append((v, i, last))
-        v, i = s, i + (last - v) // 3 + 1
-    if i > budget or v % 3 != 2:
+        earlier.append((v, i, last))
+    if i > budget or last is not None:
         return OrbitTrace(OrbitClass.BUDGET_EXCEEDED)
     square_at = confirm_plus3_run(v, budget - i)
     if square_at >= 0:
@@ -281,36 +279,38 @@ def check_claim2(x: int) -> tuple | None:
     return None
 
 
-def _first_hit(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple[int, int] | None:
-    """The first (m, a_m) with 1 <= m <= budget and hit(a_m), or None.
+def first_hit(a0: int, budget: int, residues: tuple[int, ...] = (0, 1, 2),
+              high: int | None = None) -> tuple[int, int] | None:
+    """The first (m, a_m) with 1 <= m <= budget, a_m % 3 in residues and a_m <= high.
 
-    Reads the walk one value at a time, only as far as that hit.
+    None when there is none; high None is no bound.  The checks ask for
+    target residues, an upper bound (high=1) or the value 3 (residues=(0,),
+    high=3: orbit values are at least 1).  A run's values share a residue
+    and rise by 3, so only a run's first value from index 1 on can hit first.
     """
     if a0 < 1:
         raise PreconditionFailedError("the orbit needs a0 >= 1")
-    later = itertools.islice(walk(a0), 1, budget + 1)
-    return next(((m, v) for m, v in enumerate(later, 1) if hit(v)), None)
-
-
-def _reaches(a0: int, budget: int, hit: Callable[[int], bool]) -> tuple | None:
-    """None when some 1 <= m <= budget has hit(a_m); else the last six values."""
-    if _first_hit(a0, budget, hit) is None:
-        return tuple(orbit(a0, budget)[-6:])
-    return None
+    for u, j, last in runs(a0):
+        m, v = (j, u) if j else (1, u + 3)
+        if (m <= budget and u % 3 in residues and (high is None or v <= high)
+                and (last is None or v <= last)):
+            return m, v
+        if last is None or j + (last - u) // 3 >= budget:
+            return None
 
 
 def check_claim3(a0: int, budget: int) -> tuple | None:
     """A multiple of 3 leads to the value 3: some 1 <= m <= budget has a_m = 3."""
     if a0 <= 1 or a0 % 3 != 0:
         raise PreconditionFailedError(f"a0 = {a0} is not a multiple of 3 above 1")
-    return _reaches(a0, budget, lambda v: v == 3)
+    return None if first_hit(a0, budget, (0,), high=3) else tuple(orbit(a0, budget)[-6:])
 
 
 def check_claim4(a0: int, budget: int) -> tuple | None:
     """A residue-1 term leads to a residue-2 term: some 1 <= m <= budget has a_m = 2 (mod 3)."""
     if a0 <= 1 or a0 % 3 != 1:
         raise PreconditionFailedError(f"a0 = {a0} is not 1 mod 3 above 1")
-    return _reaches(a0, budget, lambda v: v % 3 == 2)
+    return None if first_hit(a0, budget, (2,)) else tuple(orbit(a0, budget)[-6:])
 
 
 def _residues_then_scan(scan_limit: int, holds: Callable[[int], bool]
@@ -342,18 +342,18 @@ def lemma_mult3_propagates(a0: int, budget: int) -> tuple[int, int] | None:
     """A multiple of 3 is always followed by another multiple of 3."""
     if a0 % 3 != 0:
         raise PreconditionFailedError("needs a0 = 0 mod 3")
-    return _first_hit(a0, budget, lambda v: v % 3 != 0)
+    return first_hit(a0, budget, (1, 2))
 
 
 def lemma_nonmult3_propagates(a0: int, budget: int) -> tuple[int, int] | None:
     """A non-multiple of 3 never becomes one."""
     if a0 % 3 == 0:
         raise PreconditionFailedError("needs a0 != 0 mod 3")
-    return _first_hit(a0, budget, lambda v: v % 3 == 0)
+    return first_hit(a0, budget, (0,))
 
 
 def lemma_all_gt1(a0: int, budget: int) -> tuple[int, int] | None:
     """Every orbit value stays above 1 when a0 > 1."""
     if a0 <= 1:
         raise PreconditionFailedError("needs a0 > 1")
-    return _first_hit(a0, budget, lambda v: v <= 1)
+    return first_hit(a0, budget, high=1)

@@ -3,19 +3,16 @@
 ``CLAIMS`` is the battery: one ordered row per claim, holding its id, its
 sweep, the sweep's keyword params (the record prints them) and whether the
 sweep draws from an rng.  The params hold every size the suite checks but
-three fixed ones: the random C1 boards' side caps RANDOM_MAX_A and
-RANDOM_MAX_B and the boards of ENUMERATION_BOARDS.  The row is the only
-place the suite writes a claim's id and params; ``Claim.run`` builds its
-record.  Outside the suite, ``imocheck a2 --verify`` writes its own a2.verify
-record (id and n_max), since the a2 command does not load this module.
-``run_suite`` runs the rows in order and gives each the run's seed; a seeded
-row draws from its own rng, seeded by the run's seed and its id.  Rows share
-nothing, so a row's record depends only on its id, its params and the seed,
-and the record stream is byte-reproducible.  It prints one line per claim
-(human text or record lines) to stdout and each row's wall time to stderr.
-A row that raises does not end the battery: it gets a fail record with the
-exception class as witness, stderr gets one line, the remaining rows run
-and the exit code is 3.  Tests run the same runner on a small table.
+three fixed ones: RANDOM_MAX_A, RANDOM_MAX_B and ENUMERATION_BOARDS.  The
+row is the only place the suite writes a claim's id and params; ``imocheck
+a2 --verify``, which does not load this module, writes its own a2.verify
+record.  ``run_suite`` runs the rows in order with the run's seed; a seeded
+row draws from its own rng, seeded by that seed and its id, so a row's
+record depends only on its id, its params and the seed.  It prints one
+line per claim to stdout and each row's wall time to stderr.  A row that
+raises gets a fail record with the exception class as witness and one
+stderr line, the other rows still run, and the exit code is 3.  Tests run
+the same runner on a small table.
 
 An instance check (one start, one pair of rects, one tiling) returns None
 when the instance holds and a witness (for a tiling, the problem string)
@@ -26,13 +23,13 @@ not always the obvious one: the enumeration count counts tilings, the fixed
 orbits orbit steps and the cycle shape multiples of 3.  All checks are
 exact; there are no epsilons anywhere.
 
-Five N1 checks read most starts' verdicts off a successor's: the rows
-n1.claim1, n1.mult3_propagates, n1.nonmult3_propagates and n1.all_gt1, and
-n1.divergence's claim-1 double check.  They check the same statement as the
-per-start checks, because the orbit from a_1 is the orbit of the value a_1:
-when a_1 is a start of the same sweep, a_0 breaks at index 0 or 1 or where
-a_1 breaks, one index later (_successor_verdicts).  The verdicts come out
-in increasing order of start, so steps and the witness are unchanged.
+Five N1 checks read most starts' verdicts off a successor's
+(_successor_verdicts): the rows n1.claim1, n1.mult3_propagates,
+n1.nonmult3_propagates and n1.all_gt1, and n1.divergence's claim-1 double
+check.  Each takes a_1 from the kernel its check reads: claim 1 from
+n1.walk, the orbit lemmas from n1.runs.  The lemmas keep the reuse since a
+multiple of 3 that never breaks one reads the 3, 6, 9 cycle's runs to the
+budget: start by start, the three rows take about 9 times as long.
 
 The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
@@ -63,38 +60,39 @@ def _per_start(starts: Iterable[int], check: Callable[[int], tuple | None]) -> W
     return (None if (w := check(a0)) is None else (a0,) + w for a0 in starts)
 
 
-def _successor_verdicts(starts: Sequence[int], budget: int, first: int,
-                        check: Callable[[int, int], tuple | None]
-                        ) -> dict[int, tuple | None]:
-    """check(a0, budget) for each of the increasing starts, most read off a successor.
+def _successor_verdicts(starts: Sequence[int], budget: int,
+                        check: Callable[[int, int], tuple | None],
+                        successor: Callable[[int], int]) -> Witnesses:
+    """_per_start(starts, lambda a0: check(a0, budget)), most verdicts read off a successor.
 
-    ``check(a0, budget)`` returns None or a witness (m, ...) that names the
-    first offending index m <= budget of a0's orbit, and ``check(a0,
-    first)`` reads only a_0 and a_1.  The orbit from a_1 is the orbit of the
-    value a_1, so when a_1 (from n1.walk) is a start already decided, a0
-    fails at its first index if check(a0, first) says so, and else exactly
-    where a_1 fails, one index later, if that index is still within budget.
-    Deciding from the largest start down decides every +3 successor first;
-    the other starts (squares, whose successor is their root, and those
-    whose a_0 + 3 lies above the starts) run check in full.
+    ``check(a0, budget)`` returns None or a witness (m, ...) naming a0's
+    first offending index m <= budget, and ``successor(a0)`` is a_1 from the
+    kernel check reads.  The orbit from a_1 is the orbit of the value a_1, so
+    when a_1 is a start already decided, a0 fails at index 0 or 1 if
+    check(a0, 1) says so, else where a_1 fails, one index later, within
+    budget.  Deciding from the largest start down leaves only squares (a_1
+    is their root) and the starts whose a_0 + 3 lies above the rest to run
+    check in full.
     """
     verdicts: dict[int, tuple | None] = {}
     for a0 in reversed(starts):
-        a1 = next(islice(n1.walk(a0), 1, None))
+        a1 = successor(a0)
         if a1 not in verdicts:
             verdicts[a0] = check(a0, budget)
             continue
-        w = check(a0, first)
+        w = check(a0, 1)
         if w is None and verdicts[a1] is not None:
             w = (verdicts[a1][0] + 1,) + verdicts[a1][1:]
         verdicts[a0] = None if w is None or w[0] > budget else w
-    return verdicts
+    return _per_start(starts, verdicts.__getitem__)
 
 
-def _reusing_successors(starts: Sequence[int], budget: int, first: int,
-                        check: Callable[[int, int], tuple | None]) -> Witnesses:
-    """_per_start over the starts, its verdicts from _successor_verdicts."""
-    return _per_start(starts, _successor_verdicts(starts, budget, first, check).__getitem__)
+def _walk_successor(a0: int) -> int:
+    return next(islice(n1.walk(a0), 1, None))
+
+
+def _runs_successor(a0: int) -> int:
+    return n1.first_hit(a0, 1)[1]       # the first value from index 1 on, from n1.runs
 
 
 # -- A2 ---------------------------------------------------------------------------
@@ -374,7 +372,8 @@ def n1_cycle_shape(max_a0: int) -> Witnesses:
 
 def n1_claim1(max_a0: int, window: int) -> Witnesses:
     """n1.check_claim1 on every residue-2 start, most read off the start 3 above it."""
-    return _reusing_successors(range(2, max_a0 + 1, 3), window, 0, n1.check_claim1)
+    return _successor_verdicts(range(2, max_a0 + 1, 3), window, n1.check_claim1,
+                               _walk_successor)
 
 
 def n1_claim2(max_x: int) -> Witnesses:
@@ -406,8 +405,9 @@ def n1_divergence(max_a0: int, window: int) -> Witnesses:
     to 500 are double-checked by claim 1's direct orbit scan over the same
     window, most read off the start 3 above it.
     """
-    direct = _successor_verdicts(range(2, min(max_a0, 500) + 1, 3), window - 1, 0,
-                                 n1.check_claim1)
+    small = range(2, min(max_a0, 500) + 1, 3)
+    direct = dict(zip(small, _successor_verdicts(small, window - 1, n1.check_claim1,
+                                                 _walk_successor)))
 
     def witness(a0: int) -> tuple | None:
         if n1.confirm_plus3_run(a0, window) != -1:
@@ -419,19 +419,19 @@ def n1_divergence(max_a0: int, window: int) -> Witnesses:
     return map(witness, range(2, max_a0 + 1, 3))
 
 
-# The orbit lemmas' first index is m = 1, so check(a0, 1) reads only a_1.
-
 def n1_mult3(max_a0: int, budget: int) -> Witnesses:
-    return _reusing_successors(range(3, max_a0 + 1, 3), budget, 1, n1.lemma_mult3_propagates)
+    return _successor_verdicts(range(3, max_a0 + 1, 3), budget, n1.lemma_mult3_propagates,
+                               _runs_successor)
 
 
 def n1_nonmult3(max_a0: int, budget: int) -> Witnesses:
-    return _reusing_successors([a0 for a0 in range(2, max_a0 + 1) if a0 % 3], budget, 1,
-                               n1.lemma_nonmult3_propagates)
+    return _successor_verdicts([a0 for a0 in range(2, max_a0 + 1) if a0 % 3], budget,
+                               n1.lemma_nonmult3_propagates, _runs_successor)
 
 
 def n1_gt1(max_a0: int, budget: int) -> Witnesses:
-    return _reusing_successors(range(2, max_a0 + 1), budget, 1, n1.lemma_all_gt1)
+    return _successor_verdicts(range(2, max_a0 + 1), budget, n1.lemma_all_gt1,
+                               _runs_successor)
 
 
 # -- the table and its runner -------------------------------------------------------

@@ -232,6 +232,16 @@ def test_n1_steps_takes_values_up_to_the_int_to_str_digit_limit(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("imocheck: n1 --steps needs")
 
 
+def test_n1_steps_takes_a_prefix_up_to_its_byte_bound(capsys, monkeypatch):
+    """(steps + 1) * (digits(a0 + 3 * steps) + 1) at the cap passes; one step more exits 2."""
+    monkeypatch.setattr(cli, "N1_MAX_STEPS_BYTES", 18)     # 6 values of at most 2 digits
+    code, out, err = run_cli(["n1", "--a0", "7", "--steps", "5"], capsys)
+    assert (code, out, err) == (0, "7 10 13 16 4 2\n", "")
+    code, out, err = run_cli(["n1", "--a0", "7", "--steps", "6"], capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("imocheck: n1 needs (--steps + 1)")
+
+
 @pytest.mark.parametrize("k", [0, 5, cli.N1_VALUES_PER_WRITE - 1, cli.N1_VALUES_PER_WRITE,
                                cli.N1_VALUES_PER_WRITE + 1])
 def test_n1_steps_prints_the_orbit_across_write_boundaries(capsys, k):
@@ -443,6 +453,7 @@ def test_suite_has_only_seed_and_records():
     (["n1", "--a0", "7", "--steps", str(cli.N1_MAX_STEPS + 1)], None),
     (["n1", "--a0", "5", "--classify", "--budget", str(N1_TOP_BUDGET_AT_5 + 1)], None),
     (["n1", "--a0", "7", "--steps", "3", "--budget", "5"], None),
+    (["n1", "--a0", "9" * 4000, "--steps", "1000000"], None),
     (["c1-check", "{path}"], "".join(
         [f"board {tilefile.MAX_TILES + 1} 1\n"]
         + [f"tile {x} {x + 1} 0 1\n" for x in range(tilefile.MAX_TILES + 1)]).encode()),
@@ -457,7 +468,8 @@ def test_suite_has_only_seed_and_records():
     (["a2", "--n", "3", "--bogus"], None),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
-        "n1-classify-budget-above-cap", "n1-steps-with-budget", "c1-check-tiles-above-cap",
+        "n1-classify-budget-above-cap", "n1-steps-with-budget", "n1-steps-bytes-above-cap",
+        "c1-check-tiles-above-cap",
         "c1-check-board-side-above-cap", "c1-gen-side-above-cap",
         "c1-gen-guillotine-tiles-above-cap", "no-command", "unknown-command",
         "a2-without-n", "a2-n-not-an-int", "n1-steps-with-classify", "unknown-flag"])

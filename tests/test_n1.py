@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from itertools import islice
 
@@ -268,16 +269,16 @@ def test_claim3_budget_exhausted_reports_tail():
 
 def test_claim3_stops_stepping_at_the_first_hit(monkeypatch):
     calls = []
-    walk = n1.walk
 
-    def counted_walk(a0):
-        for v in walk(a0):
-            calls.append(v)
-            yield v
+    def counted_runs(a0):
+        for run in real_runs(a0):
+            calls.append(run)
+            yield run
 
-    monkeypatch.setattr(n1, "walk", counted_walk)
+    monkeypatch.setattr(n1, "runs", counted_runs)
     assert n1.check_claim3(999, n1.default_budget(999)) is None
-    assert 0 < len(calls) <= 40
+    # 999 climbs to 33^2, then 33, 36, 6, 9, 3: the hit is in the fourth run
+    assert calls == [(999, 0, 1089), (33, 31, 36), (6, 33, 9), (3, 35, 9)]
     assert n1.check_claim3(999, 35) is None
     assert n1.check_claim3(999, 34) is not None
 
@@ -388,11 +389,107 @@ def broken_walk(v):
         v = {6: 5, 5: 1}.get(v) or n1.n1_step(v)
 
 
+real_runs = n1.runs
+
+
+def broken_runs(a0):
+    """The runs of broken_walk's rule: a mutant of n1.runs whose runs end at 6 or 5.
+
+    A run that reaches 6 (or 5) ends there, and the next run starts at 5
+    (or 1) one step later, where broken_walk goes.
+    """
+    breaks, i = {6: 5, 5: 1}, 0
+    while True:
+        for u, j, last in real_runs(a0):
+            end = next((b for b in breaks
+                        if (b - u) % 3 == 0 and u <= b and (last is None or b <= last)), None)
+            yield u, i + j, last if end is None else end
+            if end is not None:
+                a0, i = breaks[end], i + j + (end - u) // 3 + 1
+                break
+        else:
+            return
+
+
+def test_broken_runs_are_the_runs_of_the_broken_walk():
+    for a0 in range(1, 60):
+        values = list(islice(broken_walk(a0), 40))
+        for u, j, last in islice(broken_runs(a0), 8):
+            if j >= len(values):
+                break
+            span = values[j:] if last is None else values[j:j + (last - u) // 3 + 1]
+            assert span == list(range(u, u + 3 * len(span), 3)), (a0, u, j, last)
+            if last is not None and j + (last - u) // 3 + 1 < len(values):
+                assert values[j + (last - u) // 3 + 1] != last + 3, (a0, u, j, last)
+
+
 def test_orbit_lemma_failures_report_the_first_break(monkeypatch):
-    monkeypatch.setattr(n1, "walk", broken_walk)
+    monkeypatch.setattr(n1, "runs", broken_runs)
     assert n1.lemma_mult3_propagates(3, 100) == (2, 5)      # 3, 6, 5
     assert n1.lemma_all_gt1(3, 100) == (3, 1)               # 3, 6, 5, 1
     assert n1.lemma_all_gt1(3, 2) is None                   # the break lies past the budget
+
+
+# -- the run-based first hit against the stepped scan ------------------------------------
+
+def stepped_walk(a0):
+    while True:
+        yield a0
+        a0 = step(a0)
+
+
+def stepped_first_hit(a0, budget, hit):
+    """The first (m, a_m) with 1 <= m <= budget and hit(a_m), or None, one stepped value at a time."""
+    later = islice(stepped_walk(a0), 1, budget + 1)
+    return next(((m, v) for m, v in enumerate(later, 1) if hit(v)), None)
+
+
+# The five predicates the checks ask first_hit for, as its keywords and as value tests.
+CLAIM3 = ({"residues": (0,), "high": 3}, lambda v: v == 3)
+CLAIM4 = ({"residues": (2,)}, lambda v: v % 3 == 2)
+FIRST_HIT_TARGETS = (CLAIM3, CLAIM4,
+                     ({"residues": (1, 2)}, lambda v: v % 3 != 0),   # mult3_propagates
+                     ({"residues": (0,)}, lambda v: v % 3 == 0),     # nonmult3_propagates
+                     ({"high": 1}, lambda v: v <= 1))                # all_gt1
+
+
+def test_first_hit_by_runs_equals_the_stepped_scan():
+    """(m, a_m) exactly: at the claims' starts and budget, at short budgets and at 10^30."""
+    for (target, hit), starts in ((CLAIM3, range(3, 10 ** 4 + 1, 3)),
+                                  (CLAIM4, range(4, 10 ** 4 + 1, 3))):
+        for a0 in starts:
+            budget = n1.default_budget(a0)
+            assert n1.first_hit(a0, budget, **target) == stepped_first_hit(a0, budget, hit), a0
+    for a0 in range(1, 1001):
+        for budget in (1, 2, 7, 300):
+            for target, hit in FIRST_HIT_TARGETS:
+                assert (n1.first_hit(a0, budget, **target)
+                        == stepped_first_hit(a0, budget, hit)), (a0, budget, target)
+    rng = random.Random(42)
+    for _ in range(100):
+        # half anywhere below 10^30, half a few steps below a square, so runs end in range
+        a0 = rng.choice((rng.randrange(1, 10 ** 30),
+                         max(1, rng.randrange(2, 10 ** 15) ** 2 - rng.randrange(300))))
+        budget = rng.randrange(1, 10 ** 3 + 1)
+        for target, hit in FIRST_HIT_TARGETS:
+            assert (n1.first_hit(a0, budget, **target)
+                    == stepped_first_hit(a0, budget, hit)), (a0, budget, target)
+
+
+def test_first_hit_checks_decide_without_the_walk(monkeypatch):
+    """Claims 3 and 4 and the orbit lemmas read runs; only a failure's witness walks."""
+    def no_walk(a0):
+        raise AssertionError("walk read")
+
+    monkeypatch.setattr(n1, "walk", no_walk)
+    for a0 in (3, 6, 999, 10 ** 12 - 1):
+        assert n1.check_claim3(a0, n1.default_budget(a0)) is None
+        assert n1.lemma_mult3_propagates(a0, 300) is None
+        assert n1.lemma_all_gt1(a0, 300) is None
+    for a0 in (4, 7, 1000, 10 ** 12):
+        assert n1.check_claim4(a0, n1.default_budget(a0)) is None
+        assert n1.lemma_nonmult3_propagates(a0, 300) is None
+        assert n1.lemma_all_gt1(a0, 300) is None
 
 
 # -- the kernels against naive oracles that share no code with them ---------------------

@@ -18,7 +18,7 @@ from imocheck.rational import Rational
 from imocheck.report import ClaimReport
 from conftest import SMALL_PARAMS
 from test_cli import RECORD_RE
-from test_n1 import broken_walk
+from test_n1 import broken_runs, broken_walk, real_runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -296,8 +296,17 @@ def test_successor_sweeps_equal_their_per_start_checks(claim_id, sizes):
 def test_divergence_double_check_equals_claim1_per_start(max_a0, window):
     """The claim-1 direct scan of n1.divergence, at the suite's and SMALL_PARAMS' sizes."""
     starts = range(2, min(max_a0, 500) + 1, 3)
-    assert suite._successor_verdicts(starts, window - 1, 0, n1.check_claim1) == {
-        a0: n1.check_claim1(a0, window - 1) for a0 in starts}
+    assert list(suite._successor_verdicts(starts, window - 1, n1.check_claim1,
+                                          suite._walk_successor)) == list(
+        suite._per_start(starts, lambda a0: n1.check_claim1(a0, window - 1)))
+
+
+def _break_the_kernel(monkeypatch, claim_id):
+    """Patch the kernel the row's check reads, claim 1's walk or the lemmas' runs, 6 -> 5 -> 1."""
+    if claim_id == "n1.claim1":
+        monkeypatch.setattr(n1, "walk", broken_walk)
+    else:
+        monkeypatch.setattr(n1, "runs", broken_runs)
 
 
 @pytest.mark.parametrize("claim_id,budgets", [
@@ -310,9 +319,10 @@ def test_successor_sweeps_equal_their_per_start_checks_under_a_broken_walk(
         monkeypatch, claim_id, budgets):
     """Start for start, and so the same first failing start, steps and witness.
 
-    The budgets put a break exactly at the budget and one past it.
+    The orbit lemmas' runs, or claim 1's walk, follow the broken rule; the
+    budgets put a break exactly at the budget and one past it.
     """
-    monkeypatch.setattr(n1, "walk", broken_walk)
+    _break_the_kernel(monkeypatch, claim_id)
     budget_param = SUCCESSOR_ROWS[claim_id][2]
     for budget in budgets:
         swept, per_start = _row_and_per_start(claim_id, max_a0=60, **{budget_param: budget})
@@ -322,8 +332,9 @@ def test_successor_sweeps_equal_their_per_start_checks_under_a_broken_walk(
 
 
 def test_successor_sweeps_shift_a_break_and_cap_it_at_the_budget(monkeypatch):
-    """Under the broken walk, start 3 is read off 6, and claim 1's start 2 off 5."""
-    monkeypatch.setattr(n1, "walk", broken_walk)
+    """Under the broken rule, start 3 is read off 6, and claim 1's start 2 off 5."""
+    for claim_id in ("n1.all_gt1", "n1.claim1"):
+        _break_the_kernel(monkeypatch, claim_id)
     gt1 = {budget: _row_and_per_start("n1.all_gt1", max_a0=60, budget=budget)[0][:5]
            for budget in (2, 3)}                          # starts 2, 3, 4, 5, 6
     assert gt1[3] == [(2, 2, 1), (3, 3, 1), (4, 3, 1), (5, 1, 1), (6, 2, 1)]
@@ -337,17 +348,20 @@ def test_successor_sweeps_shift_a_break_and_cap_it_at_the_budget(monkeypatch):
 
 
 def test_all_gt1_reads_at_most_a_tenth_of_the_values_the_per_start_route_reads(monkeypatch):
-    """At the suite's sizes the per-start route reads 999 * 301 values of the walk."""
-    walk = n1.walk
+    """At the suite's sizes, the runs each route reads from n1.runs.
+
+    The per-start route walks the 3, 6, 9 cycle's runs to the budget on every
+    multiple of 3, about 100 runs each.
+    """
     read = 0
 
     def counting(a0):
         nonlocal read
-        for v in walk(a0):
+        for run in real_runs(a0):
             read += 1
-            yield v
+            yield run
 
-    monkeypatch.setattr(n1, "walk", counting)
+    monkeypatch.setattr(n1, "runs", counting)
     assert _run("n1.all_gt1", max_a0=1000, budget=300).steps == 999
     swept, read = read, 0
     assert all(w is None for w in suite._per_start(
