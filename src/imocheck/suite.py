@@ -23,10 +23,9 @@ not always the obvious one: the enumeration count counts tilings, the fixed
 orbits orbit steps and the cycle shape multiples of 3.  All checks are
 exact; there are no epsilons anywhere.
 
-Two N1 checks read most starts' verdicts off a successor's
-(_successor_verdicts): the row n1.claim1 and n1.divergence's claim-1
-double check, both claim 1's scan of the walk.  The orbit lemma rows check
-each start alone: n1.first_hit stops at the 3, 6, 9 cycle's first repeat.
+Claim 1's residue-2 starts are one orbit, so the row n1.claim1 and
+n1.divergence's claim-1 double check read every start off one walk from
+2 (n1_claim1); every other N1 check takes each start alone.
 
 The per-tiling theorem check lives in tiling.py beside its board table:
 the random theorem sweep runs tiling.check_tiling_theorem on each Tiling,
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import groupby, islice, repeat
+from itertools import chain, groupby, repeat
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import a2, n1, tilefile, tiling
@@ -55,32 +54,6 @@ Witnesses = Iterator[tuple | None]
 def _per_start(starts: Iterable[int], check: Callable[[int], tuple | None]) -> Witnesses:
     """A per-start check over the starts; a failing witness leads with the start."""
     return (None if (w := check(a0)) is None else (a0,) + w for a0 in starts)
-
-
-def _successor_verdicts(starts: Sequence[int], budget: int,
-                        check: Callable[[int, int], tuple | None]) -> Witnesses:
-    """_per_start(starts, lambda a0: check(a0, budget)), most verdicts read off a successor.
-
-    ``check(a0, budget)`` scans n1.walk and returns None or a witness
-    (m, ...) naming a0's first offending index m <= budget; a_1 comes from
-    the same walk.  The orbit from a_1 is the orbit of the value a_1, so
-    when a_1 is a start already decided, a0 fails at index 0 or 1 if
-    check(a0, 1) says so, else where a_1 fails, one index later, within
-    budget.  Deciding from the largest start down leaves only squares (a_1
-    is their root) and the starts whose a_0 + 3 lies above the rest to run
-    check in full.
-    """
-    verdicts: dict[int, tuple | None] = {}
-    for a0 in reversed(starts):
-        a1 = next(islice(n1.walk(a0), 1, None))
-        if a1 not in verdicts:
-            verdicts[a0] = check(a0, budget)
-            continue
-        w = check(a0, 1)
-        if w is None and verdicts[a1] is not None:
-            w = (verdicts[a1][0] + 1,) + verdicts[a1][1:]
-        verdicts[a0] = None if w is None or w[0] > budget else w
-    return _per_start(starts, verdicts.__getitem__)
 
 
 # -- A2 ---------------------------------------------------------------------------
@@ -359,8 +332,19 @@ def n1_cycle_shape(max_a0: int) -> Witnesses:
 
 
 def n1_claim1(max_a0: int, window: int) -> Witnesses:
-    """n1.check_claim1 on every residue-2 start, most read off the start 3 above it."""
-    return _successor_verdicts(range(2, max_a0 + 1, 3), window, n1.check_claim1)
+    """n1.check_claim1 on every residue-2 start, up to the first failure, off one walk from 2.
+
+    The starts 2, 5, 8, ... are a_0, a_1, ... of the orbit of 2 up to its
+    first break M, so one scan from 2 decides them all: start j breaks at
+    M - j exactly when j <= M <= j + window.  A window below 0 checks nothing.
+    """
+    starts = range(2, max_a0 + 1, 3)
+    broken = window >= 0 and starts and n1.check_claim1(2, window + len(starts) - 1)
+    if not broken:
+        return repeat(None, len(starts))
+    m, *values = broken
+    j = max(0, m - window)
+    return chain(repeat(None, j), [(starts[j], m - j, *values)])
 
 
 def n1_claim2(max_x: int) -> Witnesses:
@@ -390,15 +374,15 @@ def n1_divergence(max_a0: int, window: int) -> Witnesses:
 
     The full range goes through the +3-run confirmation kernel; starts up
     to 500 are double-checked by claim 1's direct orbit scan over the same
-    window, most read off the start 3 above it.
+    window, read off the one walk from 2; only its first failing start
+    matters, since the row stops there.
     """
-    small = range(2, min(max_a0, 500) + 1, 3)
-    direct = dict(zip(small, _successor_verdicts(small, window - 1, n1.check_claim1)))
+    failing = next((w[0] for w in n1_claim1(min(max_a0, 500), window - 1) if w), None)
 
     def witness(a0: int) -> tuple | None:
         if n1.confirm_plus3_run(a0, window) != -1:
             return (a0,)
-        if direct.get(a0) is not None:
+        if a0 == failing:
             return (a0, "direct scan")
         return None
 

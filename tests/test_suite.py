@@ -262,65 +262,121 @@ def test_failing_sweeps_lead_with_the_start_and_count_the_starts_before_it(monke
         "CLAIM n1.cycle_shape max_a0=100 steps=0 witness=3;None outcome=fail")
 
 
-# -- the N1 sweeps that read a start's verdict off its successor -------------------------
+# -- claim 1's residue-2 starts, read off one walk from 2 -----------------------------
 
-# Each successor-reuse row: its starts for a max_a0, its per-start check, its budget param.
-SUCCESSOR_ROWS = {
-    "n1.claim1": (lambda m: range(2, m + 1, 3), n1.check_claim1, "window"),
-}
+real_walk = n1.walk
 
-
-def _row_and_per_start(claim_id, **params):
-    """The row's sweep at ``params`` over its own, and its per-start check at the same sizes."""
-    row = next(c for c in suite.CLAIMS if c.id == claim_id)
-    params = {**row.params, **params}
-    starts, check, budget = SUCCESSOR_ROWS[claim_id]
-    per_start = suite._per_start(starts(params["max_a0"]),
-                                 lambda a0: check(a0, params[budget]))
-    return list(row.sweep(**params)), list(per_start)
+# Every max_a0 the claim-1 tests use.
+CLAIM1_MAX_A0 = (2, 5, 8, 60, 100, 300, 1000)
 
 
-@pytest.mark.parametrize("claim_id", SUCCESSOR_ROWS)
+def late_walk(v):
+    """The walk of a broken step rule that sends 302, a_100 of the orbit of 2, to 7."""
+    while True:
+        yield v
+        v = 7 if v == 302 else n1.n1_step(v)
+
+
+def _claim1_reports(max_a0, window):
+    """The n1.claim1 row's report, and that of n1.check_claim1 run on each of its starts."""
+    rep = _run("n1.claim1", max_a0=max_a0, window=window)
+    per_start = suite._per_start(range(2, max_a0 + 1, 3),
+                                 lambda a0: n1.check_claim1(a0, window))
+    return rep, report.first_failure("n1.claim1", rep.params, per_start)
+
+
+def _assert_claim1_reports_agree(windows):
+    for max_a0 in CLAIM1_MAX_A0:
+        for window in windows:
+            rep, per_start = _claim1_reports(max_a0, window)
+            assert rep == per_start, (max_a0, window)
+
+
+@pytest.mark.parametrize("claim_id", ["n1.claim1"])
 @pytest.mark.parametrize("sizes", ["suite", "small"])
 def test_successor_sweeps_equal_their_per_start_checks(claim_id, sizes):
-    swept, per_start = _row_and_per_start(
-        claim_id, **(SMALL_PARAMS[claim_id] if sizes == "small" else {}))
-    assert swept == per_start
+    """The row at the suite's or SMALL_PARAMS' sizes, and at every max_a0 and window below them.
+
+    A start's check at a smaller window scans a prefix of what it scans at
+    the row's window, so the row must pass at each one, down to -1.
+    """
+    row = next(c for c in suite.CLAIMS if c.id == claim_id)
+    params = {**row.params, **(SMALL_PARAMS[claim_id] if sizes == "small" else {})}
+    for max_a0 in (m for m in CLAIM1_MAX_A0 if m <= params["max_a0"]):
+        rep, per_start = _claim1_reports(max_a0, params["window"])
+        assert rep == per_start and rep.outcome, max_a0
+        for window in range(-1, params["window"]):
+            rep = _run(claim_id, max_a0=max_a0, window=window)
+            assert (rep.outcome, rep.steps) == (True, per_start.steps), (max_a0, window)
 
 
-@pytest.mark.parametrize("max_a0,window", [(10 ** 4, 1000), (300, 200)])
-def test_divergence_double_check_equals_claim1_per_start(max_a0, window):
-    """The claim-1 direct scan of n1.divergence, at the suite's and SMALL_PARAMS' sizes."""
-    starts = range(2, min(max_a0, 500) + 1, 3)
-    assert list(suite._successor_verdicts(starts, window - 1, n1.check_claim1)) == list(
-        suite._per_start(starts, lambda a0: n1.check_claim1(a0, window - 1)))
+@pytest.mark.parametrize("max_a0,window", [(10 ** 4, 1000), (300, 200), (300, 50)])
+def test_divergence_double_check_equals_claim1_per_start(monkeypatch, max_a0, window):
+    """The row fails at the first start up to 500 whose claim-1 check over window - 1 fails.
+
+    Under the real walk, broken_walk and late_walk, at the suite's and
+    SMALL_PARAMS' sizes and at a window that ends before the late break.
+    """
+    small = range(2, min(max_a0, 500) + 1, 3)
+    for walk in (real_walk, broken_walk, late_walk):
+        monkeypatch.setattr(n1, "walk", walk)
+        per_start = report.first_failure("", {}, suite._per_start(
+            small, lambda a0: n1.check_claim1(a0, window - 1)))
+        rep = _run("n1.divergence", max_a0=max_a0, window=window)
+        if per_start.outcome:
+            assert (rep.outcome, rep.steps) == (True, len(range(2, max_a0 + 1, 3))), walk
+        else:
+            assert (rep.outcome, rep.steps, rep.witness) == (
+                False, per_start.steps, (per_start.witness[0], "direct scan")), walk
 
 
 @pytest.mark.parametrize("claim_id,budgets", [
-    ("n1.claim1", (0, 1, 2, 50)),                     # 2, 5, 1 breaks at m = 1
+    ("n1.claim1", range(-1, 201)),                    # 2, 5, 1 breaks at m = 1
 ])
 def test_successor_sweeps_equal_their_per_start_checks_under_a_broken_walk(
         monkeypatch, claim_id, budgets):
-    """Start for start, and so the same first failing start, steps and witness.
+    """The same first failing start, steps and witness, at every window from -1 to 200.
 
-    Claim 1's walk follows the broken rule; the budgets put a break exactly
-    at the budget and one past it.
+    Claim 1's walk follows the broken rule; the windows put a break exactly
+    at the window and past it.
     """
     monkeypatch.setattr(n1, "walk", broken_walk)
-    budget_param = SUCCESSOR_ROWS[claim_id][2]
-    for budget in budgets:
-        swept, per_start = _row_and_per_start(claim_id, max_a0=60, **{budget_param: budget})
-        assert swept == per_start, budget
-        assert (report.first_failure(claim_id, {}, swept)
-                == report.first_failure(claim_id, {}, per_start)), budget
+    _assert_claim1_reports_agree(budgets)
 
 
 def test_successor_sweeps_shift_a_break_and_cap_it_at_the_budget(monkeypatch):
-    """Under the broken rule, claim 1's start 2 is read off 5."""
+    """Under the broken rule, start 2 breaks at index 1 and start 5 at index 0."""
     monkeypatch.setattr(n1, "walk", broken_walk)
-    claim1 = {window: _row_and_per_start("n1.claim1", max_a0=60, window=window)[0][:2]
-              for window in (0, 1)}                       # starts 2, 5
-    assert claim1 == {1: [(2, 1, 5, 1), (5, 0, 5, 1)], 0: [None, (5, 0, 5, 1)]}
+    first = {window: _run("n1.claim1", max_a0=60, window=window) for window in (-1, 0, 1)}
+    assert {window: (rep.outcome, rep.witness, rep.steps) for window, rep in first.items()} == {
+        1: (False, (2, 1, 5, 1), 0), 0: (False, (5, 0, 5, 1), 1), -1: (True, (), 20)}
+
+
+def test_claim1_names_the_first_start_whose_window_reaches_a_late_break(monkeypatch):
+    """Under late_walk, start 2 + 3j breaks at index 100 - j, for every window from -1 to 200.
+
+    At window 50 the first failing start is 152, whose window ends at 302,
+    not 302 itself.
+    """
+    monkeypatch.setattr(n1, "walk", late_walk)
+    _assert_claim1_reports_agree(range(-1, 201))
+    rep = _run("n1.claim1", max_a0=1000, window=50)
+    assert (rep.outcome, rep.witness, rep.steps) == (False, (152, 50, 302, 7), 50)
+
+
+def test_claim1_draws_one_scan_of_the_orbit_of_2_from_the_walk(monkeypatch):
+    """At max_a0 = 10**4 the row draws at most window + 3333 + 2 values for its 3,333 starts."""
+    drawn = 0
+
+    def counting(a0):
+        nonlocal drawn
+        for v in real_walk(a0):
+            drawn += 1
+            yield v
+
+    monkeypatch.setattr(n1, "walk", counting)
+    assert _run("n1.claim1", max_a0=10 ** 4, window=200).steps == 3333
+    assert 0 < drawn <= 200 + 3333 + 2, drawn
 
 
 def test_per_start_all_gt1_reads_at_most_3100_runs(monkeypatch):
