@@ -38,12 +38,12 @@ DEFAULT_SEED = 20170901
 # denominator has 5774 digits, past Python's default 4300-digit limit on
 # int -> str, so printing it would raise.
 A2_MAX_N = 1000
-# n1 --steps writes N1_VALUES_PER_WRITE values at a time (not a system call per
-# value under python -u), so memory stays flat: 15 MB peak at the cap, 30 MB from
-# a 4000-digit a0.  Time and output grow with the steps and the digits, so a
-# second cap bounds the bytes written, (steps + 1) * (digits(a0 + 3*steps) + 1):
-# 8,000,008 for --a0 7 at the step cap, about 4,190 steps from a 4000-digit a0.
-N1_MAX_STEPS = 10 ** 6
+# n1 --steps: every value it prints is at most a0 + 3*steps, so one cap on
+# (steps + 1) * (digits(a0 + 3*steps) + 1), the bytes it may write, bounds its
+# output and time: at most 2,097,151 steps from any start (--a0 7: 16,406,821
+# bytes), about 4,190 from a 4000-digit a0 (2.3 s on a 2-core host).  It writes
+# N1_VALUES_PER_WRITE values at a time (not a system call per value under
+# python -u), so memory stays flat: 15 MB peak from --a0 7, 30 MB from 4000 digits.
 N1_MAX_STEPS_BYTES = 2 ** 24
 N1_VALUES_PER_WRITE = 1024
 # c1-gen takes c1-check's caps, tilefile.MAX_SIDE and MAX_TILES, so every
@@ -138,8 +138,6 @@ def cmd_n1(args: argparse.Namespace) -> int:
     if args.steps is not None:
         if args.steps < 0:
             return _fail_usage("--steps must be non-negative")
-        if args.steps > N1_MAX_STEPS:
-            return _fail_usage(f"n1 needs --steps <= {N1_MAX_STEPS}")
         k, needs = args.steps, "--steps needs --a0 + 3 * --steps"
     else:
         k = args.budget if args.budget is not None else n1.default_budget(args.a0)
@@ -226,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "power of Python's int -> str digit limit)")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--steps", type=int,
-                      help=f"print a_0..a_steps (steps at most {N1_MAX_STEPS}, and at most "
-                           f"{N1_MAX_STEPS_BYTES} bytes of output)")
+                      help=f"print a_0..a_steps ((steps + 1) * (digits of a0 + 3 * steps, "
+                           f"plus 1) at most {N1_MAX_STEPS_BYTES}, the bytes it may write)")
     mode.add_argument("--classify", action="store_true",
                       help="classify the orbit within the budget")
     p.add_argument("--budget", type=int, default=None,

@@ -236,13 +236,14 @@ def classify(a0: int, budget: int) -> OrbitTrace:
 def check_claim1(a0: int, window: int) -> tuple | None:
     """From a residue-2 term on, every step is +3: no squares, residue kept.
 
-    Precondition: a0 = 2 (mod 3).  Holds iff for all 0 <= m <= window the
-    term is not a perfect square, keeps residue 2, and a_{m+1} = a_m + 3;
-    else the witness is the first offending (m, a_m, a_{m+1}).
+    Precondition: a0 = 2 (mod 3), checked first at any window.  Holds iff
+    for all 0 <= m <= window the term is not a perfect square, keeps residue
+    2, and a_{m+1} = a_m + 3; else the witness is the first offending
+    (m, a_m, a_{m+1}).  A window below 0 checks nothing.
     """
     if a0 % 3 != 2:
         raise PreconditionFailedError(f"a0 = {a0} is not 2 mod 3")
-    vals = orbit(a0, window + 1)
+    vals = orbit(a0, max(window, -1) + 1)
     for m in range(window + 1):
         if (is_perfect_square(vals[m]) or vals[m] % 3 != 2
                 or vals[m + 1] != vals[m] + 3):

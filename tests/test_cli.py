@@ -243,8 +243,9 @@ def test_n1_steps_takes_a_prefix_up_to_its_byte_bound(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 5, cli.N1_VALUES_PER_WRITE - 1, cli.N1_VALUES_PER_WRITE,
-                               cli.N1_VALUES_PER_WRITE + 1])
+                               cli.N1_VALUES_PER_WRITE + 1, 10 ** 6 + 1])
 def test_n1_steps_prints_the_orbit_across_write_boundaries(capsys, k):
+    """10**6 + 1 steps from 7 write 7,629,621 bytes, within the byte bound."""
     code, out, err = run_cli(["n1", "--a0", "7", "--steps", str(k)], capsys)
     assert (code, out, err) == (0, " ".join(map(str, n1.orbit(7, k))) + "\n", "")
 
@@ -450,10 +451,11 @@ def test_suite_has_only_seed_and_records():
     (["n1", "--a0", str(N1_TOP_A0 + 1), "--classify"], None),
     (["a2", "--n", str(cli.A2_MAX_N + 1)], None),
     (["a2", "--n", str(cli.A2_MAX_N + 1), "--verify"], None),
-    (["n1", "--a0", "7", "--steps", str(cli.N1_MAX_STEPS + 1)], None),
+    (["n1", "--a0", "7", "--steps", "2097152"], None),          # 2097153 * 8 > 2**24 bytes
     (["n1", "--a0", "5", "--classify", "--budget", str(N1_TOP_BUDGET_AT_5 + 1)], None),
     (["n1", "--a0", "7", "--steps", "3", "--budget", "5"], None),
     (["n1", "--a0", "9" * 4000, "--steps", "1000000"], None),
+    (["n1", "--a0", "7", "--steps", "9" * 4000], None),
     (["c1-check", "{path}"], "".join(
         [f"board {tilefile.MAX_TILES + 1} 1\n"]
         + [f"tile {x} {x + 1} 0 1\n" for x in range(tilefile.MAX_TILES + 1)]).encode()),
@@ -469,7 +471,7 @@ def test_suite_has_only_seed_and_records():
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
         "n1-classify-budget-above-cap", "n1-steps-with-budget", "n1-steps-bytes-above-cap",
-        "c1-check-tiles-above-cap",
+        "n1-steps-4000-digits", "c1-check-tiles-above-cap",
         "c1-check-board-side-above-cap", "c1-gen-side-above-cap",
         "c1-gen-guillotine-tiles-above-cap", "no-command", "unknown-command",
         "a2-without-n", "a2-n-not-an-int", "n1-steps-with-classify", "unknown-flag"])

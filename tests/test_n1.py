@@ -209,8 +209,11 @@ def test_claim1():
     assert n1.check_claim1(5, 500) is None
     assert n1.orbit(7, 5)[-1] == 2
     assert n1.check_claim1(2, 500) is None    # a_5 of 7 onwards
+    assert n1.check_claim1(5, -2) is None     # a window below 0 checks nothing
     with pytest.raises(PreconditionFailedError):
         n1.check_claim1(3, 10)
+    with pytest.raises(PreconditionFailedError):
+        n1.check_claim1(3, -2)                # the precondition comes first
 
 
 def claim2_certificate(x):

@@ -298,14 +298,14 @@ def test_successor_sweeps_equal_their_per_start_checks(claim_id, sizes):
     """The row at the suite's or SMALL_PARAMS' sizes, and at every max_a0 and window below them.
 
     A start's check at a smaller window scans a prefix of what it scans at
-    the row's window, so the row must pass at each one, down to -1.
+    the row's window, so the row must pass at each one, down to -3.
     """
     row = next(c for c in suite.CLAIMS if c.id == claim_id)
     params = {**row.params, **(SMALL_PARAMS[claim_id] if sizes == "small" else {})}
     for max_a0 in (m for m in CLAIM1_MAX_A0 if m <= params["max_a0"]):
         rep, per_start = _claim1_reports(max_a0, params["window"])
         assert rep == per_start and rep.outcome, max_a0
-        for window in range(-1, params["window"]):
+        for window in range(-3, params["window"]):
             rep = _run(claim_id, max_a0=max_a0, window=window)
             assert (rep.outcome, rep.steps) == (True, per_start.steps), (max_a0, window)
 
@@ -331,11 +331,11 @@ def test_divergence_double_check_equals_claim1_per_start(monkeypatch, max_a0, wi
 
 
 @pytest.mark.parametrize("claim_id,budgets", [
-    ("n1.claim1", range(-1, 201)),                    # 2, 5, 1 breaks at m = 1
+    ("n1.claim1", range(-3, 201)),                    # 2, 5, 1 breaks at m = 1
 ])
 def test_successor_sweeps_equal_their_per_start_checks_under_a_broken_walk(
         monkeypatch, claim_id, budgets):
-    """The same first failing start, steps and witness, at every window from -1 to 200.
+    """The same first failing start, steps and witness, at every window from -3 to 200.
 
     Claim 1's walk follows the broken rule; the windows put a break exactly
     at the window and past it.
@@ -353,13 +353,13 @@ def test_successor_sweeps_shift_a_break_and_cap_it_at_the_budget(monkeypatch):
 
 
 def test_claim1_names_the_first_start_whose_window_reaches_a_late_break(monkeypatch):
-    """Under late_walk, start 2 + 3j breaks at index 100 - j, for every window from -1 to 200.
+    """Under late_walk, start 2 + 3j breaks at index 100 - j, for every window from -3 to 200.
 
     At window 50 the first failing start is 152, whose window ends at 302,
     not 302 itself.
     """
     monkeypatch.setattr(n1, "walk", late_walk)
-    _assert_claim1_reports_agree(range(-1, 201))
+    _assert_claim1_reports_agree(range(-3, 201))
     rep = _run("n1.claim1", max_a0=1000, window=50)
     assert (rep.outcome, rep.witness, rep.steps) == (False, (152, 50, 302, 7), 50)
 
