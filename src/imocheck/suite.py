@@ -165,7 +165,7 @@ def c1_corner_lemma(max_side: int) -> Witnesses:
 
 
 def _inside_pairs(rects: Sequence[tiling.Rect]) -> Iterator[tuple[tiling.Rect, tiling.Rect]]:
-    """(ri, ro) for ro in rects for ri in rects if tiling.inside(ri, ro), in that order.
+    """(ri, ro) for ro in rects for ri in rects if tilefile.inside(ri, ro), in that order.
 
     The rects are valid and those of one x-span adjacent, as rects_inside
     yields them, so the x-span groups concatenate to rects in order.
@@ -179,11 +179,14 @@ def _inside_pairs(rects: Sequence[tiling.Rect]) -> Iterator[tuple[tiling.Rect, t
 
 
 def c1_parity_lemma(coord_max: int) -> Witnesses:
-    """Exhaustive green-inside-green distance parity over small coordinates."""
+    """A green rect inside a green rect has its four gaps all even or all odd.
+
+    Pairs built green and nested, as test_parity_row_checks_the_nested_filters_pairs_in_order pins.
+    """
     greens = [r for r in tiling.rects_inside(coord_max, coord_max)
               if tiling.classify_rect(r) is tiling.RectClass.GREEN]
-    return (None if tiling.parity_lemma_check(ri, ro) is None else (ri, ro)
-            for ri, ro in _inside_pairs(greens))
+    return (None if tiling.distance_parity(tiling.side_distances(ri, ro)) is not None
+            else (ri, ro) for ri, ro in _inside_pairs(greens))
 
 
 def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:

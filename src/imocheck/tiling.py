@@ -9,12 +9,11 @@ corner.  Squares are colored green when x + y is even, yellow otherwise.
 The checked theorem: in any tiling of a board with both sides odd, some tile
 has distances to the four board sides that are all even or all odd.  The
 proof chain runs through corner colors, green/yellow counting and the
-parity-of-distances lemma, and every link is executable here.  An instance
-check (parity_lemma_check, one pair of rects) returns None when it holds and
-a witness when it fails; the claims over many instances live in the suite.
-classify_rect, count_green and count_yellow read colours straight off the
-coordinates and never call green(), so green() serves only the brute-force
-routes that check them: the suite's counting row and the tests.
+parity-of-distances lemma, and every link is executable: the per-tiling
+chain here, the claims over many instances in the suite.  classify_rect,
+count_green and count_yellow read colours straight off the coordinates and
+never call green(), so green() serves only the brute-force routes that
+check them: the suite's counting row and the tests.
 
 The file layer that c1-check runs (rects, Tiling, the validator
 tiling_problems, witness and the text format) lives in tilefile.  This
@@ -48,7 +47,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import PreconditionFailedError
-from .tilefile import (Rect, Tiling, WitnessParity, _lex_tiles, distance_parity, inside,
+from .tilefile import (Rect, Tiling, WitnessParity, _lex_tiles, distance_parity,
                        side_distances, tiling_problems, witness)
 from .tilefile import parse_tiling  # not called here: the benchmark traces tiling.parse_tiling
 
@@ -125,20 +124,6 @@ def find_green_tile(t: Tiling) -> Rect | None:
         if classify_rect(r) is RectClass.GREEN:
             return r
     return None
-
-
-def parity_lemma_check(ri: Rect, ro: Rect) -> tuple[int, int, int, int] | None:
-    """Green-inside-green distance parity: the four gaps are all even or all odd.
-
-    None when they are; else the gaps (left, right, bottom, top).  classify_rect
-    raises PreconditionFailedError on an invalid rect.
-    """
-    if classify_rect(ri) is not RectClass.GREEN or classify_rect(ro) is not RectClass.GREEN:
-        raise PreconditionFailedError("both rects must be green")
-    if not inside(ri, ro):
-        raise PreconditionFailedError("ri must lie inside ro")
-    ds = side_distances(ri, ro)
-    return ds if distance_parity(ds) is None else None
 
 
 # -- generators and enumeration -------------------------------------------------

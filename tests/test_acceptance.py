@@ -152,7 +152,7 @@ def test_c1_parity_lemma_exhaustive():
         pairs = 0
         for ro in greens:
             for ri in greens:
-                if tiling.inside(ri, ro):
+                if tilefile.inside(ri, ro):
                     ds = (ri[0] - ro[0], ro[1] - ri[1], ri[2] - ro[2], ro[3] - ri[3])
                     assert len({d % 2 for d in ds}) == 1, (ri, ro)
                     pairs += 1

@@ -292,21 +292,20 @@ def _assert_claim1_reports_agree(windows):
             assert rep == per_start, (max_a0, window)
 
 
-@pytest.mark.parametrize("claim_id", ["n1.claim1"])
 @pytest.mark.parametrize("sizes", ["suite", "small"])
-def test_successor_sweeps_equal_their_per_start_checks(claim_id, sizes):
+def test_claim1_row_equals_its_per_start_checks(sizes):
     """The row at the suite's or SMALL_PARAMS' sizes, and at every max_a0 and window below them.
 
     A start's check at a smaller window scans a prefix of what it scans at
     the row's window, so the row must pass at each one, down to -3.
     """
-    row = next(c for c in suite.CLAIMS if c.id == claim_id)
-    params = {**row.params, **(SMALL_PARAMS[claim_id] if sizes == "small" else {})}
+    row = next(c for c in suite.CLAIMS if c.id == "n1.claim1")
+    params = {**row.params, **(SMALL_PARAMS["n1.claim1"] if sizes == "small" else {})}
     for max_a0 in (m for m in CLAIM1_MAX_A0 if m <= params["max_a0"]):
         rep, per_start = _claim1_reports(max_a0, params["window"])
         assert rep == per_start and rep.outcome, max_a0
         for window in range(-3, params["window"]):
-            rep = _run(claim_id, max_a0=max_a0, window=window)
+            rep = _run("n1.claim1", max_a0=max_a0, window=window)
             assert (rep.outcome, rep.steps) == (True, per_start.steps), (max_a0, window)
 
 
@@ -330,21 +329,17 @@ def test_divergence_double_check_equals_claim1_per_start(monkeypatch, max_a0, wi
                 False, per_start.steps, (per_start.witness[0], "direct scan")), walk
 
 
-@pytest.mark.parametrize("claim_id,budgets", [
-    ("n1.claim1", range(-3, 201)),                    # 2, 5, 1 breaks at m = 1
-])
-def test_successor_sweeps_equal_their_per_start_checks_under_a_broken_walk(
-        monkeypatch, claim_id, budgets):
+def test_claim1_row_equals_its_per_start_checks_under_a_broken_walk(monkeypatch):
     """The same first failing start, steps and witness, at every window from -3 to 200.
 
-    Claim 1's walk follows the broken rule; the windows put a break exactly
-    at the window and past it.
+    Claim 1's walk follows the broken rule (2, 5, 1 breaks at m = 1); the
+    windows put a break exactly at the window and past it.
     """
     monkeypatch.setattr(n1, "walk", broken_walk)
-    _assert_claim1_reports_agree(budgets)
+    _assert_claim1_reports_agree(range(-3, 201))
 
 
-def test_successor_sweeps_shift_a_break_and_cap_it_at_the_budget(monkeypatch):
+def test_claim1_names_the_first_start_whose_window_reaches_an_early_break(monkeypatch):
     """Under the broken rule, start 2 breaks at index 1 and start 5 at index 0."""
     monkeypatch.setattr(n1, "walk", broken_walk)
     first = {window: _run("n1.claim1", max_a0=60, window=window) for window in (-1, 0, 1)}
@@ -691,22 +686,37 @@ def test_a_second_run_suite_keeps_no_trace_of_the_first(monkeypatch, small_claim
 # -- the parity row's pairs -------------------------------------------------------
 
 def test_parity_row_checks_the_nested_filters_pairs_in_order(monkeypatch):
-    check = tiling.parity_lemma_check
+    """The row's pairs are green and nested because it builds them so; no check repeats that."""
+    gaps = tiling.side_distances
     checked = []
 
     def recording(ri, ro):
         checked.append((ri, ro))
-        return check(ri, ro)
+        return gaps(ri, ro)
 
-    monkeypatch.setattr(tiling, "parity_lemma_check", recording)
+    monkeypatch.setattr(tiling, "side_distances", recording)
     for coord_max in range(10):
         greens = [r for r in tiling.rects_inside(coord_max, coord_max)
                   if tiling.classify_rect(r) is tiling.RectClass.GREEN]
         checked.clear()
         assert _run("c1.parity_lemma_exhaustive", coord_max=coord_max).outcome
         assert checked == [(ri, ro) for ro in greens for ri in greens
-                           if tiling.inside(ri, ro)], coord_max
+                           if tilefile.inside(ri, ro)], coord_max
     assert len(checked) == 7575
+
+
+@pytest.mark.parametrize("broken,record", [
+    (lambda ds: None,
+     "CLAIM c1.parity_lemma_exhaustive coord_max=9 steps=0 witness=(0,1,0,1);(0,1,0,1) "
+     "outcome=fail"),
+    (lambda ds: None if ds == (1, 1, 1, 1) else tilefile.distance_parity(ds),
+     "CLAIM c1.parity_lemma_exhaustive coord_max=9 steps=79 witness=(1,2,1,2);(0,3,0,3) "
+     "outcome=fail"),
+], ids=["every-gap", "gaps-1-1-1-1"])
+def test_parity_row_fails_at_the_first_pair_whose_gaps_break(monkeypatch, broken, record):
+    """With the parity test broken on every gap or on (1, 1, 1, 1), the row names that pair."""
+    monkeypatch.setattr(tiling, "distance_parity", broken)
+    assert _run("c1.parity_lemma_exhaustive").record_line() == record
 
 
 def _mutants(a, b, tiles, n):

@@ -47,13 +47,13 @@ def test_squares_examples():
 
 @given(any_rects, any_rects)
 def test_inside_agrees_with_square_sets(ri, ro):
-    assert tiling.inside(ri, ro) == inside_literal(ri, ro)
+    assert tilefile.inside(ri, ro) == inside_literal(ri, ro)
 
 
 def test_inside_examples():
-    assert tiling.inside((1, 2, 1, 2), (0, 3, 0, 3))
-    assert not tiling.inside((0, 3, 0, 3), (1, 2, 1, 2))
-    assert tiling.inside((0, 2, 0, 2), (0, 2, 0, 2))
+    assert tilefile.inside((1, 2, 1, 2), (0, 3, 0, 3))
+    assert not tilefile.inside((0, 3, 0, 3), (1, 2, 1, 2))
+    assert tilefile.inside((0, 2, 0, 2), (0, 2, 0, 2))
 
 
 def overlap_free_literal(rs):
@@ -231,24 +231,6 @@ def test_lookups_return_none_on_a_valid_tiling_without_one():
     assert tiling.check_tiling_theorem(domino) == "no green tile"
 
 
-def test_parity_lemma_check(monkeypatch):
-    assert tiling.parity_lemma_check((0, 3, 0, 3), (0, 3, 0, 3)) is None
-    assert tiling.parity_lemma_check((1, 2, 1, 2), (0, 3, 0, 3)) is None
-    # with the parity test broken, the check fails with the four gaps
-    monkeypatch.setattr(tiling, "distance_parity", lambda ds: None)
-    assert tiling.parity_lemma_check((1, 2, 1, 2), (0, 3, 0, 3)) == (1, 1, 1, 1)
-
-
-def test_parity_lemma_preconditions():
-    with pytest.raises(PreconditionFailedError):
-        tiling.parity_lemma_check((1, 2, 0, 1), (0, 3, 0, 3))  # ri yellow
-    with pytest.raises(PreconditionFailedError):
-        tiling.parity_lemma_check((0, 3, 0, 3), (1, 2, 1, 2))  # not inside
-    for ri, ro in (((2, 1, 0, 1), (0, 3, 0, 3)), ((0, 1, 0, 1), (0, 3, 1, 1))):
-        with pytest.raises(PreconditionFailedError, match="needs x1 < x2 and y1 < y2"):
-            tiling.parity_lemma_check(ri, ro)   # an invalid rect, caught by classify_rect
-
-
 # -- generators ---------------------------------------------------------------------
 
 def test_guillotine_unit_board():
@@ -421,7 +403,7 @@ def test_count_tiling_theorem_counts_boards_past_the_enumerators_area_cap(monkey
 
 # -- text format -------------------------------------------------------------------------
 
-FILE_LAYER = ["Rect", "inside", "Tiling", "tiling_problems", "_lex_tiles",
+FILE_LAYER = ["Rect", "Tiling", "tiling_problems", "_lex_tiles",
               "side_distances", "WitnessParity", "distance_parity", "witness", "parse_tiling"]
 
 
@@ -434,7 +416,8 @@ def test_tiling_binds_tilefiles_objects():
     for name in FILE_LAYER:
         assert getattr(tiling, name) is getattr(tilefile, name), name
     # the names it does not call are read from tilefile
-    for name in ("area", "valid_rect", "MAX_SIDE", "MAX_TILES", "lex_key", "serialize_tiling"):
+    for name in ("area", "valid_rect", "inside", "MAX_SIDE", "MAX_TILES", "lex_key",
+                 "serialize_tiling"):
         assert not hasattr(tiling, name), name
 
 
