@@ -19,6 +19,7 @@ import argparse
 import itertools
 import os
 import sys
+from types import MappingProxyType
 
 from .errors import TheoremViolationError, TilingParseError
 
@@ -26,6 +27,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_ANOMALY = 3
+# An exit-2 line writes each C0 control character, DEL, U+0085, U+2028 and U+2029 as its
+# repr escape, so no argument it echoes can break it into two lines.
+_ESCAPES = MappingProxyType({c: repr(chr(c))[1:-1]
+                             for c in (*range(0x20), 0x7F, 0x85, 0x2028, 0x2029)})
 
 # The suite's seed when --seed is not given; tests/data's golden files carry it.
 DEFAULT_SEED = 20170901
@@ -52,7 +57,7 @@ N1_VALUES_PER_WRITE = 1024
 
 
 def _fail_usage(message: str) -> int:
-    print(f"imocheck: {message}", file=sys.stderr)
+    print(f"imocheck: {message.translate(_ESCAPES)}", file=sys.stderr)
     return EXIT_USAGE
 
 
@@ -189,7 +194,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         """One stderr line, `<prog>: <message>`, and exit 2; argparse's own prints two."""
-        self.exit(EXIT_USAGE, f"{self.prog}: {message}\n")
+        self.exit(EXIT_USAGE, f"{self.prog}: {message.translate(_ESCAPES)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

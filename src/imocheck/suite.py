@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import chain, groupby, repeat
+from bisect import bisect_left
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from . import a2, n1, tilefile, tiling
@@ -164,29 +165,20 @@ def c1_corner_lemma(max_side: int) -> Witnesses:
             for r in boards)
 
 
-def _inside_pairs(rects: Sequence[tiling.Rect]) -> Iterator[tuple[tiling.Rect, tiling.Rect]]:
-    """(ri, ro) for ro in rects for ri in rects if tilefile.inside(ri, ro), in that order.
-
-    The rects are valid and those of one x-span adjacent, as rects_inside
-    yields them, so the x-span groups concatenate to rects in order.
-    """
-    by_span = {span: list(group) for span, group in groupby(rects, lambda r: r[:2])}
-    for ro in rects:
-        x1, x2, y1, y2 = ro
-        for (u1, u2), group in by_span.items():
-            if x1 <= u1 and u2 <= x2:
-                yield from ((ri, ro) for ri in group if y1 <= ri[2] and ri[3] <= y2)
-
-
 def c1_parity_lemma(coord_max: int) -> Witnesses:
     """A green rect inside a green rect has its four gaps all even or all odd.
 
     Pairs built green and nested, as test_parity_row_checks_the_nested_filters_pairs_in_order pins.
+    The greens keep rects_inside's order, sorted by x1, so the ones that can lie inside ro are
+    the slice whose x1 lies in [ro.x1, ro.x2), in the nested filter's order.
     """
     greens = [r for r in tiling.rects_inside(coord_max, coord_max)
               if tiling.classify_rect(r) is tiling.RectClass.GREEN]
+    x1s = [r[0] for r in greens]
     return (None if tiling.distance_parity(tiling.side_distances(ri, ro)) is not None
-            else (ri, ro) for ri, ro in _inside_pairs(greens))
+            else (ri, ro)
+            for ro in greens for ri in greens[bisect_left(x1s, ro[0]):bisect_left(x1s, ro[1])]
+            if ri[1] <= ro[1] and ro[2] <= ri[2] and ri[3] <= ro[3])
 
 
 def _odd_boards(area_cap: int) -> Iterator[tuple[int, int]]:
@@ -375,21 +367,14 @@ def n1_small_claims() -> Witnesses:
 def n1_divergence(max_a0: int, window: int) -> Witnesses:
     """Residue-2 starts: the first window of orbit values increases, square-free.
 
-    The full range goes through the +3-run confirmation kernel; starts up
-    to 500 are double-checked by claim 1's direct orbit scan over the same
-    window, read off the one walk from 2; only its first failing start
-    matters, since the row stops there.
+    Every start goes through the +3-run confirmation kernel and claim 1's direct scan of the
+    same window, read off the one walk from 2 (n1_claim1), which stops at its first failing start.
     """
-    failing = next((w[0] for w in n1_claim1(min(max_a0, 500), window - 1) if w), None)
-
-    def witness(a0: int) -> tuple | None:
+    for a0, direct in zip(range(2, max_a0 + 1, 3), n1_claim1(max_a0, window - 1)):
         if n1.confirm_plus3_run(a0, window) != -1:
-            return (a0,)
-        if a0 == failing:
-            return (a0, "direct scan")
-        return None
-
-    return map(witness, range(2, max_a0 + 1, 3))
+            yield (a0,)
+        else:
+            yield None if direct is None else (a0, "direct scan")
 
 
 def n1_mult3(max_a0: int, budget: int) -> Witnesses:

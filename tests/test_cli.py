@@ -468,19 +468,26 @@ def test_suite_has_only_seed_and_records():
     (["a2", "--n", "x"], None),
     (["n1", "--a0", "7", "--steps", "3", "--classify"], None),
     (["a2", "--n", "3", "--bogus"], None),
+    (["c1-check", "{dir}/absent\n.tiling"], None),
+    (["c1-check", "{dir}/in\n.tiling"], b"board 3 1\ntile 0 3 0 x\n"),
+    (["a2", "--n", "3", "x\ny"], None),
 ], ids=["non-ascii-comment", "non-ascii-digit", "n1-classify-a0-above-cap",
         "a2-n-above-cap", "a2-verify-n-above-cap", "n1-steps-above-cap",
         "n1-classify-budget-above-cap", "n1-steps-with-budget", "n1-steps-bytes-above-cap",
         "n1-steps-4000-digits", "c1-check-tiles-above-cap",
         "c1-check-board-side-above-cap", "c1-gen-side-above-cap",
         "c1-gen-guillotine-tiles-above-cap", "no-command", "unknown-command",
-        "a2-without-n", "a2-n-not-an-int", "n1-steps-with-classify", "unknown-flag"])
+        "a2-without-n", "a2-n-not-an-int", "n1-steps-with-classify", "unknown-flag",
+        "c1-check-missing-path-with-newline", "c1-check-unparsable-path-with-newline",
+        "unknown-argument-with-newline"])
 def test_bad_input_is_one_usage_line(tmp_path, argv, content):
-    """Exit 2 with one stderr line and no traceback, before any work starts."""
-    path = tmp_path / "in.tiling"
+    """Exit 2 with one stderr line and no traceback, before any work starts.
+
+    content, when given, is written to the file the last argument names.
+    """
+    argv = [arg.format(path=tmp_path / "in.tiling", dir=tmp_path) for arg in argv]
     if content is not None:
-        path.write_bytes(content)
-    argv = [arg.format(path=path) for arg in argv]
+        Path(argv[-1]).write_bytes(content)
     done = subprocess.run([sys.executable, "-m", "imocheck", *argv],
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 2

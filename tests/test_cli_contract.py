@@ -7,11 +7,15 @@ that are not integers; c1-check gets an intact c1-gen output, a missing
 file, a directory, no path or two.  A second test runs c1-check on drawn
 tiling files: c1-gen outputs, intact or broken by the benchmark's defect
 kinds (an overlap, a gap, a tile off the edge), by a duplicate tile, a bad
-token, a missing board line or a non-ASCII byte.  Each case runs cli.main
-in process, and every case must:
+token, a missing board line or a non-ASCII byte.  Flag values, unknown
+arguments and c1-check's paths may hold line breaks and other control
+characters, and a path may hold an undecodable byte, which argv decoding
+turns into a lone surrogate.  Each case runs cli.main in process, and
+every case must:
 
 - exit 0, 1, 2 or 3, with no other exception escaping;
-- on exit 2, write exactly one stderr line and nothing to stdout;
+- on exit 2, write exactly one stderr line, with no other line break, and
+  nothing to stdout;
 - on exit 0, write its command's documented output, and for a2 --verify a
   stderr record that the record grammar parses.
 
@@ -39,7 +43,12 @@ from conftest import SMALL_PARAMS
 from test_cli import N1_TOP_A0, N1_TOP_BUDGET_AT_5, RECORD_RE
 
 BIG = "9" * 5000   # past Python's int <- str digit limit, so argparse rejects it
-NOT_INTS = st.sampled_from(["", "x", "1.5", "0x10", "1e3", "--"])
+# Text that an exit-2 line must not echo raw: C0 controls, DEL, NEL, U+2028 and U+2029.
+BREAKS = st.sampled_from("\t\n\r\x0b\x0c\x1b\x1c\x1e\x7f\x85\u2028\u2029").map(lambda c: f"x{c}y")
+NOT_INTS = st.one_of(st.sampled_from(["", "x", "1.5", "0x10", "1e3", "--"]), BREAKS)
+# c1-check's paths, as names in the case's directory: one holds an undecodable byte.
+NAMES = st.one_of(st.just("in.tiling"), st.just("in\udcff.tiling"),
+                  BREAKS.map(lambda text: f"in{text}.tiling"))
 
 
 def _ints(low, high, *edges):
@@ -58,7 +67,8 @@ SEEDS = _ints(0, 99, -1, 10 ** 4000)
 FLAGS = {
     "a2": {"--n": _ints(1, 60, 0, -1, cli.A2_MAX_N + 1), "--verify": None},
     "c1-gen": {"--a": SIDES, "--b": SIDES, "--seed": SEEDS,
-               "--kind": (st.sampled_from(["guillotine", "pinwheel"]), st.just("spiral"))},
+               "--kind": (st.sampled_from(["guillotine", "pinwheel"]),
+                          st.one_of(st.just("spiral"), BREAKS))},
     "n1": {"--a0": _ints(2, 10 ** 6, 0, 1, -1, 10 ** 12, N1_TOP_A0 - 1, N1_TOP_A0,
                          N1_TOP_A0 + 1),
            "--steps": _ints(0, 40, -1, 9999, 2 ** 21),
@@ -140,12 +150,13 @@ def argv_cases(draw, command):
         for flag in usual:
             argv += [flag] if flags[flag] is None else [flag, draw(flags[flag][flag == edge])]
     if command == "c1-check":
-        argv += draw(st.sampled_from([["{path}"], ["{dir}/absent.tiling"], ["{dir}"], [],
-                                      ["{path}", "{path}"]]))
+        absent = "{dir}/absent-" + draw(NAMES)
+        argv += draw(st.sampled_from([["{path}"], [absent], ["{dir}"], [], ["{path}", "{path}"]]))
     if usual is None and draw(st.integers(0, 5)) == 0:
         del argv[0]
     if draw(st.integers(0, 7)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(UNKNOWN_TOKENS)))
+        unknown = st.one_of(st.sampled_from(UNKNOWN_TOKENS), BREAKS)
+        argv.insert(draw(st.integers(0, len(argv))), draw(unknown))
     return argv
 
 
@@ -201,11 +212,11 @@ def _assert_documented_output(argv, out, err):
                 ["PASS", row.id] for row in TWO_ROWS]
 
 
-def _assert_contract(template, content):
+def _assert_contract(template, content, name="in.tiling"):
     """Run the argument list on a file of these bytes and check the contract's three clauses."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
             suite, "run_suite", functools.partial(suite.run_suite, claims=TWO_ROWS)):
-        path = os.path.join(tmp, "in.tiling")
+        path = os.path.join(tmp, name)
         with open(path, "wb") as fh:
             fh.write(content)
         argv = [arg.format(path=path, dir=tmp) for arg in template]
@@ -214,6 +225,7 @@ def _assert_contract(template, content):
     assert code in (0, 1, 2, 3), (argv, code)
     if code == 2:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        assert "\r" not in err and len(err.splitlines()) == 1, (argv, err)
     if code == 0:
         _assert_documented_output(argv, out, err)
 
@@ -226,6 +238,6 @@ def test_every_argument_list_ends_in_a_documented_exit(command, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(tiling_files())
-def test_every_tiling_file_ends_in_a_documented_exit(content):
-    _assert_contract(["c1-check", "{path}"], content)
+@given(tiling_files(), NAMES)
+def test_every_tiling_file_ends_in_a_documented_exit(content, name):
+    _assert_contract(["c1-check", "{path}"], content, name)

@@ -270,11 +270,17 @@ real_walk = n1.walk
 CLAIM1_MAX_A0 = (2, 5, 8, 60, 100, 300, 1000)
 
 
-def late_walk(v):
-    """The walk of a broken step rule that sends 302, a_100 of the orbit of 2, to 7."""
-    while True:
-        yield v
-        v = 7 if v == 302 else n1.n1_step(v)
+def _walk_sending_to_7(target):
+    """The walk of a broken step rule that sends target, a residue-2 value, to 7."""
+    def walk(v):
+        while True:
+            yield v
+            v = 7 if v == target else n1.n1_step(v)
+    return walk
+
+
+late_walk = _walk_sending_to_7(302)    # a_100 of the orbit of 2
+far_walk = _walk_sending_to_7(2102)    # a_700 of the orbit of 2
 
 
 def _claim1_reports(max_a0, window):
@@ -309,21 +315,28 @@ def test_claim1_row_equals_its_per_start_checks(sizes):
             assert (rep.outcome, rep.steps) == (True, per_start.steps), (max_a0, window)
 
 
-@pytest.mark.parametrize("max_a0,window", [(10 ** 4, 1000), (300, 200), (300, 50)])
+@pytest.mark.parametrize("max_a0,window", [(10 ** 4, 1000), (2000, 100), (300, 200), (300, 50)])
 def test_divergence_double_check_equals_claim1_per_start(monkeypatch, max_a0, window):
-    """The row fails at the first start up to 500 whose claim-1 check over window - 1 fails.
+    """The row fails at the first start whose claim-1 check over window - 1 fails.
 
-    Under the real walk, broken_walk and late_walk, at the suite's and
-    SMALL_PARAMS' sizes and at a window that ends before the late break.
+    Under the real walk, broken_walk, late_walk and far_walk, at the suite's
+    and SMALL_PARAMS' sizes, at a window that ends before the late break, and
+    at max_a0 2000 and window 100, where far_walk first fails the start 1805.
+    The per-start checks cost starts * window steps, seconds under the real
+    walk at the suite's size, so there the pass record stands in for them.
     """
-    small = range(2, min(max_a0, 500) + 1, 3)
-    for walk in (real_walk, broken_walk, late_walk):
+    starts = range(2, max_a0 + 1, 3)
+    for walk in (real_walk, broken_walk, late_walk, far_walk):
         monkeypatch.setattr(n1, "walk", walk)
-        per_start = report.first_failure("", {}, suite._per_start(
-            small, lambda a0: n1.check_claim1(a0, window - 1)))
         rep = _run("n1.divergence", max_a0=max_a0, window=window)
+        if walk is real_walk and len(starts) * window > 2 * 10 ** 5:
+            assert rep.record_line() == (f"CLAIM n1.divergence max_a0={max_a0} window={window} "
+                                         f"steps={len(starts)} outcome=pass")
+            continue
+        per_start = report.first_failure("", {}, suite._per_start(
+            starts, lambda a0: n1.check_claim1(a0, window - 1)))
         if per_start.outcome:
-            assert (rep.outcome, rep.steps) == (True, len(range(2, max_a0 + 1, 3))), walk
+            assert (rep.outcome, rep.steps) == (True, len(starts)), walk
         else:
             assert (rep.outcome, rep.steps, rep.witness) == (
                 False, per_start.steps, (per_start.witness[0], "direct scan")), walk
