@@ -191,8 +191,10 @@ def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
     """Witness + green tile on every tiling of every odd-by-odd board under the cap.
 
     Counts each board's verdicts with tiling.count_tiling_theorem, which
-    checks the chain without visiting the tilings one by one.  A board
-    whose count holds a failure lists its tilings with
+    checks the chain without visiting the tilings one by one.  Their total
+    must equal tiling.count_tilings_reference, the independent square-set
+    counter; totals that differ fail with both as witness.  A board whose
+    count holds a failure lists its tilings with
     tiling.enumerate_tilings and runs tiling.check_tiling_theorem on each, in
     enumeration order, until report.first_failure stops at the first
     failing one, so steps and the witness name that tiling.  When the
@@ -203,9 +205,12 @@ def c1_exhaustive_theorem(area_cap: int) -> Witnesses:
     """
     for a, b in _odd_boards(area_cap):
         counts = tiling.count_tiling_theorem(a, b)
-        if list(counts) == [None]:
-            yield from repeat(None, counts[None])
+        reference = tiling.count_tilings_reference(a, b)
+        if counts == {None: reference}:
+            yield from repeat(None, reference)
             continue
+        if (counted := sum(counts.values())) != reference:
+            yield a, b, "the count and the reference total disagree", counted, reference
         for t in tiling.enumerate_tilings(a, b):
             problem = tiling.check_tiling_theorem(t)
             yield None if problem is None else (a, b, problem, sorted(t.tiles))

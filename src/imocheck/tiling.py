@@ -34,8 +34,10 @@ tiling of every board of area at most 12.
 
 There is one tiling search, _placements' rule, run two ways: enum_tilings
 lists every tiling, and count_tiling_theorem counts the tilings that end
-in each verdict.  C1's exhaustive theorem check counts; it lists a board's
-tilings only when the count holds a failure, to name the first failing one.
+in each verdict.  C1's exhaustive theorem check counts, and checks the
+count's totals against count_tilings_reference, the square-set counter
+that shares no code with the search; it lists a board's tilings only when
+the count holds a failure, to name the first failing one.
 """
 
 from __future__ import annotations
@@ -290,18 +292,20 @@ def board_table(a: int, b: int) -> dict[Rect, TileFacts]:
             for r in rects_inside(a, b)}
 
 
-def _chain_problem(has_witness: bool, has_green: bool,
-                   green_parity: WitnessParity | None, green_gap: int, yellow_gap: int
-                   ) -> str | None:
+# green_parity when no tile is green, or none is placed yet in count_tiling_theorem.
+_NO_GREEN_YET = "no green tile yet"
+
+
+def _chain_problem(has_witness: bool, green_parity: WitnessParity | None | str,
+                   green_gap: int, yellow_gap: int) -> str | None:
     """The first link after validity that fails, or None: every route's verdict.
 
-    green_parity is the first green tile's distance parity, read only when
-    there is one.  A gap is the tiles' summed green (or yellow) square
-    count minus the board's.
+    green_parity is the first green tile's distance parity, or _NO_GREEN_YET.
+    A gap is the tiles' summed green (or yellow) count minus the board's.
     """
     if not has_witness:
         return "no parity witness"
-    if not has_green:
+    if green_parity is _NO_GREEN_YET:
         return "no green tile"
     if green_parity is None:
         return "green tile fails distance parity"
@@ -322,15 +326,11 @@ def check_tiling_theorem(t: Tiling) -> str | None:
     if not is_valid_tiling(t):
         return "invalid tiling"
     first_green = find_green_tile(t)
-    green_parity = (None if first_green is None
+    green_parity = (_NO_GREEN_YET if first_green is None
                     else distance_parity(side_distances(first_green, t.board)))
-    return _chain_problem(witness(t) is not None, first_green is not None, green_parity,
+    return _chain_problem(witness(t) is not None, green_parity,
                           sum(count_green(r) for r in t.tiles) - count_green(t.board),
                           sum(count_yellow(r) for r in t.tiles) - count_yellow(t.board))
-
-
-# count_tiling_theorem's green_parity before any green tile is placed.
-_NO_GREEN_YET = "no green tile yet"
 
 
 def count_tiling_theorem(a: int, b: int) -> dict[str | None, int]:
@@ -356,8 +356,7 @@ def count_tiling_theorem(a: int, b: int) -> dict[str | None, int]:
         counts = memo.get(key)
         if counts is None:
             if occ == full:
-                counts = {_chain_problem(has_witness, green_parity is not _NO_GREEN_YET,
-                                         green_parity, greens - board_green,
+                counts = {_chain_problem(has_witness, green_parity, greens - board_green,
                                          yellows - board_yellow): 1}
             else:
                 counts = {}

@@ -533,10 +533,11 @@ def test_importing_main_runs_nothing():
 
 # -- what each command imports ----------------------------------------------------
 
+# imports what `python -m imocheck` does, then runs the command
 MODULES_PROBE = """
 import contextlib, io, sys
 with contextlib.redirect_stdout(io.StringIO()):
-    import imocheck.cli
+    import imocheck.__main__, imocheck.cli
     code = imocheck.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, *sys.modules)
 """

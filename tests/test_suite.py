@@ -866,6 +866,19 @@ def test_exhaustive_row_names_a_board_table_only_fault_as_a_disagreement(
                            [("no parity witness", 1)])
 
 
+def test_exhaustive_row_checks_the_counts_total_against_the_reference_counter(monkeypatch):
+    """A search that drops every tile wider or taller than 3: every tiling it finds holds.
+
+    1x5 is the first board with a tile longer than 3; the search finds 13 of its 16 tilings.
+    """
+    placements = tiling._placements
+    monkeypatch.setattr(tiling, "_placements", lambda occ, a, b: (
+        (r, mask) for r, mask in placements(occ, a, b) if r[1] - r[0] <= 3 and r[3] - r[2] <= 3))
+    assert _run("c1.theorem_exhaustive").record_line() == (
+        "CLAIM c1.theorem_exhaustive area_cap=16 steps=5 "
+        "witness=1;5;thecountandthereferencetotaldisagree;13;16 outcome=fail")
+
+
 def _tiling_only_exhaustive_theorem(area_cap):
     """The exhaustive sweep without the count: the Tiling route on every tiling of every board."""
     for a, b in suite._odd_boards(area_cap):
