@@ -115,8 +115,6 @@ def cmd_c1_check(args: argparse.Namespace) -> int:
 
 
 def cmd_c1_gen(args: argparse.Namespace) -> int:
-    import random
-
     from . import tilefile, tiling
     if args.a < 1 or args.b < 1:
         return _fail_usage("board sides must be at least 1")
@@ -124,13 +122,10 @@ def cmd_c1_gen(args: argparse.Namespace) -> int:
         return _fail_usage(f"c1-gen needs --a and --b <= {tilefile.MAX_SIDE}")
     if args.kind == "guillotine" and args.a * args.b > tilefile.MAX_TILES:
         return _fail_usage(f"c1-gen --kind guillotine needs a*b <= {tilefile.MAX_TILES}")
-    if args.kind == "pinwheel":
-        if args.a < 3 or args.b < 3:
-            return _fail_usage("pinwheel needs both sides >= 3")
-        t = tiling.random_pinwheel(args.a, args.b, random.Random(args.seed))
-    else:
-        t = tiling.gen_guillotine(args.a, args.b, args.seed)
-    sys.stdout.write(tilefile.serialize_tiling(t))
+    if args.kind == "pinwheel" and (args.a < 3 or args.b < 3):
+        return _fail_usage("pinwheel needs both sides >= 3")
+    generate = tiling.random_pinwheel if args.kind == "pinwheel" else tiling.gen_guillotine
+    sys.stdout.write(tilefile.serialize_tiling(generate(args.a, args.b, args.seed)))
     return EXIT_PASS
 
 

@@ -9,10 +9,11 @@ a2 --verify``, which does not load this module, writes its own a2.verify
 record.  ``run_suite`` runs the rows in order with the run's seed; a seeded
 row draws from its own rng, seeded by that seed and its id, so a row's
 record depends only on its id, its params and the seed.  It prints one
-line per claim to stdout and each row's wall time to stderr.  A row that
-raises gets a fail record with the exception class as witness and one
-stderr line, the other rows still run, and the exit code is 3.  Tests run
-the same runner on a small table.
+line per claim to stdout; to stderr each row's wall time, then ``rng`` and
+16 hex digits of a sha256 over the seeded rows' final rng states, which
+pass records do not show.  A row that raises gets a fail record with the
+exception class as witness and one stderr line, the other rows still run,
+and the exit code is 3.  Tests run the same runner on a small table.
 
 An instance check (one start, one pair of rects, one tiling) returns None
 when the instance holds and a witness (for a tiling, the problem string)
@@ -37,6 +38,7 @@ against the Tiling route.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -246,26 +248,27 @@ def random_odd_board(rng: random.Random, min_side: int = 1) -> tuple[int, int]:
 
 
 def c1_random_theorem(rng: random.Random, count: int, pinwheels: int) -> Witnesses:
-    """Seeded guillotine tilings plus pinwheel fixtures, all of odd-by-odd boards."""
-    for i in range(count):
-        a, b = random_odd_board(rng)
-        problem = tiling.check_tiling_theorem(tiling.gen_guillotine(a, b, rng.getrandbits(63)))
-        yield None if problem is None else ("guillotine", i, a, b, problem)
-    for i in range(pinwheels):
-        a, b = random_odd_board(rng, min_side=3)
-        problem = tiling.check_tiling_theorem(tiling.random_pinwheel(a, b, rng))
-        yield None if problem is None else ("pinwheel", i, a, b, problem)
+    """Guillotine tilings, then pinwheels, of odd-by-odd boards, each at a drawn board and seed.
+
+    A failure's witness (kind, i, a, b, seed, problem) names the tiling's c1-gen call.
+    """
+    for kind, generate, n, min_side in (("guillotine", tiling.gen_guillotine, count, 1),
+                                         ("pinwheel", tiling.random_pinwheel, pinwheels, 3)):
+        for i in range(n):
+            (a, b), seed = random_odd_board(rng, min_side), rng.getrandbits(63)
+            problem = tiling.check_tiling_theorem(generate(a, b, seed))
+            yield None if problem is None else (kind, i, a, b, seed, problem)
 
 
 def c1_roundtrip(rng: random.Random, samples: int) -> Witnesses:
     """parse/serialize round-trips on generated tilings; serialize is canonical."""
     for _ in range(samples):
-        a, b = random_odd_board(rng)
-        t = tiling.gen_guillotine(a, b, rng.getrandbits(63))
+        (a, b), seed = random_odd_board(rng), rng.getrandbits(63)
+        t = tiling.gen_guillotine(a, b, seed)
         text = tilefile.serialize_tiling(t)
         back = tilefile.parse_tiling(text)
         ok = back == t and tilefile.serialize_tiling(back) == text
-        yield None if ok else (a, b)
+        yield None if ok else (a, b, seed)
 
 
 # -- N1 ---------------------------------------------------------------------------
@@ -402,8 +405,9 @@ class Claim(NamedTuple):
 
     A seeded row's sweep takes a random.Random as its first argument, seeded
     by the run's seed and the row's id, so its draws do not depend on the
-    other rows.  The rng is not a param, so records do not print it.  The
-    default params dict is shared by the rows, so nothing writes to params.
+    other rows.  The rng is not a param, so records do not print it; run
+    appends its final state to rng_states when given one.  The default
+    params dict is shared by the rows, so nothing writes to params.
     """
 
     id: str
@@ -411,9 +415,12 @@ class Claim(NamedTuple):
     params: dict[str, Any] = {}
     seeded: bool = False
 
-    def run(self, seed: int) -> ClaimReport:
+    def run(self, seed: int, rng_states: list | None = None) -> ClaimReport:
         rng = (random.Random(f"{seed} {self.id}"),) if self.seeded else ()
-        return first_failure(self.id, self.params, self.sweep(*rng, **self.params))
+        rep = first_failure(self.id, self.params, self.sweep(*rng, **self.params))
+        if rng_states is not None:
+            rng_states += (r.getstate() for r in rng)
+        return rep
 
 
 # The rows run and print in this order; a seeded row draws from its own rng, so the
@@ -473,10 +480,11 @@ def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
     print(f"suite seed={seed}", file=diagnostics)
     failures = 0
     raised = False
+    rng_states: list = []
     for claim in claims:
         t0 = time.perf_counter()
         try:
-            rep = claim.run(seed)
+            rep = claim.run(seed, rng_states)
         except Exception as exc:
             raised = True
             kind = type(exc).__name__
@@ -487,6 +495,7 @@ def run_suite(seed: int, records: bool, out: TextIO, err: TextIO,
         print(rep.record_line() if records else _human_line(rep), file=out)
         failures += not rep.outcome
         print(f"time {claim.id} {elapsed:.3f}s", file=err)
+    print(f"rng {hashlib.sha256(repr(rng_states).encode()).hexdigest()[:16]}", file=err)
     print(f"{len(claims) - failures}/{len(claims)} claims passed", file=diagnostics)
     if raised:
         return 3

@@ -131,7 +131,10 @@ def find_green_tile(t: Tiling) -> Rect | None:
 # -- generators and enumeration -------------------------------------------------
 
 def gen_guillotine(a: int, b: int, seed: int) -> Tiling:
-    """A valid tiling by recursive straight cuts; deterministic per seed."""
+    """A valid tiling by recursive straight cuts drawn from random.Random(seed).
+
+    Both generators take the seed c1-gen --seed takes, so c1-gen reprints any tiling they make.
+    """
     if a < 1 or b < 1:
         raise PreconditionFailedError(f"board {a}x{b} needs positive sides")
     rng = random.Random(seed)
@@ -173,8 +176,9 @@ def pinwheel(a: int, b: int, cx1: int, cx2: int, cy1: int, cy2: int) -> Tiling:
     return Tiling((0, a, 0, b), rects)
 
 
-def random_pinwheel(a: int, b: int, rng: random.Random) -> Tiling:
-    """A pinwheel with cut pairs drawn from rng, x pair first; both sides >= 3."""
+def random_pinwheel(a: int, b: int, seed: int) -> Tiling:
+    """A pinwheel, both sides >= 3, its cut pairs drawn from random.Random(seed), x pair first."""
+    rng = random.Random(seed)
     cx1, cx2 = sorted(rng.sample(range(1, a), 2))
     cy1, cy2 = sorted(rng.sample(range(1, b), 2))
     return pinwheel(a, b, cx1, cx2, cy1, cy2)

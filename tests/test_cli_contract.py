@@ -30,7 +30,6 @@ import contextlib
 import functools
 import io
 import os
-import random
 import re
 import tempfile
 from unittest import mock
@@ -99,7 +98,7 @@ def tiling_files(draw):
     """The bytes of a c1-gen output, intact or with one drawn defect."""
     a, b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     seed = draw(st.integers(0, 99))
-    t = (tiling.random_pinwheel(a, b, random.Random(seed))
+    t = (tiling.random_pinwheel(a, b, seed)
          if a >= 3 and b >= 3 and draw(st.booleans()) else tiling.gen_guillotine(a, b, seed))
     lines = tilefile.serialize_tiling(t).splitlines()
     tiles = [list(map(int, line.split()[1:])) for line in lines[1:]]

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import io
 import os
@@ -140,8 +141,9 @@ def test_the_rng_rows_make_the_fraction_era_draws():
 
     Each reference loop only draws, from the row's own random.Random(f"{seed} {id}"):
     per trial of a2.sum_lemmas, n and then (p, q) for each f, each g and for
-    r; the C1 rows' boards, tiling seeds and pinwheel cuts.  The row's rng
-    must stand where the loop's does after the row.
+    r; per tiling of the C1 rows, its board and then its 63-bit seed, each
+    pinwheel's as each guillotine's, since both generators take a seed.  The
+    row's rng must stand where the loop's does after the row.
     """
     rows = [c for c in suite.CLAIMS if c.seeded]
     assert [c.id for c in rows] == ["a2.sum_lemmas", "c1.theorem_random", "c1.roundtrip"]
@@ -157,8 +159,7 @@ def test_the_rng_rows_make_the_fraction_era_draws():
         for _ in range(theorem["count"]):
             ref.randrange(1, 18, 2), ref.randrange(1, 12, 2), ref.getrandbits(63)
         for _ in range(theorem["pinwheels"]):
-            a, b = ref.randrange(3, 18, 2), ref.randrange(3, 12, 2)
-            ref.sample(range(1, a), 2), ref.sample(range(1, b), 2)
+            ref.randrange(3, 18, 2), ref.randrange(3, 12, 2), ref.getrandbits(63)
 
     def roundtrip_draws(ref):
         for _ in range(roundtrip["samples"]):
@@ -175,6 +176,63 @@ def test_the_rng_rows_make_the_fraction_era_draws():
 
         assert row._replace(sweep=sweep).run(cli.DEFAULT_SEED).outcome, row.id
         assert after == [ref.getstate()], row.id
+
+
+def _drop_a_tile_on_call(monkeypatch, name, call):
+    """Patch tiling.<name> to drop a tile on its call-th call; return [(args, tiling)] per call."""
+    calls = []
+    generate = getattr(tiling, name)
+
+    def patched(a, b, seed):
+        t = generate(a, b, seed)
+        calls.append(((a, b, seed), t))
+        return t._replace(tiles=t.tiles - {min(t.tiles)}) if len(calls) == call else t
+
+    monkeypatch.setattr(tiling, name, patched)
+    return calls
+
+
+def _c1_gen_output(capsys, a, b, seed, *flags):
+    assert cli.main(["c1-gen", "--a", str(a), "--b", str(b), *flags, "--seed", str(seed)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, call, kind, i, steps", [
+    ("gen_guillotine", 3, "guillotine", 2, 2),
+    ("random_pinwheel", 2, "pinwheel", 1, 1000 + 1),    # every guillotine, then pinwheel 0
+], ids=["guillotine", "pinwheel"])
+def test_random_theorem_names_a_broken_tiling_by_its_c1_gen_call(monkeypatch, capsys,
+                                                                  name, call, kind, i, steps):
+    """A generator that drops a tile on one call: the row fails there, and the witness's board
+    and seed are the args of that call, so c1-gen at them prints the tiling it broke."""
+    calls = _drop_a_tile_on_call(monkeypatch, name, call)
+    rep = _run("c1.theorem_random")
+    assert len(calls) == call
+    (a, b, seed), t = calls[-1]
+    assert (rep.outcome, rep.steps, rep.witness) == (
+        False, steps, (kind, i, a, b, seed, "invalid tiling"))
+    monkeypatch.undo()
+    assert _c1_gen_output(capsys, a, b, seed, "--kind", kind) == tilefile.serialize_tiling(t)
+
+
+def test_roundtrip_names_a_broken_serialization_by_its_c1_gen_call(monkeypatch, capsys):
+    """serialize_tiling dropping its last line on the 2nd sample: the row fails there, and
+    c1-gen at the witness's board and seed prints that sample's tiling whole."""
+    calls = _drop_a_tile_on_call(monkeypatch, "gen_guillotine", 0)    # records, drops nothing
+    serialize, serialized = tilefile.serialize_tiling, []
+
+    def dropping(t):
+        serialized.append(t)
+        text = serialize(t)
+        return "".join(text.splitlines(True)[:-1]) if len(serialized) == 3 else text
+
+    monkeypatch.setattr(tilefile, "serialize_tiling", dropping)
+    rep = _run("c1.roundtrip")
+    assert len(calls) == 2 and serialized[-1] == calls[-1][1]
+    (a, b, seed), t = calls[-1]
+    assert (rep.outcome, rep.steps, rep.witness) == (False, 1, (a, b, seed))
+    monkeypatch.undo()
+    assert _c1_gen_output(capsys, a, b, seed) == tilefile.serialize_tiling(t)
 
 
 def test_sum_lemmas_row_fails_on_a_finite_sum_that_drops_every_remainder(monkeypatch):
@@ -431,13 +489,25 @@ def test_run_suite_small_config(small_claims):
     assert all(line.startswith("CLAIM ") for line in lines)
     errs = err.getvalue().splitlines()
     assert errs[0] == "suite seed=7" and errs[-1] == "30/30 claims passed"
-    assert len(errs[1:-1]) == 30          # one time line per claim id
-    for claim, line in zip(suite.CLAIMS, errs[1:-1]):
+    assert len(errs[1:-2]) == 30          # one time line per claim id
+    for claim, line in zip(suite.CLAIMS, errs[1:-2]):
         assert re.fullmatch(rf"time {re.escape(claim.id)} \d+\.\d{{3}}s", line)
+    final_states = []                     # each seeded row's rng, after the row drew it all
+    for claim in small_claims:
+        if claim.seeded:
+            rng = random.Random(f"7 {claim.id}")
+            assert all(w is None for w in claim.sweep(rng, **claim.params)), claim.id
+            final_states.append(rng.getstate())
+    assert errs[-2] == f"rng {hashlib.sha256(repr(final_states).encode()).hexdigest()[:16]}"
+
+
+# The stderr rng line of each golden seed: pass records print no draw, and the two
+# seeds' record streams are byte-identical, so only this line tells the seeds apart.
+GOLDEN_RNG = {cli.DEFAULT_SEED: "rng 6ba36809cf25b84b", 1: "rng 8fda14641e546ef1"}
 
 
 def test_default_table_matches_golden_records():
-    """The default table reproduces the committed record streams.
+    """The default table reproduces the committed record streams and the golden rng lines.
 
     Two runs at the default seed, then seed 1, in one process, so that any
     state a run leaves behind in the process would show in a later record.
@@ -446,6 +516,7 @@ def test_default_table_matches_golden_records():
         out, err = io.StringIO(), io.StringIO()
         assert suite.run_suite(seed, True, out, err) == 0
         assert out.getvalue() == (DATA / f"suite_records_{seed}.txt").read_text(), seed
+        assert err.getvalue().splitlines()[-2] == GOLDEN_RNG[seed], seed
 
 
 def test_no_module_of_the_package_binds_a_mutable_container():
